@@ -114,9 +114,9 @@ inline bool writeBenchJson(const std::string& path,
 
 // Parse and strip a `--flag=v1,v2,...` list argument before
 // benchmark::Initialize sees argv (it rejects unrecognized flags). Used by
-// the threads x shards matrix benches: `--bench-threads=1,2,4` and
-// `--bench-shards=1,2,4` pick the matrix axes, with ENV-variable fallbacks
-// (BENCH_THREADS / BENCH_SHARDS) for CI, and the given defaults otherwise.
+// the thread-scaling benches: `--bench-threads=1,2,4` picks the threads
+// axis, with an ENV-variable fallback (BENCH_THREADS) for CI, and the
+// given defaults otherwise.
 // Malformed entries (empty, non-numeric) fall back to the defaults so a
 // typo degrades to the stock matrix instead of an empty bench run.
 inline std::vector<unsigned> extractCsvFlag(int& argc, char** argv,

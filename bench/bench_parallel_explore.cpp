@@ -1,11 +1,9 @@
 // Parallel exploration throughput: states/sec of the work-stealing engine
 // over the scale-test systems (the graphs large enough for expansion cost
-// -- state cloning, task application, hashing -- to dominate), swept over a
-// threads x shards matrix. The axes default to threads {1,2,4,8} and
-// shards {0} (auto: one hash-owned shard per worker) and can be overridden
-// with --bench-threads=LIST / --bench-shards=LIST (or the BENCH_THREADS /
-// BENCH_SHARDS environment variables), which is how the CI multi-core job
-// widens the matrix to an explicit shard sweep without a code change.
+// -- state cloning, task application, hashing -- to dominate), swept over
+// the worker count (the phase-1 table always has bit_ceil(threads) shards).
+// The axis defaults to threads {1,2,4,8} and can be overridden with
+// --bench-threads=LIST (or the BENCH_THREADS environment variable).
 //
 // Per cell, besides wall-clock rates, the bench reports scaling_efficiency
 // (rate / (threads x serial reference rate), serial reference measured once
@@ -56,14 +54,13 @@ std::unique_ptr<ioa::System> flooding(int n) {
   return processes::buildFloodingConsensusSystem(spec);
 }
 
-// One matrix cell. `serialRateCache` is a per-fixture static: the first
-// cell of a fixture measures the serial (1 thread, 1 shard) reference rate
+// One sweep cell. `serialRateCache` is a per-fixture static: the first
+// cell of a fixture measures the serial (1 thread) reference rate
 // once, so every cell of that fixture normalizes scaling_efficiency against
 // the same baseline.
 void runExplore(benchmark::State& state, const ioa::System& sys,
                 std::size_t maxStates, double* serialRateCache) {
   const unsigned threads = static_cast<unsigned>(state.range(0));
-  const unsigned shards = static_cast<unsigned>(state.range(1));
   if (*serialRateCache == 0.0) {
     {
       StateGraph warm(sys);  // warm caches so the reference is not cold
@@ -96,7 +93,6 @@ void runExplore(benchmark::State& state, const ioa::System& sys,
     ExplorationPolicy pol;
     pol.threads = threads;
     pol.maxStates = maxStates;
-    pol.shards = shards;
     const auto t0 = std::chrono::steady_clock::now();
     last = analysis::exploreReachable(g, root, pol);
     exploreSecs +=
@@ -152,8 +148,6 @@ void BM_ParallelExploreFlooding(benchmark::State& state) {
 int main(int argc, char** argv) {
   const std::vector<unsigned> threadsAxis = boosting::benchjson::extractCsvFlag(
       argc, argv, "--bench-threads", "BENCH_THREADS", {1, 2, 4, 8});
-  const std::vector<unsigned> shardsAxis = boosting::benchjson::extractCsvFlag(
-      argc, argv, "--bench-shards", "BENCH_SHARDS", {0});
   const struct {
     const char* name;
     void (*fn)(benchmark::State&);
@@ -166,11 +160,7 @@ int main(int argc, char** argv) {
   for (const auto& fixture : fixtures) {
     auto* b = benchmark::RegisterBenchmark(fixture.name, fixture.fn);
     b->Unit(benchmark::kMillisecond)->UseRealTime();
-    for (unsigned t : threadsAxis) {
-      for (unsigned s : shardsAxis) {
-        b->Args({static_cast<std::int64_t>(t), static_cast<std::int64_t>(s)});
-      }
-    }
+    for (unsigned t : threadsAxis) b->Arg(static_cast<std::int64_t>(t));
   }
   return boosting::benchjson::runBenchmarks(argc, argv,
                                             "BENCH_parallel_explore.json");

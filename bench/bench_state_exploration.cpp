@@ -260,8 +260,9 @@ void BM_BytesPerState(benchmark::State& state) {
   state.counters["bytes_per_state"] = bytesPerState;
 }
 
-// The threads x shards scaling matrix over the relay n=4 single-root
-// region (PR 7's multi-core truth harness). Each cell reports:
+// The thread-scaling sweep over the relay n=4 single-root region (the
+// multi-core truth harness; the phase-1 table always has bit_ceil(threads)
+// shards). Each cell reports:
 //   states_per_sec       raw discovery throughput of the two-phase engine;
 //   scaling_efficiency   rate / (threads * serial reference rate), i.e.
 //                        the fraction of perfect linear speedup realized.
@@ -272,7 +273,7 @@ void BM_BytesPerState(benchmark::State& state) {
 //                        one-sided (drops fail, gains pass);
 //   install_queue_depth  largest batch any flush handed a shard;
 //   routed / batch_flushes / cross_shard_edges  contention tallies from
-//                        explorer.shard.* (zero on the serial 1x1 cell);
+//                        explorer.shard.* (zero on the serial t=1 cell);
 //   peak_rss_bytes       process peak RSS after the cell ran, gating
 //                        shard-table and batch-buffer memory bloat. NOTE:
 //                        this is VmHWM, monotone across the cells of one
@@ -280,24 +281,11 @@ void BM_BytesPerState(benchmark::State& state) {
 //   rss_delta_bytes      VmRSS growth across this cell's timed loop (the
 //                        v6 per-cell measurement compare_bench.py gates;
 //                        unlike VmHWM it responds to every cell).
-// The third axis is the pipelined canonical install (arg 1 = --pipeline
-// on, arg 0 = off): pipelined cells additionally report
-//   levels_overlapped    BFS levels the install pump consumed while
-//                        phase 1 was still expanding deeper levels (the
-//                        overlap evidence -- 0 means the pipeline never
-//                        ran ahead of the barrier it replaced);
-//   install_wait_ms      cumulative time the pump blocked waiting for a
-//                        level completion or a POR expansion flag.
-// The axes default to {1,2,4} x {1,2,4} x {0,1} and can be overridden
-// with --bench-threads=LIST / --bench-shards=LIST / --bench-pipeline=LIST
-// (or BENCH_THREADS / BENCH_SHARDS / BENCH_PIPELINE), so the CI
-// multi-core job can widen the matrix without a code change. threads=1
-// cells take the engine's serial path where the pipeline axis is moot, so
-// only the pipeline=0 variant is registered there.
+// The threads axis defaults to {1,2,4} and can be overridden with
+// --bench-threads=LIST (or BENCH_THREADS), so the CI multi-core job can
+// widen the sweep without a code change.
 void BM_ShardMatrixRelay(benchmark::State& state) {
   const unsigned threads = static_cast<unsigned>(state.range(0));
-  const unsigned shards = static_cast<unsigned>(state.range(1));
-  const bool pipelined = state.range(2) != 0;
   auto sys = relay(4, 0);
   static const double serialRate = [] {
     auto ref = relay(4, 0);
@@ -330,9 +318,6 @@ void BM_ShardMatrixRelay(benchmark::State& state) {
         analysis::canonicalInitialization(*sys, sys->processCount() / 2));
     ExplorationPolicy pol;
     pol.threads = threads;
-    pol.shards = shards;
-    pol.pipeline = pipelined ? analysis::PipelineMode::On
-                             : analysis::PipelineMode::Off;
     const auto t0 = std::chrono::steady_clock::now();
     last = analysis::exploreReachable(g, root, pol);
     exploreSecs +=
@@ -355,12 +340,6 @@ void BM_ShardMatrixRelay(benchmark::State& state) {
       static_cast<double>(last.shard.batchFlushes);
   state.counters["cross_shard_edges"] =
       static_cast<double>(last.shard.crossShardEdges);
-  if (pipelined) {
-    state.counters["levels_overlapped"] =
-        static_cast<double>(last.pipeline.levelsOverlapped);
-    state.counters["install_wait_ms"] =
-        static_cast<double>(last.pipeline.installWaitNs) / 1e6;
-  }
   state.counters["peak_rss_bytes"] =
       static_cast<double>(analysis::peakRssBytes());
   const std::uint64_t rssAfter = analysis::currentRssBytes();
@@ -469,24 +448,10 @@ BENCHMARK(BM_BoundedExploreRelay)
 int main(int argc, char** argv) {
   const std::vector<unsigned> threadsAxis = boosting::benchjson::extractCsvFlag(
       argc, argv, "--bench-threads", "BENCH_THREADS", {1, 2, 4});
-  const std::vector<unsigned> shardsAxis = boosting::benchjson::extractCsvFlag(
-      argc, argv, "--bench-shards", "BENCH_SHARDS", {1, 2, 4});
-  const std::vector<unsigned> pipeAxis = boosting::benchjson::extractCsvFlag(
-      argc, argv, "--bench-pipeline", "BENCH_PIPELINE", {0, 1});
   auto* matrix =
       benchmark::RegisterBenchmark("BM_ShardMatrixRelay", BM_ShardMatrixRelay);
   matrix->Unit(benchmark::kMillisecond)->UseRealTime();
-  for (unsigned t : threadsAxis) {
-    for (unsigned s : shardsAxis) {
-      for (unsigned p : pipeAxis) {
-        // threads=1 runs the serial BFS; the pipeline axis is moot there.
-        if (t == 1 && p != 0) continue;
-        matrix->Args({static_cast<std::int64_t>(t),
-                      static_cast<std::int64_t>(s),
-                      static_cast<std::int64_t>(p)});
-      }
-    }
-  }
+  for (unsigned t : threadsAxis) matrix->Arg(static_cast<std::int64_t>(t));
   return boosting::benchjson::runBenchmarks(argc, argv,
                                             "BENCH_state_explore.json");
 }

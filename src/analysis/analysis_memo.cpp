@@ -37,9 +37,7 @@ std::uint32_t AnalysisMemo::internActionHashed(const ioa::Action& a,
     }
     if (slot.hash == h && pool_[slot.idx] == a) return slot.idx;
     i = (i + 1) & mask;
-#if defined(BOOSTING_PREFETCH)
     __builtin_prefetch(&table_[(i + 1) & mask]);
-#endif
   }
 }
 
@@ -52,13 +50,11 @@ void AnalysisMemo::internActionBatch(const ioa::Action* const* acts,
   batchHash_.resize(n);
   for (std::size_t k = 0; k < n; ++k) batchHash_[k] = acts[k]->hash();
   for (std::size_t k = 0; k < n; ++k) {
-#if defined(BOOSTING_PREFETCH)
     if (k + 1 < n) {
       // Home slot of the NEXT action, against the CURRENT table geometry;
       // an intervening growth merely wastes the hint.
       __builtin_prefetch(&table_[batchHash_[k + 1] & (table_.size() - 1)]);
     }
-#endif
     ids[k] = internActionHashed(*acts[k], batchHash_[k]);
   }
 }

@@ -59,7 +59,7 @@ class AnalysisMemo {
   // `ids`. First-intern order is exactly that of n sequential
   // internAction calls; the batch exists so hashes can be precomputed and
   // the next probe's home slot prefetched while the current action
-  // compares (the pipelined installer resolves a whole edge run per
+  // compares (the parallel installer resolves a whole edge run per
   // call). Duplicate pointers within a batch are fine (intern is
   // idempotent).
   void internActionBatch(const ioa::Action* const* acts, std::uint32_t* ids,

@@ -28,30 +28,22 @@ BivalenceResult findBivalentInitialization(StateGraph& g, ValenceAnalyzer& va,
   // alpha_1's new nodes, ...), fenced by va's explored set just like the
   // serial BFS.
   std::optional<ParallelExplorer> shared;
-  std::optional<NodeId> firstRoot;
-  if (policy.threads != 1) {
+  if (resolveWorkers(policy.threads) > 1) {
     shared.emplace(g, policy);
     std::vector<ioa::SystemState> roots;
     roots.reserve(static_cast<std::size_t>(n) + 1);
     for (int j = 0; j <= n; ++j) {
       roots.push_back(canonicalInitialization(g.system(), j));
     }
-    // Root 0's install overlaps the shared expansion (pipelined mode);
-    // the j >= 1 installs below run after the workers have drained, so
-    // their level gates pass trivially and they behave exactly like the
-    // legacy post-join installs.
-    firstRoot = shared->expandAndInstallFirst(
-        std::move(roots), [&va](NodeId id) { return va.explored(id); });
+    shared->expand(std::move(roots));
   }
 
   for (int j = 0; j <= n; ++j) {
     InitializationOutcome out;
     out.onesPrefix = j;
     if (shared) {
-      out.node = j == 0 ? *firstRoot
-                        : shared->install(
-                              static_cast<std::size_t>(j),
-                              [&va](NodeId id) { return va.explored(id); });
+      out.node = shared->install(static_cast<std::size_t>(j),
+                                 [&va](NodeId id) { return va.explored(id); });
     } else {
       out.node = g.intern(canonicalInitialization(g.system(), j));
     }

@@ -43,7 +43,8 @@ ioa::SystemState canonicalInitialization(const ioa::System& sys,
                                          int onesPrefix);
 
 // Classify the n+1 canonical initializations. The scan is embarrassingly
-// parallel: with policy.threads > 1 ALL regions are expanded by one shared
+// parallel: when the policy resolves to more than one worker
+// (resolveWorkers), ALL regions are expanded by one shared
 // work-stealing phase (they are near-disjoint, since process states record
 // their inputs) and then installed region by region in the serial order,
 // so node numbering, valences and the returned outcome are identical to

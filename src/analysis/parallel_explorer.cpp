@@ -1,12 +1,9 @@
 #include "analysis/parallel_explorer.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -29,7 +26,7 @@ namespace {
 // Handle of a node in the private table: shard index in the high bits,
 // index within the shard's deque in the low bits. The handle encoding is
 // fixed at the maximum shard count; the RESOLVED shard count per run is a
-// power of two <= kMaxShards chosen from the policy.
+// power of two <= kMaxShards derived from the worker count.
 using PHandle = std::uint64_t;
 constexpr unsigned kShardBitsMax = 8;
 constexpr std::size_t kMaxShards = shard_router::kMaxShards;
@@ -52,7 +49,7 @@ std::size_t indexOf(PHandle h) {
 // global intern indices stay bit-identical to serial exploration.
 constexpr unsigned kActionWorkerShift = 24;
 constexpr std::uint32_t kActionLocalMask = (1u << kActionWorkerShift) - 1;
-constexpr unsigned kMaxWorkers = 256;  // action ref + PNode::edgeWorker width
+static_assert(kMaxWorkers <= 256, "action ref / PNode::edgeWorker width");
 
 // Compact successor record living in the expanding worker's edge arena.
 // `to` is patched in at batch-flush time (kNoHandle until then); nobody
@@ -70,28 +67,11 @@ struct PNode {
   std::uint32_t nextSameHash = UINT32_MAX;  // intrusive shard hash chain
   // Successor run in the expanding worker's arena. Written by the sole
   // expanding worker without the shard lock (distinct members are distinct
-  // memory locations), read after the workers have been joined -- or, when
-  // the install pump runs pipelined, after the level barrier (plain
-  // install) / this node's `expanded` release-store (POR install) made
-  // them visible.
+  // memory locations), read only after the workers have been joined.
   std::uint32_t edgeBegin = 0;
   std::uint16_t edgeCount = 0;
   std::uint8_t edgeWorker = 0;
-  // Release-store by the expanding worker once the successor run above is
-  // complete; acquire-load by the pipelined install pump. Atomic because
-  // the pump may read it while workers still expand deeper levels.
-  std::atomic<bool> expanded{false};
-
-  PNode() = default;
-  // Needed for the push_back into the shard deque at intern time; that
-  // move happens under the shard lock before the node is reachable by
-  // anyone else, so a relaxed copy of the flag is sufficient.
-  PNode(PNode&& o) noexcept
-      : state(std::move(o.state)), hash(o.hash),
-        nextSameHash(o.nextSameHash), edgeBegin(o.edgeBegin),
-        edgeCount(o.edgeCount), edgeWorker(o.edgeWorker),
-        expanded(o.expanded.load(std::memory_order_relaxed)) {}
-  PNode& operator=(PNode&&) = delete;
+  bool expanded = false;  // false = truncated leaf (maxStates cap)
 };
 
 // How many successors a worker buffers per shard before handing the batch
@@ -237,127 +217,38 @@ struct ParallelExplorer::Impl {
 
   // Per-worker chunked edge arena: runs never span a chunk, so a packed
   // (chunk << kChunkShift | offset) position addresses edges stably while
-  // chunks keep getting appended. The chunk directory is a fixed two-level
-  // array of atomic pointers rather than a growable vector: the pipelined
-  // install pump reads edge runs while the owning worker is still
-  // appending chunks, and a vector's buffer relocation is not safe to race
-  // with. Chunk pointers are published with release stores and never move;
-  // the edge CONTENTS become visible through the level-barrier /
-  // expanded-flag ordering, not through the pointer itself.
+  // chunks keep getting appended. Owner-only during phase 1; the install
+  // pass reads it after the join.
   struct EdgeArena {
     static constexpr unsigned kChunkShift = 15;
     static constexpr std::size_t kChunkCapacity = std::size_t{1}
                                                   << kChunkShift;
-    static constexpr std::size_t kSubSize = 256;
-    // 2^17 chunks of 2^15 edges covers the full 32-bit position space.
-    static constexpr std::size_t kTopSize = 512;
-    struct SubDir {
-      std::array<std::atomic<CompactPEdge*>, kSubSize> slots{};
-    };
-    std::array<std::atomic<SubDir*>, kTopSize> top{};
-    std::size_t chunkCount = 0;        // owner-only
-    std::size_t used = kChunkCapacity;  // owner-only
-
-    ~EdgeArena() {
-      for (auto& t : top) {
-        SubDir* sub = t.load(std::memory_order_relaxed);
-        if (!sub) continue;
-        for (auto& s : sub->slots) delete[] s.load(std::memory_order_relaxed);
-        delete sub;
-      }
-    }
-
-    CompactPEdge* chunk(std::size_t c) const {
-      SubDir* sub = top[c / kSubSize].load(std::memory_order_acquire);
-      return sub->slots[c % kSubSize].load(std::memory_order_acquire);
-    }
+    std::vector<std::unique_ptr<CompactPEdge[]>> chunks;
+    std::size_t used = kChunkCapacity;
 
     std::uint32_t reserveRun(std::size_t need) {
       assert(need <= kChunkCapacity);
       if (kChunkCapacity - used < need) {
-        const std::size_t c = chunkCount;
-        SubDir* sub = top[c / kSubSize].load(std::memory_order_relaxed);
-        if (sub == nullptr) {
-          sub = new SubDir();
-          top[c / kSubSize].store(sub, std::memory_order_release);
-        }
-        sub->slots[c % kSubSize].store(new CompactPEdge[kChunkCapacity](),
-                                       std::memory_order_release);
-        ++chunkCount;
+        chunks.push_back(std::make_unique<CompactPEdge[]>(kChunkCapacity));
         used = 0;
       }
       const std::uint32_t base = static_cast<std::uint32_t>(
-          ((chunkCount - 1) << kChunkShift) | used);
+          ((chunks.size() - 1) << kChunkShift) | used);
       used += need;
       return base;
     }
 
     CompactPEdge& at(std::uint32_t pos) const {
-      return chunk(pos >> kChunkShift)[pos & (kChunkCapacity - 1)];
-    }
-  };
-
-  // Worker-local action pool storage: a fixed two-level directory of
-  // fixed-size chunks, for the same reason as EdgeArena -- the pipelined
-  // install pump resolves action refs while the owning worker is still
-  // appending, and a deque's internal block map cannot be read concurrently
-  // with push_back. Action CONTENTS become visible to the pump through the
-  // level-barrier / expanded-flag ordering (an action is only ever reached
-  // through an edge whose node the pump has been gated on).
-  struct ActionArena {
-    static constexpr unsigned kChunkBits = 8;
-    static constexpr std::size_t kChunkCap = std::size_t{1} << kChunkBits;
-    static constexpr std::size_t kSubSize = 256;
-    // Spans the full worker-local ref space (kActionLocalMask + 1 refs).
-    static constexpr std::size_t kTopSize =
-        (std::size_t{kActionLocalMask} + 1) / (kChunkCap * kSubSize);
-    struct SubDir {
-      std::array<std::atomic<ioa::Action*>, kSubSize> slots{};
-    };
-    std::array<std::atomic<SubDir*>, kTopSize> top{};
-    std::size_t count = 0;  // owner-only append cursor
-
-    ~ActionArena() {
-      for (auto& t : top) {
-        SubDir* sub = t.load(std::memory_order_relaxed);
-        if (!sub) continue;
-        for (auto& s : sub->slots) delete[] s.load(std::memory_order_relaxed);
-        delete sub;
-      }
-    }
-
-    ioa::Action& at(std::size_t idx) const {
-      const std::size_t c = idx >> kChunkBits;
-      SubDir* sub = top[c / kSubSize].load(std::memory_order_acquire);
-      return sub->slots[c % kSubSize].load(std::memory_order_acquire)
-          [idx & (kChunkCap - 1)];
-    }
-
-    // Owner-only append; the new entry's index is the pre-push `count`.
-    void push(const ioa::Action& a) {
-      const std::size_t idx = count;
-      if ((idx & (kChunkCap - 1)) == 0) {
-        const std::size_t c = idx >> kChunkBits;
-        SubDir* sub = top[c / kSubSize].load(std::memory_order_relaxed);
-        if (sub == nullptr) {
-          sub = new SubDir();
-          top[c / kSubSize].store(sub, std::memory_order_release);
-        }
-        sub->slots[c % kSubSize].store(new ioa::Action[kChunkCap](),
-                                       std::memory_order_release);
-      }
-      at(idx) = a;
-      ++count;
+      return chunks[pos >> kChunkShift][pos & (kChunkCapacity - 1)];
     }
   };
 
   // Everything a worker owns privately during phase 1. Read by the install
-  // pass only after the join -- or concurrently, under the pipelined
-  // gating, when the install pump overlaps phase 1.
+  // pass only after the join.
   struct WorkerState {
     EdgeArena arena;
-    // Worker-local hash-consed action pool.
-    ActionArena actionPool;
+    // Worker-local hash-consed action pool (deque: stable references).
+    std::deque<ioa::Action> actionPool;
     std::vector<ActionSlot> actionTable;
     std::size_t actionCount = 0;
     // One batch buffer per shard plus a dirty list so idle flushes skip
@@ -395,27 +286,6 @@ struct ParallelExplorer::Impl {
   std::vector<WorkQueue> queues;
   std::vector<WorkerState> wstates;
 
-  // ---- Pipelined mode (see expandAndInstallFirst) -------------------
-  // When pipelined, phase 1 runs LEVEL-SYNCHRONOUSLY: workers drain the
-  // current BFS level from `queues` while routing every spawned child into
-  // `nextQueues`; when the level's in-flight tokens drain, one worker
-  // advances the barrier (tryAdvanceLevel), swapping next into current.
-  // The install pump on the calling thread interns level k as soon as
-  // `completedLevel` reaches k+1 -- level-k states' identities are fully
-  // determined once every expansion at depth <= k has completed, so the
-  // canonical numbering is bit-identical to the post-join install.
-  bool pipelined = false;
-  std::vector<WorkQueue> nextQueues;
-  // Children queued for the NEXT level (their tokens are deferred: the
-  // barrier transfers `nextCount` into `inflight` when the level flips, so
-  // within a level inflight == 0 is a stable completion signal).
-  std::atomic<std::int64_t> nextCount{0};
-  std::mutex levelMutex;
-  std::condition_variable levelCv;
-  std::uint64_t completedLevel = 0;  // guarded by levelMutex
-  bool phase1Done = false;           // guarded by levelMutex
-  std::atomic<bool> phase1DoneFlag{false};
-
   std::atomic<std::int64_t> inflight{0};
   std::atomic<std::size_t> discovered{0};
   std::atomic<std::size_t> edges{0};
@@ -451,12 +321,8 @@ struct ParallelExplorer::Impl {
   Impl(StateGraph& graph, const ExplorationPolicy& p)
       : g(graph), sys(graph.system()), policy(p),
         spill(resolveFrontierSpill(p)) {
-    workers = policy.threads == 0 ? std::thread::hardware_concurrency()
-                                  : policy.threads;
-    if (workers == 0) workers = 1;
-    // The worker byte in action refs / PNode::edgeWorker caps parallelism.
-    if (workers > kMaxWorkers) workers = kMaxWorkers;
-    shardCount = shard_router::resolveShardCount(policy.shards, workers);
+    workers = resolveWorkers(policy.threads);
+    shardCount = shard_router::resolveShardCount(workers);
     shardBits = static_cast<unsigned>(std::countr_zero(shardCount));
     shards = std::vector<Shard>(shardCount);
     queues = std::vector<WorkQueue>(workers);
@@ -502,9 +368,7 @@ struct ParallelExplorer::Impl {
       IndexSlot& slot = sh.index[i];
       if (slot.head == UINT32_MAX || slot.hash == hash) return &slot;
       i = (i + 1) & mask;
-#if defined(BOOSTING_PREFETCH)
       __builtin_prefetch(&sh.index[(i + 1) & mask]);
-#endif
     }
   }
 
@@ -598,16 +462,16 @@ struct ParallelExplorer::Impl {
       ActionSlot& slot = w.actionTable[i];
       if (slot.idx == UINT32_MAX) {
         const std::uint32_t idx =
-            static_cast<std::uint32_t>(w.actionPool.count);
+            static_cast<std::uint32_t>(w.actionPool.size());
         assert(idx <= kActionLocalMask && "worker action pool overflow");
-        w.actionPool.push(a);
+        w.actionPool.push_back(a);
         slot = ActionSlot{h, idx};
         if ((++w.actionCount) * 10 >= w.actionTable.size() * 7) {
           growActionTable(w);
         }
         return (static_cast<std::uint32_t>(self) << kActionWorkerShift) | idx;
       }
-      if (slot.hash == h && w.actionPool.at(slot.idx) == a) {
+      if (slot.hash == h && w.actionPool[slot.idx] == a) {
         return (static_cast<std::uint32_t>(self) << kActionWorkerShift) |
                slot.idx;
       }
@@ -629,7 +493,7 @@ struct ParallelExplorer::Impl {
 
   const ioa::Action& localAction(std::uint32_t ref) const {
     return wstates[ref >> kActionWorkerShift]
-        .actionPool.at(ref & kActionLocalMask);
+        .actionPool[ref & kActionLocalMask];
   }
 
   // Bulk-pin scratch for pinActionRun (install thread only). Unpinned refs
@@ -662,14 +526,12 @@ struct ParallelExplorer::Impl {
       WorkerState& w = wstates[pe.action >> kActionWorkerShift];
       const std::uint32_t local = pe.action & kActionLocalMask;
       if (w.globalActionId.size() <= local) {
-        // Grow from the ref, never from the pool's append cursor: the
-        // owning worker may still be pushing actions concurrently.
         w.globalActionId.resize(local + 1, UINT32_MAX);
       }
       if (w.globalActionId[local] != UINT32_MAX) continue;
       bulkPins.push_back(PendingPin{
           static_cast<std::uint8_t>(pe.action >> kActionWorkerShift), local});
-      bulkActs.push_back(&w.actionPool.at(local));
+      bulkActs.push_back(&w.actionPool[local]);
     }
     if (bulkPins.empty()) return;
     bulkIds.resize(bulkPins.size());
@@ -678,7 +540,6 @@ struct ParallelExplorer::Impl {
       wstates[bulkPins[k].worker].globalActionId[bulkPins[k].local] =
           bulkIds[k];
     }
-    ++statsOut.pipeline.bulkActionBatches;
   }
 
   void pushWork(unsigned self, PHandle h) {
@@ -698,118 +559,6 @@ struct ParallelExplorer::Impl {
         wq.q.pop_front();
       }
     }
-  }
-
-  // Pipelined variant of pushWork: fresh children belong to the NEXT BFS
-  // level. Caller has already counted the entry into nextCount; the level
-  // barrier turns that count into in-flight tokens when the level flips.
-  void pushNext(unsigned self, PHandle h) {
-    WorkQueue& wq = nextQueues[self];
-    std::lock_guard<std::mutex> lock(wq.m);
-    wq.q.push_back(h);
-    workerStats[self].frontierPeak =
-        std::max<std::uint64_t>(workerStats[self].frontierPeak, wq.q.size());
-    if (wq.overflow && wq.q.size() > spill.threshold) {
-      const std::size_t shed =
-          std::min<std::size_t>(spill.segEntries, wq.q.size() - 1);
-      for (std::size_t k = 0; k < shed; ++k) {
-        wq.overflow->push(wq.q.front());
-        wq.q.pop_front();
-      }
-    }
-  }
-
-  // Level barrier, entered by whichever worker first observes the current
-  // level fully drained (inflight == 0 with every queue empty). Swaps the
-  // next-level queues into place and publishes the completed level to the
-  // install pump. Returns false when the worker should exit (phase 1 over
-  // or aborted), true when there may be more work.
-  bool tryAdvanceLevel() {
-    std::unique_lock<std::mutex> lk(levelMutex);
-    if (phase1Done) return false;
-    if (abort.load(std::memory_order_relaxed)) return false;
-    // Another worker may have advanced the level between our inflight
-    // probe and the lock: re-check under the mutex so a level never
-    // advances twice for one drain.
-    if (inflight.load(std::memory_order_acquire) != 0) return true;
-    // Freeze EVERY next-level queue before draining the count and hold
-    // the locks across the whole swap. Workers can start expanding from
-    // already-swapped queues while this loop is mid-flip; a child they
-    // pushNext must land in the post-swap next queue, not get swapped
-    // into the current level -- its count went to the next flip, so it
-    // would enter the level token-less and its release in workerLoop
-    // would drive the in-flight counter negative (a permanent livelock:
-    // both the ==0 and !=0 probes fail forever).
-    std::vector<std::unique_lock<std::mutex>> frozen;
-    frozen.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) frozen.emplace_back(nextQueues[w].m);
-    const std::int64_t moved = nextCount.exchange(0, std::memory_order_acq_rel);
-    ++completedLevel;
-    if (moved == 0) {
-      // No next level: phase 1 is complete.
-      phase1Done = true;
-      phase1DoneFlag.store(true, std::memory_order_release);
-      frozen.clear();
-      lk.unlock();
-      levelCv.notify_all();
-      return false;
-    }
-    // Restore the in-flight tokens BEFORE exposing the swapped queues:
-    // a worker could steal from a swapped queue immediately, and its
-    // token release must never drive the counter negative.
-    inflight.fetch_add(moved, std::memory_order_relaxed);
-    for (unsigned w = 0; w < workers; ++w) {
-      WorkQueue& cur = queues[w];
-      WorkQueue& nxt = nextQueues[w];
-      std::lock_guard<std::mutex> qlk(cur.m);
-      cur.q.swap(nxt.q);
-      std::swap(cur.overflow, nxt.overflow);
-    }
-    frozen.clear();
-    lk.unlock();
-    levelCv.notify_all();
-    return true;
-  }
-
-  // Install-pump gate (plain install): block until every expansion at
-  // depth < `level` has completed. Returns false on abort.
-  bool waitForLevel(std::uint64_t level) {
-    if (phase1DoneFlag.load(std::memory_order_acquire)) return true;
-    std::unique_lock<std::mutex> lk(levelMutex);
-    if (completedLevel >= level || phase1Done) return true;
-    if (abort.load(std::memory_order_relaxed)) return false;
-    const auto t0 = std::chrono::steady_clock::now();
-    levelCv.wait(lk, [&] {
-      return completedLevel >= level || phase1Done ||
-             abort.load(std::memory_order_relaxed);
-    });
-    statsOut.pipeline.installWaitNs += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    return completedLevel >= level || phase1Done;
-  }
-
-  // Install-pump gate (POR install): the POR pass walks GRAPH ids whose
-  // depths can lag the private table's levels, so it gates per node on the
-  // expanding worker's release-store of `expanded`. Level-barrier
-  // notifications provide the wakeups. Returns false on abort.
-  bool waitForExpanded(const PNode& pn) {
-    if (pn.expanded.load(std::memory_order_acquire)) return true;
-    if (phase1DoneFlag.load(std::memory_order_acquire)) return true;
-    std::unique_lock<std::mutex> lk(levelMutex);
-    if (phase1Done) return true;
-    if (abort.load(std::memory_order_relaxed)) return false;
-    const auto t0 = std::chrono::steady_clock::now();
-    levelCv.wait(lk, [&] {
-      return pn.expanded.load(std::memory_order_acquire) || phase1Done ||
-             abort.load(std::memory_order_relaxed);
-    });
-    statsOut.pipeline.installWaitNs += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    return pn.expanded.load(std::memory_order_acquire) || phase1Done;
   }
 
   // Route one discovered successor to its owning shard via the worker's
@@ -905,16 +654,8 @@ struct ParallelExplorer::Impl {
           truncated.store(true, std::memory_order_relaxed);
           overCap = true;
         } else if (e.spawn) {
-          if (pipelined) {
-            // Fresh children belong to the NEXT level; their tokens are
-            // deferred through nextCount (see tryAdvanceLevel), so the
-            // current level's inflight still drains to zero.
-            nextCount.fetch_add(1, std::memory_order_relaxed);
-            pushNext(self, h);
-          } else {
-            pushWork(self, h);
-            keep = true;  // the in-flight token rides on the queued node
-          }
+          pushWork(self, h);
+          keep = true;  // the in-flight token rides on the queued node
         }
       }
       if (e.freshOut) *e.freshOut = inserted ? (overCap ? 2 : 1) : 0;
@@ -960,14 +701,6 @@ struct ParallelExplorer::Impl {
                            std::memory_order_release);
         wq.overflow->clear();
       }
-    }
-    // Pipelined runs also park next-level entries (token-less: their
-    // tokens are deferred through nextCount); clear their spill segments
-    // so an aborted run leaves the spill directory empty.
-    if (pipelined) {
-      WorkQueue& nq = nextQueues[self];
-      std::lock_guard<std::mutex> lock(nq.m);
-      if (nq.overflow && !nq.overflow->empty()) nq.overflow->clear();
     }
   }
 
@@ -1019,14 +752,7 @@ struct ParallelExplorer::Impl {
           return true;
         }
       }
-      if (inflight.load(std::memory_order_acquire) == 0) {
-        if (!pipelined) return false;
-        // Level drained (own batches were flushed above, so no token of
-        // ours is hiding in a buffer): advance the level barrier, or exit
-        // if there is no next level.
-        if (!tryAdvanceLevel()) return false;
-        continue;
-      }
+      if (inflight.load(std::memory_order_acquire) == 0) return false;
       ++ws.idleSpins;
       std::this_thread::yield();
     }
@@ -1084,23 +810,15 @@ struct ParallelExplorer::Impl {
       for (const WorkerState::Deferred& d : w.deferred) {
         if (((ample >> d.ti) & 1) == 0) continue;
         if (w.porFresh[d.ti] != 1) continue;  // known, or over the cap
-        if (pipelined) {
-          nextCount.fetch_add(1, std::memory_order_relaxed);
-          pushNext(self, w.arena.at(d.edgePos).to);
-        } else {
-          inflight.fetch_add(1, std::memory_order_relaxed);
-          pushWork(self, w.arena.at(d.edgePos).to);
-        }
+        inflight.fetch_add(1, std::memory_order_relaxed);
+        pushWork(self, w.arena.at(d.edgePos).to);
       }
     }
     edges.fetch_add(edgeTally, std::memory_order_relaxed);
     n->edgeBegin = base;
     n->edgeCount = count;
     n->edgeWorker = static_cast<std::uint8_t>(self);
-    // Release: the pipelined POR pump acquires this flag to read the
-    // successor run (and, under POR, the node-boundary flush above already
-    // patched every child handle before this store).
-    n->expanded.store(true, std::memory_order_release);
+    n->expanded = true;
     ++workerStats[self].expanded;
   }
 
@@ -1138,17 +856,9 @@ struct ParallelExplorer::Impl {
     // idle path above already flushed everything.
     drainBatches(self);
     workerStats[self].cache = transitions.stats();
-    if (pipelined) {
-      // The install pump may be blocked on the level cv; on an abort exit
-      // no barrier will ever fire again, so every leaving worker nudges
-      // the cv (empty critical section first: lost-wakeup-safe against a
-      // pump that is between its predicate check and its wait).
-      { std::lock_guard<std::mutex> lk(levelMutex); }
-      levelCv.notify_all();
-    }
   }
 
-  // Intern the roots and seed the (current-level) work queues.
+  // Intern the roots and seed the work queues.
   void internRoots(std::vector<ioa::SystemState> roots) {
     unsigned next = 0;
     for (ioa::SystemState& s : roots) {
@@ -1169,9 +879,8 @@ struct ParallelExplorer::Impl {
   // the abort, rethrow the first worker exception. Caller has joined.
   [[noreturn]] void handleWorkerError() {
     abortedForError = true;
-    // Phase 1 never touches the StateGraph, so (absent a pipelined pump,
-    // which stops at node boundaries) the abort must leave it exactly as
-    // consistent as it was on entry.
+    // Phase 1 never touches the StateGraph, so the abort must leave it
+    // exactly as consistent as it was on entry.
     assert(g.checkConsistent() &&
            "ParallelExplorer: StateGraph inconsistent after worker abort");
     if (policy.metrics) {
@@ -1186,22 +895,19 @@ struct ParallelExplorer::Impl {
     std::rethrow_exception(firstError);
   }
 
-  // Post-join stats fold. `preserveRegionCount` keeps an installPor-set
-  // statesDiscovered (the pipelined POR pump runs BEFORE this): under POR
-  // the region node count, not the raw table tally, is the serial
-  // semantics.
-  void finalizeStats(bool preserveRegionCount) {
+  // Post-join stats fold.
+  void finalizeStats() {
     // Clean termination: every in-flight token (queued nodes AND batched
     // successors) must have been released, or popWork could not have
     // returned false on all workers.
     assert(inflight.load() == 0 &&
            "ParallelExplorer: in-flight tokens leaked past the join");
-    if (!preserveRegionCount) statsOut.statesDiscovered = discovered.load();
+    statsOut.statesDiscovered = discovered.load();
     statsOut.edgesComputed = edges.load();
     statsOut.threadsUsed = workers;
     statsOut.truncated = truncated.load();
     statsOut.perWorker = workerStats;
-    statsOut.shard.shards = shardCount;
+    statsOut.shard.count = shardCount;
     statsOut.shard.routed = rootRouted;
     for (const ExploreStats::WorkerStats& ws : workerStats) {
       statsOut.shard.routed += ws.routed;
@@ -1213,23 +919,14 @@ struct ParallelExplorer::Impl {
     }
     assert(statsOut.shard.routed == discovered.load() &&
            "ParallelExplorer: routed interns out of sync with discoveries");
-    // Queue-overflow spill tallies stay separate from statsOut so
-    // flushMetrics never double-counts the install FIFO's share, which
-    // noteInstallSpill may already have flushed (pipelined runs install
-    // before this point).
-    ExploreStats::FrontierSpillStats qs;
-    const auto foldQueues = [&qs](std::vector<WorkQueue>& qlist) {
-      for (WorkQueue& wq : qlist) {
-        if (!wq.overflow) continue;
-        qs.segmentsSpilled += wq.overflow->stats().segmentsSpilled;
-        qs.segmentsReloaded += wq.overflow->stats().segmentsReloaded;
-      }
-    };
-    foldQueues(queues);
-    foldQueues(nextQueues);
-    statsOut.frontierSpill.segmentsSpilled += qs.segmentsSpilled;
-    statsOut.frontierSpill.segmentsReloaded += qs.segmentsReloaded;
-    flushMetrics(qs);
+    for (WorkQueue& wq : queues) {
+      if (!wq.overflow) continue;
+      statsOut.frontierSpill.segmentsSpilled +=
+          wq.overflow->stats().segmentsSpilled;
+      statsOut.frontierSpill.segmentsReloaded +=
+          wq.overflow->stats().segmentsReloaded;
+    }
+    flushMetrics();
   }
 
   void expand(std::vector<ioa::SystemState> roots) {
@@ -1246,117 +943,20 @@ struct ParallelExplorer::Impl {
       }
     }  // jthread joins here; everything the workers wrote is now visible
     if (firstError) handleWorkerError();
-    finalizeStats(/*preserveRegionCount=*/false);
+    finalizeStats();
   }
 
-  // Whether this run resolves to the pipelined overlap: policy says On, or
-  // Auto with real parallelism (at one worker the overlap only adds
-  // barrier traffic on the hot path).
-  bool resolvePipelined() const {
-    switch (policy.pipeline) {
-      case PipelineMode::On: return true;
-      case PipelineMode::Off: return false;
-      case PipelineMode::Auto: break;
-    }
-    return workers >= 2;
-  }
-
-  // Tentpole entry point: expand the reachable region AND install root 0,
-  // overlapping the two phases when the policy allows. The canonical
-  // install order of depth-k states depends only on expansions at depth
-  // <= k, so the pump (on the calling thread -- the StateGraph keeps its
-  // single-writer discipline) interns level k as soon as the level
-  // barrier publishes it, while workers expand deeper levels. Node ids,
-  // action-pool intern order, CompactEdge layout, POR decisions and
-  // witnesses are bit-identical to expand()-then-install() by
-  // construction. Further roots (multi-root bivalence scans) install
-  // after the join via plain install(j), whose gates pass trivially.
-  NodeId expandAndInstallFirst(std::vector<ioa::SystemState> roots,
-                               const std::function<bool(NodeId)>& finalized) {
-    if (expanded) {
-      throw std::logic_error("ParallelExplorer::expand called twice");
-    }
-    if (!resolvePipelined()) {
-      expand(std::move(roots));
-      return install(0, finalized);
-    }
-    expanded = true;
-    pipelined = true;
-    nextQueues = std::vector<WorkQueue>(workers);
-    if (spill.threshold != 0) {
-      for (WorkQueue& wq : nextQueues) {
-        wq.overflow = std::make_unique<SpilledFrontier>(
-            spill.segEntries, spill.segEntries, policy.spillDir);
-      }
-    }
-    internRoots(std::move(roots));
-    NodeId rootId = kNoNode;
-    std::exception_ptr pumpError;
-    const bool porActive = g.porActive();
-    {
-      std::vector<std::jthread> pool;
-      pool.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([this, w] { workerLoop(w); });
-      }
-      try {
-        rootId = install(0, finalized);
-      } catch (...) {
-        // The pump failed (graph-side intern / spill I/O): poison the run
-        // and release the workers -- they never block, so the abort flag
-        // alone drains them.
-        pumpError = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }  // jthread joins here
-    if (firstError) handleWorkerError();
-    if (pumpError) {
-      abortedForError = true;
-      // The pump stops between whole-node installs, so the graph holds
-      // only fully installed nodes/edges and must self-check clean.
-      assert(g.checkConsistent() &&
-             "ParallelExplorer: StateGraph inconsistent after pump abort");
-      if (policy.metrics) policy.metrics->add("explorer.aborts", 1);
-      std::rethrow_exception(pumpError);
-    }
-    finalizeStats(/*preserveRegionCount=*/porActive);
-    statsOut.pipeline.pipelined = true;
-    flushPipelineMetrics();
-    return rootId;
-  }
-
-  void flushPipelineMetrics() {
-    obs::Registry* reg = policy.metrics;
-    if (!reg) return;
-    reg->add("explorer.pipeline.levels_overlapped",
-             statsOut.pipeline.levelsOverlapped);
-    reg->add("explorer.pipeline.install_wait_ns",
-             statsOut.pipeline.installWaitNs);
-    reg->add("explorer.pipeline.bulk_action_batches",
-             statsOut.pipeline.bulkActionBatches);
-    if (auto* tw = reg->trace()) {
-      tw->event("explorer.pipeline_done",
-                {{"levels_overlapped", statsOut.pipeline.levelsOverlapped},
-                 {"install_wait_ns", statsOut.pipeline.installWaitNs},
-                 {"bulk_action_batches", statsOut.pipeline.bulkActionBatches}});
-    }
-  }
-
-  // `queueSpill` carries ONLY the work-queue overflow tallies: the install
-  // FIFO's share goes through noteInstallSpill, which in pipelined runs
-  // has already hit the registry by the time this flush happens.
-  void flushMetrics(const ExploreStats::FrontierSpillStats& queueSpill) {
+  // Runs before any install, so statsOut.frontierSpill holds only the
+  // work-queue share; the install FIFOs flush theirs in noteInstallSpill.
+  void flushMetrics() {
     obs::Registry* reg = policy.metrics;
     if (!reg) return;
     reg->add("explorer.expansions", 1);
-    // Raw table tally, not statsOut.statesDiscovered: under POR the latter
-    // may already hold the installed-region count (pipelined runs), while
-    // this metric has always reported phase-1 discoveries.
-    reg->add("explorer.states_discovered", discovered.load());
+    reg->add("explorer.states_discovered", statsOut.statesDiscovered);
     reg->add("explorer.edges_computed", statsOut.edgesComputed);
     reg->maxOf("explorer.threads", statsOut.threadsUsed);
     if (statsOut.truncated) reg->add("explorer.truncations", 1);
-    reg->maxOf("explorer.shard.count", statsOut.shard.shards);
+    reg->maxOf("explorer.shard.count", statsOut.shard.count);
     reg->add("explorer.shard.routed", statsOut.shard.routed);
     reg->add("explorer.shard.batch_flushes", statsOut.shard.batchFlushes);
     reg->maxOf("explorer.shard.max_queue_depth",
@@ -1366,8 +966,9 @@ struct ParallelExplorer::Impl {
     reg->add("explorer.shard.active_pairs", statsOut.shard.activePairs);
     if (spill.threshold != 0) {
       reg->add("explorer.frontier.segments_spilled",
-               queueSpill.segmentsSpilled);
-      reg->add("explorer.frontier.reloads", queueSpill.segmentsReloaded);
+               statsOut.frontierSpill.segmentsSpilled);
+      reg->add("explorer.frontier.reloads",
+               statsOut.frontierSpill.segmentsReloaded);
     }
     TransitionCache::Stats cache;
     for (unsigned w = 0; w < workers; ++w) {
@@ -1388,10 +989,10 @@ struct ParallelExplorer::Impl {
     if (auto* tw = reg->trace()) {
       tw->event(
           "explorer.expand_done",
-          {{"states", static_cast<std::uint64_t>(discovered.load())},
+          {{"states", static_cast<std::uint64_t>(statsOut.statesDiscovered)},
            {"edges", static_cast<std::uint64_t>(statsOut.edgesComputed)},
            {"workers", static_cast<std::uint64_t>(statsOut.threadsUsed)},
-           {"shards", static_cast<std::uint64_t>(statsOut.shard.shards)},
+           {"shards", static_cast<std::uint64_t>(statsOut.shard.count)},
            {"truncated", statsOut.truncated}});
     }
   }
@@ -1409,15 +1010,7 @@ struct ParallelExplorer::Impl {
     // Table states are already orbit representatives (routeSuccessor), so
     // the graph must not re-canonicalize -- it would double-count the
     // symmetry statistics that the serial engine tallies once per probe.
-    // While phase-1 workers are still running (pipelined overlap), the
-    // table copy must stay intact -- workers probe it for dedup -- so the
-    // graph interns a COW copy instead (cheap: states share slot storage,
-    // and published states' hash caches are already flushed).
-    const bool live =
-        pipelined && !phase1DoneFlag.load(std::memory_order_acquire);
-    const auto r =
-        live ? g.internPrecanonicalized(ioa::SystemState(pn->state), pn->hash)
-             : g.internPrecanonicalized(std::move(pn->state), pn->hash);
+    const auto r = g.internPrecanonicalized(std::move(pn->state), pn->hash);
     installedIds.emplace(h, r.id);
     if (inserted) *inserted = r.inserted;
     return r.id;
@@ -1469,29 +1062,15 @@ struct ParallelExplorer::Impl {
     // the spill-capable queue, which preserves order exactly even when
     // segments move to disk, so the install order -- and with it every node
     // id -- is independent of whether spill engaged.
-    //
-    // Pipelined runs interleave this loop with phase 1: the enqueued-set
-    // BFS puts every node pushed while depth d drains at depth d + 1, so
-    // the depth counters below are exact, and gating depth d on
-    // completedLevel >= d + 1 guarantees every depth-<=d expansion (and
-    // the batch flush that patched its child handles) happened before the
-    // reads here. A node's private-table level never exceeds its install
-    // depth (phase 1 discovers along the same edges), so the gate is
-    // conservative for multi-root unions too.
     SpilledFrontier fifo(spill.threshold, spill.segEntries, policy.spillDir);
     fifo.push(rootH);
     std::unordered_set<PHandle> enqueued{rootH};
-    std::uint64_t depth = 0;
-    std::uint64_t curRemaining = 1;  // fifo entries left at `depth`
-    std::uint64_t nextLevel = 0;     // entries queued at depth + 1
-    bool pumpStopped = false;
-    if (pipelined && !waitForLevel(1)) pumpStopped = true;  // aborted
     std::uint64_t item = 0;
-    while (!pumpStopped && fifo.pop(&item)) {
+    while (fifo.pop(&item)) {
       const PHandle h = static_cast<PHandle>(item);
       const NodeId gid = internGraph(h, nullptr);
       PNode* pn = nodePtr(h);
-      if (pn->expanded.load(std::memory_order_acquire)) {
+      if (pn->expanded) {
         const EdgeArena& arena = wstates[pn->edgeWorker].arena;
         const bool cached = g.cachedSuccessors(gid).has_value();
         // Resolve the whole run's action refs in one bulk pass, in edge
@@ -1517,26 +1096,11 @@ struct ParallelExplorer::Impl {
             edgesOut.push_back(Edge{tasks[pe.task], act, cid});
           }
           if (!finalized || !finalized(cid)) {
-            if (enqueued.insert(pe.to).second) {
-              fifo.push(pe.to);
-              ++nextLevel;
-            }
+            if (enqueued.insert(pe.to).second) fifo.push(pe.to);
           }
         }
         if (!cached) g.setSuccessors(gid, std::move(edgesOut));
       }  // else: truncated leaf (maxStates cap)
-      if (--curRemaining == 0) {
-        // Level boundary. Tally the overlap, then gate the next depth.
-        if (pipelined && !phase1DoneFlag.load(std::memory_order_relaxed)) {
-          ++statsOut.pipeline.levelsOverlapped;
-        }
-        ++depth;
-        curRemaining = nextLevel;
-        nextLevel = 0;
-        if (pipelined && curRemaining != 0 && !waitForLevel(depth + 1)) {
-          pumpStopped = true;  // aborted: stop at a node boundary
-        }
-      }
     }
     noteInstallSpill(fifo);
     return rootId;
@@ -1583,33 +1147,15 @@ struct ParallelExplorer::Impl {
     enqueuedIds.insert(rootId);
     std::vector<const ioa::Action*> acts(tasks.size(), nullptr);
     std::vector<NodeId> targets;
-    // Depth counters (enqueued-set BFS, see install()) -- for the overlap
-    // tally only; the pipelined gate itself is per node (waitForExpanded),
-    // because reduced-graph depths can lag the private table's levels.
-    std::uint64_t curRemaining = 1;
-    std::uint64_t nextLevel = 0;
     const auto enqueueTargets = [&]() {
       for (const NodeId cid : targets) {
         if (finalized && finalized(cid)) continue;
-        if (enqueuedIds.insert(cid)) {
-          fifo.push(cid);
-          ++nextLevel;
-        }
+        if (enqueuedIds.insert(cid)) fifo.push(cid);
       }
       targets.clear();
     };
     std::uint64_t item = 0;
     while (fifo.pop(&item)) {
-      // Level boundary: everything the previous depth enqueued is now
-      // counted, so flip the counters before draining the next node.
-      if (curRemaining == 0) {
-        if (pipelined && !phase1DoneFlag.load(std::memory_order_relaxed)) {
-          ++statsOut.pipeline.levelsOverlapped;
-        }
-        curRemaining = nextLevel;
-        nextLevel = 0;
-      }
-      --curRemaining;
       const NodeId gid = static_cast<NodeId>(item);
       if (const auto cached = g.cachedReducedSuccessors(gid)) {
         // Already reduced-expanded (an earlier install over an overlapping
@@ -1628,11 +1174,7 @@ struct ParallelExplorer::Impl {
         installedIds.emplace(*fh, gid);
         pn = nodePtr(*fh);
       }
-      // Pipelined: block until phase 1 publishes this node's expansion
-      // (or finishes without reaching it -- then the slow path below is
-      // correct by the same argument as the post-join case).
-      if (pipelined && pn && !waitForExpanded(*pn)) break;  // aborted
-      if (pn && !pn->expanded.load(std::memory_order_acquire)) pn = nullptr;
+      if (pn && !pn->expanded) pn = nullptr;
       if (!pn) {
         if (policy.maxStates != 0 && truncated.load()) continue;  // leaf
         // Slow path: phase 1 never reached this node (it was a non-ample
@@ -1739,37 +1281,37 @@ NodeId ParallelExplorer::install(
   return impl_->install(rootIndex, finalized);
 }
 
-NodeId ParallelExplorer::expandAndInstallFirst(
-    std::vector<ioa::SystemState> roots,
-    const std::function<bool(NodeId)>& finalized) {
-  return impl_->expandAndInstallFirst(std::move(roots), finalized);
-}
-
 const ExploreStats& ParallelExplorer::stats() const { return impl_->statsOut; }
+
+unsigned resolveWorkers(unsigned threads) {
+  return resolveWorkers(threads, std::thread::hardware_concurrency());
+}
 
 ExploreStats exploreReachable(StateGraph& g, NodeId root,
                               const ExplorationPolicy& policy) {
-  if (policy.threads == 1 && policy.shards <= 1) {
+  if (resolveWorkers(policy.threads) == 1) {
     return serialExplore(g, root, policy);
   }
   ParallelExplorer ex(g, policy);
   std::vector<ioa::SystemState> roots;
   roots.push_back(g.state(root));
-  ex.expandAndInstallFirst(std::move(roots));
+  ex.expand(std::move(roots));
+  ex.install(0);
   return ex.stats();
 }
 
 void expandRegionParallel(StateGraph& g, NodeId root,
                           const ExplorationPolicy& policy,
                           const std::function<bool(NodeId)>& finalized) {
-  if (policy.threads == 1 && policy.shards <= 1) {
+  if (resolveWorkers(policy.threads) == 1) {
     return;  // serial path expands lazily
   }
   if (g.cachedSuccessors(root)) return;  // already expanded
   ParallelExplorer ex(g, policy);
   std::vector<ioa::SystemState> roots;
   roots.push_back(g.state(root));
-  ex.expandAndInstallFirst(std::move(roots), finalized);
+  ex.expand(std::move(roots));
+  ex.install(0, finalized);
 }
 
 }  // namespace boosting::analysis

@@ -14,8 +14,8 @@
 // The engine therefore runs in two phases:
 //
 //   Phase 1 (parallel): std::jthread workers expand the frontier into a
-//   private table partitioned into hash-owned SHARDS (power-of-two count,
-//   default = worker count). Each shard owns the states whose canonical
+//   private table partitioned into hash-owned SHARDS (bit_ceil of the
+//   worker count). Each shard owns the states whose canonical
 //   hash lands in it: an open-addressing {hash, head} index with intrusive
 //   same-hash chains (the same layout as StateGraph's interner), guarded
 //   by one mutex per shard. Workers never pin successors through a global
@@ -39,24 +39,11 @@
 //   worker-local action refs into the graph's global pool in first-use
 //   order, so node ids, action intern indices, parents and witness paths
 //   come out bit-for-bit identical to serial exploration -- regardless of
-//   thread interleaving, shard count, or batch flush timing in phase 1.
+//   thread interleaving, worker count, or batch flush timing in phase 1.
 //
-// threads <= 1 with shards <= 1 bypasses both phases and runs the legacy
-// serial BFS, so ExplorationPolicy{1} byte-identically reproduces the old
-// behaviour. threads == 1 with shards > 1 runs the two-phase engine with a
-// single worker (useful to exercise the routing deterministically).
-//
-// PIPELINED MODE (--pipeline, DESIGN.md "Pipelined canonical install"):
-// the canonical BFS order of depth-k states depends only on states at
-// depth <= k, so once every expansion at canonical frontier depth <= k has
-// completed, phase 2 can intern level k into the StateGraph while workers
-// are still expanding deeper levels. expandAndInstallFirst() runs phase 1
-// level-synchronously (per-level completion barrier derived from the
-// inflight-token accounting, made level-aware) and pumps the canonical
-// install of root 0's region on the calling thread concurrently, gated on
-// the published level-completion counter -- node ids, intern indices,
-// CompactEdge layout, POR install decisions and witnesses stay bit-identical
-// to the two-phase output by construction.
+// When the policy resolves to one worker (resolveWorkers) both phases are
+// bypassed and the legacy serial BFS runs, so ExplorationPolicy{1}
+// byte-identically reproduces the old behaviour.
 #pragma once
 
 #include <bit>
@@ -73,16 +60,9 @@ class Registry;
 
 namespace boosting::analysis {
 
-// Whether expandAndInstallFirst() overlaps the canonical install with
-// phase-1 expansion. Auto = pipeline when the resolved worker count is
-// >= 2 (overlap needs a core for the install pump); On forces the
-// pipelined machinery even single-threaded (differential testing); Off is
-// the legacy strictly-two-phase engine.
-enum class PipelineMode { Auto, On, Off };
-
 struct ExplorationPolicy {
   // Number of expansion workers. 1 = serial legacy path; 0 = use
-  // std::thread::hardware_concurrency().
+  // std::thread::hardware_concurrency() (see resolveWorkers).
   unsigned threads = 1;
   // Safety valve: stop expanding once this many states have been
   // discovered (0 = unbounded). A truncated parallel exploration is NOT
@@ -100,13 +80,6 @@ struct ExplorationPolicy {
   // exercises the worker-abort path; the engines guarantee the StateGraph
   // stays consistent (checkConsistent) when the hook throws.
   std::function<void(std::size_t)> expansionHook;
-  // Number of hash-owned shards of the phase-1 private table. 0 = auto
-  // (smallest power of two >= the resolved worker count). Other values are
-  // rounded up to the next power of two and clamped to [1, 256]. The shard
-  // count never changes WHAT is explored or the ids the install pass
-  // produces -- only how phase-1 contention is spread. (Appended: callers
-  // aggregate-initialize the leading members.)
-  unsigned shards = 0;
   // Out-of-core exploration (see DESIGN.md "Out-of-core exploration").
   // Non-zero turns on frontier spill: per-worker phase-1 queues shed their
   // cold (steal-end) entries to disk segments past a threshold, and the
@@ -122,9 +95,6 @@ struct ExplorationPolicy {
   // Directory for the unlinked frontier spill files ("" = $TMPDIR, else
   // /tmp). (Appended.)
   std::string spillDir;
-  // Pipelined canonical install (expandAndInstallFirst only; expand() +
-  // install() always run strictly two-phase). (Appended.)
-  PipelineMode pipeline = PipelineMode::Auto;
 };
 
 struct ExploreStats {
@@ -148,7 +118,7 @@ struct ExploreStats {
   // Aggregated routing tallies of the sharded phase-1 table (root interns
   // count into `routed` so routed == statesDiscovered holds exactly).
   struct ShardStats {
-    unsigned shards = 1;               // resolved shard count
+    unsigned count = 1;                // resolved shard count
     std::uint64_t routed = 0;          // fresh installs into shard tables
     std::uint64_t batchFlushes = 0;    // sum of per-worker flushes
     std::uint64_t maxQueueDepth = 0;   // largest batch any flush handed over
@@ -165,16 +135,11 @@ struct ExploreStats {
     std::uint64_t segmentsReloaded = 0;
   };
 
-  // Pipelined-install tallies (all zero unless expandAndInstallFirst ran
-  // pipelined). levelsOverlapped counts canonical levels whose install
-  // completed before phase 1 finished; installWaitNs is the total time the
-  // install pump spent blocked on the level-completion barrier;
-  // bulkActionBatches counts per-node bulk action-id resolution passes.
+  // Time the canonical install spent waiting on phase 1. The install
+  // always runs after the join, so this is always 0; the member stays only
+  // because certbench/harness.cpp reads it for its install-wait layer.
   struct PipelineStats {
-    bool pipelined = false;
-    std::uint64_t levelsOverlapped = 0;
     std::uint64_t installWaitNs = 0;
-    std::uint64_t bulkActionBatches = 0;
   };
 
   std::size_t statesDiscovered = 0;  // states known to the engine afterwards
@@ -185,8 +150,26 @@ struct ExploreStats {
   std::vector<WorkerStats> perWorker;      // parallel path: one per worker
   ShardStats shard;                        // parallel path: routing tallies
   FrontierSpillStats frontierSpill;        // out-of-core frontier tallies
-  PipelineStats pipeline;                  // pipelined-install tallies
+  PipelineStats pipeline;                  // read by certbench only
 };
+
+// The worker byte of a phase-1 action ref caps the worker count.
+inline constexpr unsigned kMaxWorkers = 256;
+
+// Resolved worker count of `threads` on a host with `hardware` hardware
+// threads: 0 means one worker per hardware thread; the result is floored
+// at 1 and capped at kMaxWorkers. Every engine entry point decides
+// serial-vs-parallel from this value, so `threads = 0` on a one-core host
+// takes the serial path.
+constexpr unsigned resolveWorkers(unsigned threads, unsigned hardware) {
+  unsigned w = threads == 0 ? hardware : threads;
+  if (w < 1) w = 1;
+  if (w > kMaxWorkers) w = kMaxWorkers;
+  return w;
+}
+
+// resolveWorkers against this host's std::thread::hardware_concurrency().
+unsigned resolveWorkers(unsigned threads);
 
 // Pure shard-routing arithmetic, shared by the engine and the router fuzz
 // battery (tests/analysis/shard_equivalence_test.cpp) so the properties the
@@ -196,15 +179,13 @@ struct ExploreStats {
 // rather than a reimplementation.
 namespace shard_router {
 
-// The shard byte of a phase-1 handle caps the shard count (and with it the
-// worker count usable for auto-sharding).
+// The shard byte of a phase-1 handle caps the shard count.
 inline constexpr unsigned kMaxShards = 256;
 
-// Resolved shard count: the requested count (0 = one shard per worker)
-// rounded up to a power of two and clamped to [1, kMaxShards].
-constexpr unsigned resolveShardCount(unsigned requested, unsigned workers) {
-  std::size_t want = requested == 0 ? workers : requested;
-  if (want < 1) want = 1;
+// Resolved shard count: one shard per worker, rounded up to a power of two
+// and clamped to [1, kMaxShards].
+constexpr unsigned resolveShardCount(unsigned workers) {
+  std::size_t want = workers < 1 ? 1 : workers;
   want = std::bit_ceil(want);
   if (want > kMaxShards) want = kMaxShards;
   return static_cast<unsigned>(want);
@@ -255,21 +236,6 @@ class ParallelExplorer {
   NodeId install(std::size_t rootIndex,
                  const std::function<bool(NodeId)>& finalized = nullptr);
 
-  // Fused entry point: expand everything reachable from `roots` AND
-  // canonically install root 0's region, overlapping the install with
-  // expansion when the policy's pipeline mode allows it (Auto resolves to
-  // pipelined iff the resolved worker count is >= 2). Bit-identical to
-  // expand() followed by install(0, finalized) -- same node ids, intern
-  // indices, parents, witnesses -- with the install wall-clock hidden
-  // behind phase 1. Roots 1.. remain installable via install(i, ...)
-  // afterwards. Must be called exactly once, instead of expand(). On a
-  // worker throw the first exception is rethrown, the StateGraph keeps
-  // every fully-installed node consistent (checkConsistent holds), and
-  // further install() calls are poisoned.
-  NodeId expandAndInstallFirst(
-      std::vector<ioa::SystemState> roots,
-      const std::function<bool(NodeId)>& finalized = nullptr);
-
   const ExploreStats& stats() const;
 
  private:
@@ -278,16 +244,17 @@ class ParallelExplorer {
 };
 
 // One-shot convenience: expand the full reachable region of `root` (which
-// must already be interned in `g`) and install it canonically. With
-// policy.threads <= 1 this is the plain serial BFS over
+// must already be interned in `g`) and install it canonically. When the
+// policy resolves to one worker this is the plain serial BFS over
 // StateGraph::successors() -- byte-identical to the legacy explorers.
 ExploreStats exploreReachable(StateGraph& g, NodeId root,
                               const ExplorationPolicy& policy = {});
 
 // Region pre-expansion helper shared by ValenceAnalyzer::explore and the
-// hook search: when `policy` asks for parallelism and `root`'s successors
-// are not cached yet, run the two-phase engine with `finalized` as the
-// traversal fence; otherwise do nothing (the serial path expands lazily).
+// hook search: when `policy` resolves to several workers and `root`'s
+// successors are not cached yet, run the two-phase engine with `finalized`
+// as the traversal fence; otherwise do nothing (the serial path expands
+// lazily).
 void expandRegionParallel(StateGraph& g, NodeId root,
                           const ExplorationPolicy& policy,
                           const std::function<bool(NodeId)>& finalized);

@@ -355,7 +355,7 @@ class StateGraph {
   std::uint32_t internActionId(const ioa::Action& a) {
     return internAction(a);
   }
-  // Bulk form (see AnalysisMemo::internActionBatch): the pipelined
+  // Bulk form (see AnalysisMemo::internActionBatch): the parallel
   // installer resolves one node's whole edge run per call, preserving the
   // per-edge first-intern order exactly.
   void internActionIds(const ioa::Action* const* acts, std::uint32_t* ids,

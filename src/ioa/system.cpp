@@ -129,7 +129,6 @@ std::size_t SystemState::hash() const {
 
 std::size_t SystemState::fullRehash() const {
   const std::size_t n = slots_.size();
-#if defined(BOOSTING_PREFETCH)
   // Batched 4-wide slot digest: four independent accumulators break the
   // serial XOR dependency chain so the mix64 pipelines overlap, and each
   // round prefetches the slot states of the next round. XOR is
@@ -154,13 +153,6 @@ std::size_t SystemState::fullRehash() const {
     h ^= slotMix(i, slots_[i].state->hash());
   }
   return h;
-#else
-  std::size_t h = kSystemStateHashSeed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= slotMix(i, slots_[i].state->hash());
-  }
-  return h;
-#endif
 }
 
 bool SystemState::equals(const SystemState& other) const {

@@ -106,6 +106,11 @@ void writeLine(Conn& c, const WireObject& obj) {
   }
 }
 
+// Every key a `submit` request may carry; handleSubmit refuses the rest.
+const char* const kSubmitKeys[] = {
+    "op",      "id",       "candidate", "n",   "f",       "claim",
+    "threads", "priority", "symmetry",  "por", "witness", "progress"};
+
 WireObject errorEvent(const std::string& message, const std::string& id = "") {
   WireObject o;
   o["ev"] = WireValue::ofStr("error");
@@ -431,27 +436,33 @@ class Server {
                                id));
       return;
     }
+    // A misspelled or retired key must not silently run at the defaults.
+    for (const auto& entry : req) {
+      if (std::find(std::begin(kSubmitKeys), std::end(kSubmitKeys),
+                    entry.first) == std::end(kSubmitKeys)) {
+        writeLine(*c, errorEvent("submit: unknown key '" + entry.first + "'",
+                                 id));
+        return;
+      }
+    }
     JobSpec spec;
     std::string err;
     std::int64_t n = spec.n, f = spec.f, claim = spec.claim,
-                 threads = spec.threads, shards = 0, priority = 0;
-    std::string symmetry = "auto", por = "auto", pipeline = "auto";
+                 threads = spec.threads, priority = 0;
+    std::string symmetry = "auto", por = "auto";
     bool ok = extractStr(req, "id", &spec.id, &err) &&
               extractStr(req, "candidate", &spec.candidate, &err) &&
               extractInt(req, "n", &n, &err) &&
               extractInt(req, "f", &f, &err) &&
               extractInt(req, "claim", &claim, &err) &&
               extractInt(req, "threads", &threads, &err) &&
-              extractInt(req, "shards", &shards, &err) &&
               extractInt(req, "priority", &priority, &err) &&
               extractStr(req, "symmetry", &symmetry, &err) &&
               extractStr(req, "por", &por, &err) &&
-              extractStr(req, "pipeline", &pipeline, &err) &&
               extractBool(req, "witness", &spec.wantWitness, &err) &&
               extractBool(req, "progress", &spec.progress, &err);
-    if (ok && (threads < 0 || shards < 0)) {
-      err = threads < 0 ? "threads: must be non-negative"
-                        : "shards: must be non-negative";
+    if (ok && threads < 0) {
+      err = "threads: must be non-negative";
       ok = false;
     }
     auto parseMode = [&](const std::string& v, const char* key, auto* out,
@@ -467,10 +478,7 @@ class Server {
                    analysis::SymmetryMode::Auto, analysis::SymmetryMode::On,
                    analysis::SymmetryMode::Off) &&
          parseMode(por, "por", &spec.por, analysis::PorMode::Auto,
-                   analysis::PorMode::On, analysis::PorMode::Off) &&
-         parseMode(pipeline, "pipeline", &spec.pipeline,
-                   analysis::PipelineMode::Auto, analysis::PipelineMode::On,
-                   analysis::PipelineMode::Off);
+                   analysis::PorMode::On, analysis::PorMode::Off);
     if (!ok) {
       writeLine(*c, errorEvent(err, id));
       return;
@@ -479,8 +487,6 @@ class Server {
     spec.f = static_cast<int>(f);
     spec.claim = static_cast<int>(claim);
     spec.threads = static_cast<unsigned>(threads);
-    spec.shards = static_cast<unsigned>(shards);
-    spec.shardsExplicit = spec.shards != 0;
     spec.priority = static_cast<int>(priority);
 
     std::shared_ptr<Conn> conn = c;

@@ -1,6 +1,5 @@
 #include "serve/service.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -76,16 +75,6 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
   if (spec.threads > 256) {
     return fmt("threads: value %u out of range [0, 256]", spec.threads);
   }
-  if (spec.shardsExplicit) {
-    if (spec.shards < 1 || spec.shards > 256) {
-      return fmt("shards: value %u out of range [1, 256]", spec.shards);
-    }
-    if ((spec.shards & (spec.shards - 1)) != 0) {
-      return fmt("shards: %u is not a power of two (hash-owned routing "
-                 "needs a power-of-two shard count)",
-                 spec.shards);
-    }
-  }
   if (spec.f >= spec.n) {
     return fmt("f: service resilience %d must be smaller than n %d", spec.f,
                spec.n);
@@ -95,19 +84,6 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
     return fmt("claim: claimed failures %d must be smaller than n %d (the "
                "theorems assume f+1 <= n-1)",
                claim, spec.n);
-  }
-  {
-    const unsigned resolvedThreads = [&] {
-      if (spec.threads != 0) return spec.threads;
-      const unsigned hw = std::thread::hardware_concurrency();
-      return hw == 0 ? 1u : hw;
-    }();
-    const unsigned shardBudget = std::max(4u, 2 * resolvedThreads);
-    if (spec.shardsExplicit && spec.shards > shardBudget) {
-      return fmt("shards: %u shards exceeds the routing budget of %u for "
-                 "%u thread(s)",
-                 spec.shards, shardBudget, resolvedThreads);
-    }
   }
 
   auto rec = std::make_unique<JobRecord>();
@@ -183,11 +159,7 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
   acfg.claimedFailures = spec.claim;
   acfg.exemptFailureAware = true;
   acfg.exploration.threads = spec.threads;
-  acfg.exploration.shards = spec.shards;
   acfg.exploration.metrics = cfg_.metrics;
-  // Not part of the ServiceKey: pipelined and serial installs produce
-  // bit-identical graphs, so cached contexts are shared across modes.
-  acfg.exploration.pipeline = spec.pipeline;
   acfg.symmetry = spec.symmetry;
   acfg.por = spec.por;
   acfg.memo = memo;

@@ -49,11 +49,8 @@ struct JobSpec {
   int f = 0;
   int claim = -1;  // default: f + 1
   unsigned threads = 1;
-  unsigned shards = 0;
-  bool shardsExplicit = false;
   analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
   analysis::PorMode por = analysis::PorMode::Auto;
-  analysis::PipelineMode pipeline = analysis::PipelineMode::Auto;
   int priority = 0;         // higher dispatches first
   bool wantWitness = false; // include the rendered witness execution
   bool progress = false;    // stream serve.job.progress events

@@ -30,11 +30,9 @@ struct Boom : std::runtime_error {
   Boom() : std::runtime_error("expansion hook detonated") {}
 };
 
-ExplorationPolicy throwAfter(unsigned threads, std::size_t expansions,
-                             unsigned shards = 0) {
+ExplorationPolicy throwAfter(unsigned threads, std::size_t expansions) {
   ExplorationPolicy policy;
   policy.threads = threads;
-  policy.shards = shards;
   policy.expansionHook = [expansions](std::size_t count) {
     if (count > expansions) throw Boom();
   };
@@ -104,7 +102,7 @@ TEST(ExplorerAbort, SerialThrowLeavesGraphConsistent) {
 }
 
 TEST(ExplorerAbort, MidBatchThrowDrainsAndPoisons) {
-  // With many shards and few expansions between throws, workers die while
+  // With four shards and few expansions between throws, workers die while
   // their per-shard batch buffers still hold un-flushed successors. The
   // abort path must drain-and-poison those batches: the inflight token
   // accounting may not wedge the join, the graph stays consistent, and
@@ -112,7 +110,7 @@ TEST(ExplorerAbort, MidBatchThrowDrainsAndPoisons) {
   auto sys = relay(3, 1);
   for (const std::size_t detonateAfter : {1u, 3u, 7u, 20u, 60u}) {
     StateGraph g(*sys);
-    ParallelExplorer ex(g, throwAfter(4, detonateAfter, /*shards=*/8));
+    ParallelExplorer ex(g, throwAfter(4, detonateAfter));
     EXPECT_THROW(ex.expand({canonicalInitialization(*sys, 1)}), Boom)
         << "detonateAfter=" << detonateAfter;
     std::string why;
@@ -124,73 +122,19 @@ TEST(ExplorerAbort, MidBatchThrowDrainsAndPoisons) {
   }
 }
 
-TEST(ExplorerAbort, GraphReusableAfterMidBatchAbortWithShards) {
+TEST(ExplorerAbort, GraphReusableAfterMidBatchAbort) {
   // After a mid-batch abort the same graph must support a fresh, complete
-  // sharded exploration that agrees with a from-scratch serial one.
+  // parallel exploration that agrees with a from-scratch serial one.
   auto sys = relay(3, 1);
   StateGraph g(*sys);
   const NodeId root = g.intern(canonicalInitialization(*sys, 1));
   {
-    ParallelExplorer ex(g, throwAfter(4, 5, /*shards=*/8));
+    ParallelExplorer ex(g, throwAfter(4, 5));
     EXPECT_THROW(ex.expand({g.state(root)}), Boom);
   }
-  ExplorationPolicy sharded;
-  sharded.threads = 2;
-  sharded.shards = 4;
-  const ExploreStats after = exploreReachable(g, root, sharded);
-  std::string why;
-  ASSERT_TRUE(g.checkConsistent(&why)) << why;
-
-  auto sys2 = relay(3, 1);
-  StateGraph g2(*sys2);
-  const NodeId root2 = g2.intern(canonicalInitialization(*sys2, 1));
-  const ExploreStats fresh = exploreReachable(g2, root2, ExplorationPolicy{});
-  EXPECT_EQ(after.statesDiscovered, fresh.statesDiscovered);
-  EXPECT_EQ(after.edgesComputed, fresh.edgesComputed);
-  EXPECT_EQ(g.size(), g2.size());
-}
-
-TEST(ExplorerAbort, PipelinedThrowLeavesGraphConsistentMidInstall) {
-  // Pipelined mode runs install() concurrently with phase 1: a worker
-  // throwing mid-level must stop the install pump at a node boundary, so
-  // the graph stays consistent, the exception surfaces from
-  // expandAndInstallFirst, and install() stays poisoned afterwards.
-  auto sys = relay(3, 1);
-  for (const std::size_t detonateAfter : {1u, 5u, 20u, 60u}) {
-    StateGraph g(*sys);
-    ExplorationPolicy policy = throwAfter(4, detonateAfter, /*shards=*/8);
-    policy.pipeline = PipelineMode::On;
-    ParallelExplorer ex(g, policy);
-    EXPECT_THROW(ex.expandAndInstallFirst({canonicalInitialization(*sys, 1)}),
-                 Boom)
-        << "detonateAfter=" << detonateAfter;
-    std::string why;
-    EXPECT_TRUE(g.checkConsistent(&why))
-        << "detonateAfter=" << detonateAfter << ": " << why;
-    EXPECT_THROW(ex.install(0), std::logic_error)
-        << "detonateAfter=" << detonateAfter;
-    // Whatever prefix the pump installed must be fully accounted for.
-    EXPECT_EQ(g.stats().statesDiscovered, g.size());
-  }
-}
-
-TEST(ExplorerAbort, GraphReusableAfterPipelinedAbort) {
-  // After a pipelined abort the same graph must support a fresh, complete
-  // pipelined exploration that agrees with a from-scratch serial one.
-  auto sys = relay(3, 1);
-  StateGraph g(*sys);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  {
-    ExplorationPolicy policy = throwAfter(4, 8, /*shards=*/8);
-    policy.pipeline = PipelineMode::On;
-    ParallelExplorer ex(g, policy);
-    EXPECT_THROW(ex.expandAndInstallFirst({g.state(root)}), Boom);
-  }
-  ExplorationPolicy pipelined;
-  pipelined.threads = 2;
-  pipelined.shards = 4;
-  pipelined.pipeline = PipelineMode::On;
-  const ExploreStats after = exploreReachable(g, root, pipelined);
+  ExplorationPolicy parallel;
+  parallel.threads = 2;
+  const ExploreStats after = exploreReachable(g, root, parallel);
   std::string why;
   ASSERT_TRUE(g.checkConsistent(&why)) << why;
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -132,54 +131,19 @@ TEST(ObsMetrics, PerWorkerExpansionsSumToStates) {
   EXPECT_TRUE(g.checkConsistent(&why)) << why;
 }
 
-TEST(ObsMetrics, PipelinedExploreFlushesPipelineCountersWithBoundedWait) {
+TEST(ObsMetrics, ParallelExploreReportsShardCountAndNoInstallWait) {
   auto sys = relay(3, 1);
   StateGraph g(*sys);
   const NodeId root = g.intern(canonicalInitialization(*sys, 1));
   obs::Registry reg;
   ExplorationPolicy policy;
   policy.threads = 2;
-  policy.pipeline = PipelineMode::On;
-  policy.metrics = &reg;
-  const auto t0 = std::chrono::steady_clock::now();
-  const ExploreStats stats = exploreReachable(g, root, policy);
-  const auto wallNs = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  ASSERT_TRUE(stats.pipeline.pipelined);
-  // Registry mirrors the engine's tallies exactly.
-  EXPECT_EQ(reg.value("explorer.pipeline.levels_overlapped"),
-            stats.pipeline.levelsOverlapped);
-  EXPECT_EQ(reg.value("explorer.pipeline.install_wait_ns"),
-            stats.pipeline.installWaitNs);
-  EXPECT_EQ(reg.value("explorer.pipeline.bulk_action_batches"),
-            stats.pipeline.bulkActionBatches);
-  // The install pump runs on one thread: its cumulative blocked time can
-  // never exceed the run's wall clock. A violation means the idle-flush /
-  // level-completion publication regressed into busy-wait double counting.
-  EXPECT_LE(stats.pipeline.installWaitNs, wallNs);
-  // Bulk pinning fires at most once per installed node, so batches are
-  // bounded by edges; and a run with edges must have pinned something.
-  EXPECT_LE(stats.pipeline.bulkActionBatches, stats.edgesComputed);
-  EXPECT_GT(stats.pipeline.bulkActionBatches, 0u);
-  EXPECT_GT(stats.edgesComputed, 0u);
-}
-
-TEST(ObsMetrics, PipelineOffReportsNoPipelineCounters) {
-  auto sys = relay(3, 1);
-  StateGraph g(*sys);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  obs::Registry reg;
-  ExplorationPolicy policy;
-  policy.threads = 2;
-  policy.pipeline = PipelineMode::Off;
   policy.metrics = &reg;
   const ExploreStats stats = exploreReachable(g, root, policy);
-  EXPECT_FALSE(stats.pipeline.pipelined);
-  EXPECT_EQ(reg.value("explorer.pipeline.levels_overlapped"), 0u);
-  EXPECT_EQ(reg.value("explorer.pipeline.install_wait_ns"), 0u);
-  EXPECT_EQ(reg.value("explorer.pipeline.bulk_action_batches"), 0u);
+  EXPECT_EQ(stats.shard.count, shard_router::resolveShardCount(2));
+  EXPECT_EQ(reg.value("explorer.shard.count"), stats.shard.count);
+  // The canonical install runs after the join: nothing waits on phase 1.
+  EXPECT_EQ(stats.pipeline.installWaitNs, 0u);
 }
 
 TEST(ObsMetrics, SerialExploreFlushesFrontierPeak) {
@@ -236,7 +200,7 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
             std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['),
             std::count(doc.begin(), doc.end(), ']'));
-  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v8\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v9\""), std::string::npos);
   EXPECT_NE(doc.find("\"tool\": \"obs_metrics_test\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"timers\""), std::string::npos);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "analysis/adversary.h"
@@ -267,6 +268,18 @@ TEST(ParallelExplorer, ZeroThreadsUsesHardwareConcurrency) {
   auto stats = exploreReachable(gp, rootP, ExplorationPolicy{0});
   EXPECT_GE(stats.threadsUsed, 1u);
   expectSameGraph(gs, gp);
+}
+
+TEST(ResolveWorkers, OneZeroAndFour) {
+  EXPECT_EQ(resolveWorkers(1, 8), 1u);
+  // threads = 0 follows the host: on a one-core host that is the serial
+  // path, not the two-phase engine with a single worker.
+  EXPECT_EQ(resolveWorkers(0, 1), 1u);
+  EXPECT_EQ(resolveWorkers(0, 0), 1u);  // hardware_concurrency() unknown
+  EXPECT_EQ(resolveWorkers(4, 1), 4u);
+  EXPECT_EQ(resolveWorkers(1000, 1), kMaxWorkers);
+  EXPECT_EQ(resolveWorkers(0),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace

@@ -1,22 +1,22 @@
 // Differential battery for the sharded phase-1 state table (PR 7): hash-
 // owned shards with per-worker batch routing are a STORAGE and SCHEDULING
 // change only -- the deterministic canonical install (phase 2) renumbers
-// every run back into the exact serial discovery order, so serial, 1-shard
-// and k-shard explorations at any thread count must be bit-identical: same
+// every run back into the exact serial discovery order, so serial and
+// k-shard explorations at any thread count must be bit-identical: same
 // node ids, same compact edge triples, same action intern indices, same
 // witnesses, same verdicts. The battery has three tiers:
 //   1. pure fuzz of the shard-router arithmetic (analysis::shard_router,
 //      the exact functions the engine calls): every hash routes to exactly
 //      one shard, shard selection and in-shard probing consume disjoint
 //      hash bits, resolved counts are powers of two in [1, 256];
-//   2. graph-layout equality: serial vs engine runs across a threads x
-//      shards matrix, with and without symmetry/POR, down to the intern
-//      indices inside the compact edges (renumbering is the identity
-//      bijection onto the serial numbering, and therefore stable across
-//      shard counts);
-//   3. pipeline equality on the n=3/4 fixtures: verdict, per-init valence,
-//      bivalent init, hook shape, fair cycle, and byte-identical concrete
-//      witnesses.
+//   2. graph-layout equality: serial vs engine runs across thread counts
+//      (and with them shard counts), with and without symmetry/POR, down
+//      to the intern indices inside the compact edges (renumbering is the
+//      identity bijection onto the serial numbering, and therefore stable
+//      across shard counts);
+//   3. adversary equality on the n=3/4 fixtures: verdict, per-init
+//      valence, bivalent init, hook shape, fair cycle, and byte-identical
+//      concrete witnesses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,26 +62,16 @@ std::unique_ptr<ioa::System> floodingFixture(int n, int f) {
 // inputs against properties, seeds logged for replay).
 
 TEST(ShardRouterFuzz, ResolvedCountIsPowerOfTwoInRange) {
-  for (unsigned requested = 0; requested <= 600; ++requested) {
-    for (unsigned workers : {1u, 2u, 3u, 4u, 7u, 8u, 200u, 256u, 1000u}) {
-      const unsigned s = shard_router::resolveShardCount(requested, workers);
-      EXPECT_GE(s, 1u) << requested << "/" << workers;
-      EXPECT_LE(s, shard_router::kMaxShards) << requested << "/" << workers;
-      EXPECT_EQ(s & (s - 1), 0u)
-          << "not a power of two: " << s << " from requested=" << requested
-          << " workers=" << workers;
-      // Auto mode gives one shard per worker (rounded up, clamped); an
-      // explicit request wins over the worker count.
-      if (requested == 0) {
-        EXPECT_GE(s, std::min<unsigned>(workers, shard_router::kMaxShards));
-        EXPECT_LT(static_cast<std::size_t>(s), 2 * std::bit_ceil(
-            std::min<std::size_t>(workers, shard_router::kMaxShards)));
-      } else {
-        EXPECT_EQ(s, std::min<std::size_t>(std::bit_ceil(
-                         static_cast<std::size_t>(requested)),
+  for (unsigned workers = 0; workers <= 600; ++workers) {
+    const unsigned s = shard_router::resolveShardCount(workers);
+    EXPECT_GE(s, 1u) << workers;
+    EXPECT_LE(s, shard_router::kMaxShards) << workers;
+    EXPECT_EQ(s & (s - 1), 0u)
+        << "not a power of two: " << s << " from workers=" << workers;
+    // One shard per worker, rounded up to a power of two and clamped.
+    EXPECT_EQ(s, std::min<std::size_t>(
+                     std::bit_ceil(std::max<std::size_t>(workers, 1)),
                      shard_router::kMaxShards));
-      }
-    }
   }
 }
 
@@ -152,39 +142,14 @@ TEST(ShardRouterFuzz, ProbeStartUsesBitsAboveShardSelection) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier 2: graph-layout equality across the threads x shards matrix.
+// Tier 2: graph-layout equality across thread counts. Three workers get
+// four shards, so the worker and shard counts also come apart.
 
-struct Cell {
-  unsigned threads;
-  unsigned shards;
-  // Auto engages the pipelined install at threads >= 2 already; the
-  // explicit On/Off cells pin both code paths independently of the
-  // heuristic, so a future Auto change cannot silently drop coverage.
-  PipelineMode pipeline = PipelineMode::Auto;
-};
+constexpr unsigned kThreads[] = {2, 3, 4};
 
-constexpr Cell kCells[] = {{1, 1},
-                           {1, 4},
-                           {2, 2},
-                           {4, 1},
-                           {4, 4},
-                           {2, 2, PipelineMode::On},
-                           {4, 4, PipelineMode::Off}};
-
-const char* pipeName(PipelineMode m) {
-  switch (m) {
-    case PipelineMode::Auto: return "auto";
-    case PipelineMode::On: return "on";
-    case PipelineMode::Off: return "off";
-  }
-  return "?";
-}
-
-ExplorationPolicy cellPolicy(const Cell& c) {
+ExplorationPolicy threadsPolicy(unsigned threads) {
   ExplorationPolicy pol;
-  pol.threads = c.threads;
-  pol.shards = c.shards;
-  pol.pipeline = c.pipeline;
+  pol.threads = threads;
   return pol;
 }
 
@@ -232,11 +197,9 @@ enum class Mode { Plain, Sym, SymPor };
 // interns the FULL successor set while the canonical install replays the
 // serial reduced decisions and reports the reduced count, so routed is an
 // upper bound there rather than an equality.
-void expectShardTalliesSane(const ExploreStats& stats, const Cell& c,
+void expectShardTalliesSane(const ExploreStats& stats, unsigned threads,
                             Mode mode) {
-  if (c.threads == 1 && c.shards <= 1) return;  // serial path: no tallies
-  EXPECT_EQ(stats.shard.shards,
-            shard_router::resolveShardCount(c.shards, c.threads));
+  EXPECT_EQ(stats.shard.count, shard_router::resolveShardCount(threads));
   if (mode == Mode::SymPor) {
     EXPECT_GE(stats.shard.routed, stats.statesDiscovered);
   } else {
@@ -290,12 +253,10 @@ Explored explore(std::unique_ptr<ioa::System> sys, Mode mode,
 void runLayoutMatrix(std::unique_ptr<ioa::System> (*build)(), Mode mode) {
   const Explored serial = explore(build(), mode, ExplorationPolicy{});
   ASSERT_GT(serial.g->size(), 0u);
-  for (const Cell& c : kCells) {
-    const Explored cell = explore(build(), mode, cellPolicy(c));
-    const std::string label = std::string(modeName(mode)) + " t" +
-                              std::to_string(c.threads) + "/s" +
-                              std::to_string(c.shards) + "/p" +
-                              pipeName(c.pipeline);
+  for (const unsigned threads : kThreads) {
+    const Explored cell = explore(build(), mode, threadsPolicy(threads));
+    const std::string label =
+        std::string(modeName(mode)) + " t" + std::to_string(threads);
     EXPECT_EQ(serial.stats.statesDiscovered, cell.stats.statesDiscovered)
         << label;
     if (mode == Mode::SymPor) {
@@ -306,7 +267,7 @@ void runLayoutMatrix(std::unique_ptr<ioa::System> (*build)(), Mode mode) {
     } else {
       EXPECT_EQ(serial.stats.edgesComputed, cell.stats.edgesComputed) << label;
     }
-    expectShardTalliesSane(cell.stats, c, mode);
+    expectShardTalliesSane(cell.stats, threads, mode);
     expectGraphsBitIdentical(*serial.g, *cell.g, label);
   }
 }
@@ -335,12 +296,12 @@ TEST(ShardEquivalence, LayoutBitIdenticalFlooding30Symmetry) {
   runLayoutMatrix(flooding30, Mode::Sym);
 }
 
-TEST(ShardEquivalence, StableAcrossShardCountsWithoutSerialReference) {
-  // Renumbering must be stable across shard counts on its own terms, not
-  // only relative to the serial graph: 2 shards vs 4 shards at 2 threads.
-  const Explored a = explore(relay31(), Mode::Plain, cellPolicy({2, 2}));
-  const Explored b = explore(relay31(), Mode::Plain, cellPolicy({2, 4}));
-  expectGraphsBitIdentical(*a.g, *b.g, "t2/s2 vs t2/s4");
+TEST(ShardEquivalence, StableAcrossWorkerCountsWithoutSerialReference) {
+  // Renumbering must be stable across worker (and so shard) counts on its
+  // own terms, not only relative to the serial graph.
+  const Explored a = explore(relay31(), Mode::Plain, threadsPolicy(2));
+  const Explored b = explore(relay31(), Mode::Plain, threadsPolicy(4));
+  expectGraphsBitIdentical(*a.g, *b.g, "t2 vs t4");
 }
 
 // ---------------------------------------------------------------------------
@@ -348,13 +309,12 @@ TEST(ShardEquivalence, StableAcrossShardCountsWithoutSerialReference) {
 // concrete witnesses) on the n=3/4 fixtures.
 
 AdversaryReport runPipeline(const ioa::System& sys, int claim, Mode mode,
-                            unsigned threads, unsigned shards) {
+                            unsigned threads) {
   AdversaryConfig cfg;
   cfg.claimedFailures = claim;
   if (mode != Mode::Plain) cfg.symmetry = SymmetryMode::On;
   if (mode == Mode::SymPor) cfg.por = PorMode::On;
   cfg.exploration.threads = threads;
-  cfg.exploration.shards = shards;
   return analyzeConsensusCandidate(sys, cfg);
 }
 
@@ -405,13 +365,11 @@ void expectWitnessReplays(const ioa::System& sys,
 void runPipelineMatrix(const ioa::System& sys, int claim,
                        std::initializer_list<Mode> modes) {
   for (Mode mode : modes) {
-    const AdversaryReport base = runPipeline(sys, claim, mode, 1, 0);
-    for (const Cell& c : {Cell{1, 4}, Cell{4, 1}, Cell{4, 4}}) {
-      const AdversaryReport cell =
-          runPipeline(sys, claim, mode, c.threads, c.shards);
-      const std::string label = std::string(modeName(mode)) + " t" +
-                                std::to_string(c.threads) + "/s" +
-                                std::to_string(c.shards);
+    const AdversaryReport base = runPipeline(sys, claim, mode, 1);
+    for (const unsigned threads : {2u, 4u}) {
+      const AdversaryReport cell = runPipeline(sys, claim, mode, threads);
+      const std::string label =
+          std::string(modeName(mode)) + " t" + std::to_string(threads);
       expectSameProofShape(base, cell, label);
       expectWitnessReplays(sys, cell, label);
     }

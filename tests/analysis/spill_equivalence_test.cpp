@@ -9,8 +9,8 @@
 //      address, LRU eviction/refault accounting, failure seams are
 //      all-or-nothing) and of the spilled frontier (exact FIFO order
 //      against a plain-deque oracle under a randomized interleaving);
-//   2. graph bit-identity: unbounded vs budgeted runs across the
-//      (threads x shards) matrix, with and without symmetry/POR, with
+//   2. graph bit-identity: unbounded vs budgeted runs across thread
+//      counts, with and without symmetry/POR, with
 //      chunk geometry and frontier thresholds forced small enough that
 //      demotions, evictions, refaults and frontier segments all happen;
 //   3. fault injection via the SpillConfig seams: a failing demote or
@@ -334,30 +334,7 @@ void expectGraphsBitIdentical(const StateGraph& gs, const StateGraph& gp,
   }
 }
 
-struct Cell {
-  unsigned threads;
-  unsigned shards;
-  // Auto already pipelines at threads >= 2; the explicit cells pin the
-  // pipelined-install x memory-budget composition (and the legacy
-  // barrier path) independently of the Auto heuristic.
-  PipelineMode pipeline = PipelineMode::Auto;
-};
-
-constexpr Cell kCells[] = {{1, 1},
-                           {1, 4},
-                           {2, 2},
-                           {4, 4},
-                           {2, 2, PipelineMode::On},
-                           {4, 4, PipelineMode::Off}};
-
-const char* pipeName(PipelineMode m) {
-  switch (m) {
-    case PipelineMode::Auto: return "auto";
-    case PipelineMode::On: return "on";
-    case PipelineMode::Off: return "off";
-  }
-  return "?";
-}
+constexpr unsigned kThreads[] = {1, 2, 4};
 
 // `expectEvictions` is false only for the sym+por fixture, whose reduced
 // graph stays within the two-chunk LRU budget; eviction traffic is covered
@@ -376,19 +353,15 @@ void runSpillMatrix(std::unique_ptr<ioa::System> (*build)(), Mode mode,
   spill.memoryBudgetBytes = 2 * 4096;
   spill.spillDir = dir.path();
   spill.edgeChunkShift = 6;
-  for (const Cell& c : kCells) {
+  for (const unsigned threads : kThreads) {
     ExplorationPolicy pol;
-    pol.threads = c.threads;
-    pol.shards = c.shards;
-    pol.pipeline = c.pipeline;
+    pol.threads = threads;
     pol.memoryBudgetBytes = spill.memoryBudgetBytes;
     pol.frontierSpillThreshold = 64;
     pol.spillDir = dir.path();
     const Explored cell = explore(build(), mode, pol, spill);
     const std::string label = std::string(modeName(mode)) + " budget t" +
-                              std::to_string(c.threads) + "/s" +
-                              std::to_string(c.shards) + "/p" +
-                              pipeName(c.pipeline);
+                              std::to_string(threads);
     EXPECT_EQ(ref.stats.statesDiscovered, cell.stats.statesDiscovered)
         << label;
     expectGraphsBitIdentical(*ref.g, *cell.g, label);
@@ -481,7 +454,6 @@ TEST(SpillFaultInjection, FailingDemoteAbortsParallelInstallCleanly) {
   const NodeId root = g.intern(canonicalInitialization(*sys, 1));
   ExplorationPolicy pol;
   pol.threads = 2;
-  pol.shards = 2;
   pol.memoryBudgetBytes = spill.memoryBudgetBytes;
   pol.frontierSpillThreshold = 64;
   pol.spillDir = dir.path();

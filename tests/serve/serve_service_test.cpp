@@ -56,12 +56,6 @@ TEST(ServeService, RejectsInvalidSpecsWithCliStyleDiagnostics) {
   EXPECT_NE(rejectionFor(svc, spec).find("claim: claimed failures"),
             std::string::npos);
 
-  spec = relaySpec("j");
-  spec.shards = 3;  // not a power of two
-  spec.shardsExplicit = true;
-  EXPECT_NE(rejectionFor(svc, spec).find("shards: 3 is not a power of two"),
-            std::string::npos);
-
   // Duplicate LIVE id: the first submission is still queued (no tick yet).
   spec = relaySpec("dup");
   EXPECT_FALSE(svc.submit(spec, [](const JobResult&) {}).has_value());

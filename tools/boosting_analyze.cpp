@@ -35,13 +35,6 @@
 // off; `off` forces full expansion. Verdicts and witness replayability are
 // unchanged; state counts shrink further.
 //
-// --pipeline auto|on|off controls the pipelined canonical install (see
-// analysis/parallel_explorer.h): phase-2 renumbering overlaps phase-1
-// expansion behind a per-level completion barrier. Output is bit-identical
-// either way; only wall-clock changes. `auto` (the default) pipelines
-// exactly when the run has >= 2 workers; `on` forces the overlap even
-// single-threaded; `off` keeps the fully serial post-join install.
-//
 // Observability:
 //   --metrics-json FILE   write phase timings, counters and derived rates
 //                         (states/sec, cache hit rate) as one JSON document
@@ -59,7 +52,6 @@
 //   flooding   message-passing flooding consensus over an f-resilient fabric
 //   single-fd  rotating coordinator over ONE f-resilient all-process
 //              perfect failure detector (the Theorem-10 setting)
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -67,7 +59,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include <unistd.h>
 
@@ -91,11 +82,8 @@ struct Options {
   int f = 0;
   int claim = -1;  // default: f + 1
   unsigned threads = 1;
-  unsigned shards = 0;      // 0 = auto (match the resolved worker count)
-  bool shardsExplicit = false;
   analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
   analysis::PorMode por = analysis::PorMode::Auto;
-  analysis::PipelineMode pipeline = analysis::PipelineMode::Auto;
   std::uint64_t memoryBudgetBytes = 0;  // 0 = fully in-memory
   std::string spillDir;                 // "" = $TMPDIR, else /tmp
   bool brute = false;
@@ -110,9 +98,8 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --candidate relay|bridge|tob|flooding|single-fd "
-               "--n N --f F [--claim C] [--threads T] [--shards auto|N] "
+               "--n N --f F [--claim C] [--threads T] "
                "[--symmetry auto|on|off] [--por auto|on|off] "
-               "[--pipeline auto|on|off] "
                "[--memory-budget BYTES] [--spill-dir DIR] [--brute] "
                "[--witness FILE] [--dot FILE] [--metrics-json FILE] "
                "[--trace FILE] [--progress] [--replay FILE]\n",
@@ -236,22 +223,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       opt.threads = static_cast<unsigned>(
           parseIntOrDie("--threads", needArg("--threads"), 0, 256));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = needArg("--shards");
-      if (std::strcmp(v, "auto") == 0) {
-        opt.shards = 0;
-      } else {
-        opt.shards = static_cast<unsigned>(
-            parseIntOrDie("--shards", v, 1, 256));
-        if ((opt.shards & (opt.shards - 1)) != 0) {
-          std::fprintf(stderr,
-                       "--shards: %u is not a power of two (hash-owned "
-                       "routing needs a power-of-two shard count)\n",
-                       opt.shards);
-          std::exit(2);
-        }
-        opt.shardsExplicit = true;
-      }
     } else if (std::strcmp(argv[i], "--symmetry") == 0) {
       const char* v = needArg("--symmetry");
       if (std::strcmp(v, "auto") == 0) {
@@ -275,19 +246,6 @@ int main(int argc, char** argv) {
         opt.por = analysis::PorMode::Off;
       } else {
         std::fprintf(stderr, "--por: expected auto|on|off, got '%s'\n", v);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      const char* v = needArg("--pipeline");
-      if (std::strcmp(v, "auto") == 0) {
-        opt.pipeline = analysis::PipelineMode::Auto;
-      } else if (std::strcmp(v, "on") == 0) {
-        opt.pipeline = analysis::PipelineMode::On;
-      } else if (std::strcmp(v, "off") == 0) {
-        opt.pipeline = analysis::PipelineMode::Off;
-      } else {
-        std::fprintf(stderr, "--pipeline: expected auto|on|off, got '%s'\n",
-                     v);
         std::exit(2);
       }
     } else if (std::strcmp(argv[i], "--memory-budget") == 0) {
@@ -352,28 +310,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Shard/thread cross-validation: each worker keeps one batch buffer per
-  // shard, so a shard count far beyond the worker count only fragments
-  // batches without spreading contention any further. Allow up to
-  // 2x threads (floor of 4 so single-thread runs can still exercise the
-  // determinism matrix at --shards 4).
-  {
-    const unsigned resolvedThreads = [&] {
-      if (opt.threads != 0) return opt.threads;
-      const unsigned hw = std::thread::hardware_concurrency();
-      return hw == 0 ? 1u : hw;
-    }();
-    const unsigned shardBudget = std::max(4u, 2 * resolvedThreads);
-    if (opt.shardsExplicit && opt.shards > shardBudget) {
-      std::fprintf(stderr,
-                   "--shards: %u shards exceeds the routing budget of %u "
-                   "for %u thread(s) (at most max(4, 2x threads): more "
-                   "shards only fragment per-worker batches)\n",
-                   opt.shards, shardBudget, resolvedThreads);
-      return 2;
-    }
-  }
-
   // Observability: one registry for the whole invocation. A null registry
   // pointer downstream disables all collection, so only wire it when some
   // output was requested.
@@ -402,14 +338,6 @@ int main(int argc, char** argv) {
   std::printf("candidate '%s': n=%d, service resilience f=%d, claimed to "
               "tolerate %d failures (exploration threads: %u)\n",
               opt.candidate.c_str(), opt.n, opt.f, opt.claim, opt.threads);
-  if (opt.threads != 1 || opt.shards > 1) {
-    if (opt.shardsExplicit) {
-      std::printf("sharding: %u hash-owned shard(s) of the phase-1 table\n",
-                  opt.shards);
-    } else {
-      std::printf("sharding: auto (one hash-owned shard per worker)\n");
-    }
-  }
   if (opt.memoryBudgetBytes != 0) {
     std::printf("memory budget: %llu bytes (edge-arena cold tier + frontier "
                 "spill)\n",
@@ -448,11 +376,9 @@ int main(int argc, char** argv) {
   cfg.claimedFailures = opt.claim;
   cfg.exemptFailureAware = true;
   cfg.exploration.threads = opt.threads;
-  cfg.exploration.shards = opt.shards;
   cfg.exploration.metrics = reg;
   cfg.exploration.memoryBudgetBytes = opt.memoryBudgetBytes;
   cfg.exploration.spillDir = opt.spillDir;
-  cfg.exploration.pipeline = opt.pipeline;
   cfg.symmetry = opt.symmetry;
   cfg.por = opt.por;
   auto report = analysis::analyzeConsensusCandidate(*sys, cfg);

@@ -7,14 +7,14 @@ Two modes:
       For each spec in a small matrix (relay and flooding at n=3), run the
       one-shot CLI (boosting_analyze) and the resident server over the
       SAME spec -- twice each on the server so the second hit is
-      warm-cache, plus once through the pipelined parallel engine
-      (threads=2, pipeline=on) -- and assert the served verdicts are
-      byte-identical to the CLI's: summary text, state count, witness
-      action count, witness text and exit code. Also checks that a
-      malformed pipeline value is refused with a diagnostic before any
-      job is enqueued, and exercises queued-job cancellation (a cancel
-      arriving in the same input burst as its submit deterministically
-      finalizes the job cancelled before it ever runs), the drain
+      warm-cache, plus once through the parallel engine (threads=2) --
+      and assert the served verdicts are byte-identical to the CLI's:
+      summary text, state count, witness action count, witness text and
+      exit code. Also checks that an unknown submit key is refused with a
+      diagnostic before any job is enqueued, and exercises queued-job
+      cancellation (a cancel arriving in the same input burst as its
+      submit deterministically finalizes the job cancelled before it ever
+      runs), the drain
       shutdown op, and a TCP session whose client half-closes after
       sending (results must still arrive over the surviving write side).
 
@@ -147,20 +147,19 @@ def check_mode(args):
                 failures.append(f"{tag}: CLI output had no summary:\n"
                                 f"{cli['stdout']}")
                 continue
-            # "piped" runs the same spec through the pipelined parallel
-            # engine (threads=2, pipeline=on): its verdict must still be
-            # byte-identical to the serial CLI reference -- the canonical
-            # install's determinism contract, checked over the wire.
+            # "parallel" runs the same spec through the two-phase parallel
+            # engine (threads=2): its verdict must still be byte-identical
+            # to the serial CLI reference -- the canonical install's
+            # determinism contract, checked over the wire.
             lines = [submit_line(spec, "cold", witness=True),
                      submit_line(spec, "warm", witness=True),
-                     submit_line(spec, "piped", witness=True,
-                                 threads=2, pipeline="on")]
+                     submit_line(spec, "parallel", witness=True, threads=2)]
             rc, events, err = run_server(args.server, lines)
             if rc != 0:
                 failures.append(f"{tag}: server exited {rc}: {err}")
                 continue
             results = {e["id"]: e for e in events if e.get("ev") == "result"}
-            for which in ("cold", "warm", "piped"):
+            for which in ("cold", "warm", "parallel"):
                 r = results.get(which)
                 if r is None:
                     failures.append(f"{tag}: no result event for '{which}'")
@@ -196,19 +195,18 @@ def check_mode(args):
         else:
             print("  cancel: queued job finalized 'cancelled' without running")
 
-        # Strict wire validation: a malformed pipeline value must be
-        # refused with an error event naming the field and the value,
-        # before any job is enqueued.
-        lines = [submit_line(spec, "badpipe", pipeline="banana")]
+        # Strict wire validation: an unknown submit key must be refused
+        # with an error event naming the key, before any job is enqueued.
+        lines = [submit_line(spec, "badkey", symmetyr="off")]
         rc, events, err = run_server(args.server, lines)
         rejected = [e for e in events if e.get("ev") == "error"
-                    and "pipeline: expected auto|on|off" in e.get("error", "")]
+                    and "unknown key 'symmetyr'" in e.get("error", "")]
         if rc != 0 or not rejected:
-            failures.append(f"pipeline-reject: expected an error event naming "
-                            f"'pipeline', got rc={rc} events={events} "
+            failures.append(f"unknown-key reject: expected an error event "
+                            f"naming 'symmetyr', got rc={rc} events={events} "
                             f"stderr={err}")
         else:
-            print("  reject: pipeline=banana refused with a diagnostic")
+            print("  reject: unknown key 'symmetyr' refused with a diagnostic")
 
         # Shutdown op: drain mode acks, finishes in-flight work, exits 0.
         lines = [submit_line(spec, "last"),

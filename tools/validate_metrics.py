@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a boosting-metrics-v8 JSON file against docs/metrics_schema.json.
+"""Validate a boosting-metrics-v9 JSON file against docs/metrics_schema.json.
 
 Hand-rolled validator for the draft-07 subset the schema actually uses
 (type, required, properties, additionalProperties, items, enum, minimum,
@@ -21,7 +21,9 @@ promise:
     v5), routed == explorer.states_discovered (every discovered state was
     installed into exactly one shard, roots included), batch_flushes >=
     active_pairs (every worker-shard pair that ever buffered a successor
-    flushed at least once), and cross_shard_edges <= explorer.edges_computed;
+    flushed at least once), cross_shard_edges <= explorer.edges_computed,
+    and count == bit_ceil(explorer.threads) (v9: the shard count is no
+    longer a setting);
   * when partial-order reduction ran (explorer.por.* counters present, v4),
     states_reduced <= nodes_evaluated (only evaluated nodes can commit an
     ample subset), tasks_skipped >= states_reduced (every reduced node
@@ -43,12 +45,7 @@ promise:
     most once; the difference is jobs still live at snapshot time),
     context_reuses + context_builds + bypasses <= submitted (each
     accepted job sources its exploration state exactly one way), and
-    evictions <= context_builds (only built contexts can be evicted);
-  * when the pipelined install ran (explorer.pipeline.* counters present,
-    v8), the family is complete, explorer.shard.* is present alongside
-    (the pipelined install runs over the sharded table), and
-    bulk_action_batches <= explorer.edges_computed (at most one bulk
-    action-pin batch per installed node, and only nodes with edges pin).
+    evictions <= context_builds (only built contexts can be evicted).
 
 Usage: validate_metrics.py [--schema SCHEMA] [--expect-workers N] METRICS
 Exits 0 when valid, 1 with one "path: problem" line per violation.
@@ -186,8 +183,14 @@ def check_invariants(doc, expect_workers, errors):
             errors.append(
                 f"$.counters: explorer.shard.cross_shard_edges {cross} > "
                 f"explorer.edges_computed {edges}")
-        if cval("explorer.shard.count") < 1:
+        count = cval("explorer.shard.count")
+        threads = cval("explorer.threads")
+        if count < 1:
             errors.append("$.counters: explorer.shard.count < 1")
+        elif threads >= 1 and count != 1 << (threads - 1).bit_length():
+            errors.append(
+                f"$.counters: explorer.shard.count {count} != "
+                f"bit_ceil(explorer.threads {threads})")
 
     por = [n for n in counters if n.startswith("explorer.por.")]
     if por:
@@ -219,31 +222,6 @@ def check_invariants(doc, expect_workers, errors):
             errors.append(
                 f"$.counters: explorer.por.ample_avg {ample_avg} > 1000 "
                 "(per-mille fraction)")
-
-    pipeline = [n for n in counters if n.startswith("explorer.pipeline.")]
-    if pipeline:
-        for required in ("explorer.pipeline.levels_overlapped",
-                         "explorer.pipeline.install_wait_ns",
-                         "explorer.pipeline.bulk_action_batches"):
-            if required not in counters:
-                errors.append(
-                    "$.counters: explorer.pipeline.* present but incomplete "
-                    f"({sorted(pipeline)})")
-                break
-        # A pipelined run flushes through the sharded explorer, so the
-        # shard counters must be present alongside (v8).
-        if not shard:
-            errors.append(
-                "$.counters: explorer.pipeline.* present without "
-                "explorer.shard.* (pipelined installs run over the sharded "
-                "table)")
-        batches = cval("explorer.pipeline.bulk_action_batches")
-        edges = cval("explorer.edges_computed")
-        if batches > edges:
-            errors.append(
-                f"$.counters: explorer.pipeline.bulk_action_batches "
-                f"{batches} > explorer.edges_computed {edges} (at most one "
-                "bulk batch per installed node)")
 
     graph_bytes = [n for n in counters if n.startswith("graph.bytes_")]
     if graph_bytes:
@@ -412,7 +390,7 @@ def main():
 
     counters = len(doc.get("counters", []))
     timers = len(doc.get("timers", []))
-    print(f"{args.metrics}: valid boosting-metrics-v8 "
+    print(f"{args.metrics}: valid boosting-metrics-v9 "
           f"({counters} counters, {timers} timers)")
     return 0
 
