@@ -17,52 +17,35 @@ using util::Value;
 
 namespace {
 
-// Decisions recorded in process states (the technical assumption of
-// Section 2.2.1 makes them observable).
-std::map<int, Value> decisionsInState(const ioa::System& sys,
-                                      const ioa::SystemState& s) {
-  std::map<int, Value> out;
-  for (int i = 0; i < sys.processCount(); ++i) {
-    const auto& ps = ProcessBase::stateOf(s.part(sys.slotForProcess(i)));
-    if (!ps.decision.isNil()) out.emplace(i, ps.decision);
-  }
-  return out;
-}
-
-std::map<int, Value> inputsInState(const ioa::System& sys,
-                                   const ioa::SystemState& s) {
-  std::map<int, Value> out;
-  for (int i = 0; i < sys.processCount(); ++i) {
-    const auto& ps = ProcessBase::stateOf(s.part(sys.slotForProcess(i)));
-    if (!ps.input.isNil()) out.emplace(i, ps.input);
-  }
-  return out;
-}
-
 // Reconstruct the init(v)_i prefix of an initialization root.
 std::vector<Action> initActionsOf(const ioa::System& sys,
                                   const ioa::SystemState& root) {
   std::vector<Action> out;
-  for (const auto& [i, v] : inputsInState(sys, root)) {
-    out.push_back(Action::envInit(i, v));
+  for (int i = 0; i < sys.processCount(); ++i) {
+    const auto& ps = ProcessBase::stateOf(root.part(sys.slotForProcess(i)));
+    if (!ps.input.isNil()) out.push_back(Action::envInit(i, ps.input));
   }
   return out;
 }
 
-// Node-local safety check: agreement among recorded decisions, and
-// validity of each decision against the node's own recorded inputs.
+}  // namespace
+
+// One pass over the process slots with no allocation: the safety scan runs
+// this on every reachable node. Only a decided process rescans the slots,
+// for an input equal to its decision.
 std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
                                                const ioa::SystemState& s) {
-  const auto decisions = decisionsInState(sys, s);
-  const auto inputs = inputsInState(sys, s);
+  const int n = sys.processCount();
+  const auto stateOf = [&](int i) -> const processes::ProcessStateBase& {
+    return ProcessBase::stateOf(s.part(sys.slotForProcess(i)));
+  };
   const Value* first = nullptr;
   int firstWho = -1;
-  for (const auto& [i, v] : decisions) {
-    bool valid = false;
-    for (const auto& [j, in] : inputs) {
-      (void)j;
-      if (in == v) valid = true;
-    }
+  for (int i = 0; i < n; ++i) {
+    const Value& v = stateOf(i).decision;
+    if (v.isNil()) continue;
+    bool valid = false;  // v is not nil, so a nil input never matches
+    for (int j = 0; j < n && !valid; ++j) valid = stateOf(j).input == v;
     if (!valid) {
       return "validity violated: P" + std::to_string(i) + " decided " +
              v.str() + ", proposed by no process";
@@ -78,6 +61,8 @@ std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
   }
   return std::nullopt;
 }
+
+namespace {
 
 // Witness = init prefix of the node's root + the failure-free path to it.
 //

@@ -144,6 +144,13 @@ struct AdversaryReport {
 AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
                                           const AdversaryConfig& cfg);
 
+// Step 1's node-local check: the first violation, in process order, of
+// validity (a decision equal to no recorded input) or agreement (a decision
+// differing from the first one) in `s`, as the report narrative; nullopt
+// when `s` is safe.
+std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
+                                               const ioa::SystemState& s);
+
 // Brute-force complement to the proof-guided engine: enumerate every
 // failure set of size 1..maxFailures and every canonical initialization,
 // run the deterministic fair schedule with the failures injected up front,

@@ -49,6 +49,7 @@ class AnalysisMemo {
 
   const ioa::System& system() const { return sys_; }
   ioa::SlotCanonTable& slotCanon() { return slotCanon_; }
+  const ioa::SlotCanonTable& slotCanon() const { return slotCanon_; }
   TransitionCache& transitions() { return transitions_; }
   const TransitionCache& transitions() const { return transitions_; }
 

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "analysis/dense.h"
 #include "obs/registry.h"
@@ -63,11 +64,12 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
   NodeId alpha = bivalentInit;
   std::size_t cursor = 0;
 
-  // (node, cursor) -> iteration index, for fair-cycle certification. Keyed
-  // densely as node * |tasks| + cursor so the walk history lives in one
-  // flat stamp array instead of a red-black tree.
+  // (node, cursor) -> iteration index, for fair-cycle certification, keyed
+  // as node * |tasks| + cursor. One entry per iteration: the walk takes a
+  // handful of steps, so a dense array over states x tasks would cost
+  // orders of magnitude more than the history it records.
   const std::size_t nTasks = tasks.size();
-  DenseIndexMap<std::size_t> seen(g.size() * nTasks);
+  std::unordered_map<std::size_t, std::size_t> seen;
   std::vector<std::vector<ioa::TaskId>> appliedPerIteration;
 
   // Scratch for the two inner BFS scans, epoch-reset per scan.
@@ -88,13 +90,13 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
     }
 
     const std::size_t key = static_cast<std::size_t>(alpha) * nTasks + cursor;
-    if (const std::size_t* it = seen.find(key)) {
+    if (const auto it = seen.find(key); it != seen.end()) {
       // Deterministic revisit: one period of an infinite fair failure-free
       // execution through bivalent configurations (the paper's infinite-pi
       // case, Lemma 5).
       outcome.fairCycle = true;
       outcome.cycleStart = alpha;
-      for (std::size_t k = *it; k < appliedPerIteration.size(); ++k) {
+      for (std::size_t k = it->second; k < appliedPerIteration.size(); ++k) {
         for (const ioa::TaskId& t : appliedPerIteration[k]) {
           outcome.cycleTasks.push_back(t);
         }
@@ -111,7 +113,7 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
       }
       return outcome;
     }
-    seen.at(key) = appliedPerIteration.size();
+    seen.emplace(key, appliedPerIteration.size());
 
     // Next applicable task in round-robin order (process tasks are always
     // applicable, so this terminates).

@@ -116,6 +116,11 @@ void flushGraphMetrics(obs::Registry* reg, const StateGraph& g) {
                enabledSum == 0 ? 0 : pp.ampleSum() * 1000 / enabledSum);
   }
   flushTransitionCacheMetrics(reg, g.transitionStats());
+  // The two memo structures behind the graph, sized in entries (gauges:
+  // on a shared service memo they cover every job that used it).
+  const AnalysisMemo& memo = *g.memo();
+  reg->maxOf("memo.slot_representatives", memo.slotCanon().size());
+  reg->maxOf("memo.transition_entries", memo.transitions().size());
 }
 
 void flushStatePerfDelta(obs::Registry* reg,

@@ -81,6 +81,8 @@ class TransitionCache {
   TransitionCache(const ioa::System& sys, ioa::SlotCanonTable& canon);
 
   const Stats& stats() const { return stats_; }
+  // Memoized (owner slot state, task) entries.
+  std::size_t size() const { return entries_.size(); }
 
   // If task #taskIndex (in sys.allTasks() order) is enabled in `s`, makes
   // *next the successor state -- canonical slots, all hash caches valid --

@@ -177,7 +177,7 @@ std::string SystemState::str() const {
 }
 
 struct SlotCanonTable::Stripe {
-  std::mutex m;
+  mutable std::mutex m;
   // key (mixed slot index + slot hash) -> representatives with that key.
   // The chain is almost always a single entry; longer chains only on slot
   // hash collisions.
@@ -190,6 +190,16 @@ SlotCanonTable::SlotCanonTable(bool concurrent)
     : concurrent_(concurrent), stripes_(concurrent ? 64 : 1) {}
 
 SlotCanonTable::~SlotCanonTable() = default;
+
+std::size_t SlotCanonTable::size() const {
+  std::size_t n = 0;
+  for (const Stripe& st : stripes_) {
+    std::unique_lock<std::mutex> lock(st.m, std::defer_lock);
+    if (concurrent_) lock.lock();
+    for (const auto& [key, chain] : st.byKey) n += chain.size();
+  }
+  return n;
+}
 
 std::shared_ptr<const AutomatonState> SlotCanonTable::canonicalizeSlot(
     std::size_t slot, std::shared_ptr<const AutomatonState> probe,

@@ -205,6 +205,9 @@ class SlotCanonTable {
       std::size_t slot, std::shared_ptr<const AutomatonState> probe,
       std::size_t probeHash);
 
+  // Distinct component states held as representatives, over all slots.
+  std::size_t size() const;
+
  private:
   struct Stripe;
   bool concurrent_;

@@ -1,7 +1,7 @@
 #include "processes/flooding_consensus.h"
 
-#include <deque>
 #include <stdexcept>
+#include <vector>
 
 #include "services/canonical_oblivious.h"
 #include "types/channel_type.h"
@@ -17,8 +17,8 @@ namespace {
 
 class FloodState final : public ProcessStateBase {
  public:
-  std::deque<Value> sendQueue;  // pending ("send", j, v)
-  Value::List received;         // slot per process; nil until heard from
+  std::vector<Value> sendQueue;  // pending ("send", j, v)
+  Value::List received;          // slot per process; nil until heard from
   int heardFrom = 0;
   bool decidePending = false;
   bool done = false;
@@ -151,7 +151,7 @@ void FloodingConsensusProcess::onLocal(ProcessStateBase& base,
                                        const Action& a) const {
   FloodState& s = st(base);
   if (a.kind == ioa::ActionKind::Invoke) {
-    s.sendQueue.pop_front();
+    s.sendQueue.erase(s.sendQueue.begin());
   } else if (a.kind == ioa::ActionKind::EnvDecide) {
     s.decidePending = false;
     s.done = true;

@@ -1,7 +1,7 @@
 #include "processes/reliable_broadcast.h"
 
-#include <deque>
 #include <stdexcept>
+#include <vector>
 
 #include "services/canonical_oblivious.h"
 #include "types/channel_type.h"
@@ -18,8 +18,8 @@ namespace {
 class RBState final : public ProcessStateBase {
  public:
   Value seen = Value::emptySet();      // set of ("rb", origin, v) records
-  std::deque<Value> sendQueue;         // pending ("send", to, payload)
-  std::deque<Value> deliverQueue;      // pending ("deliver", origin, v)
+  std::vector<Value> sendQueue;        // pending ("send", to, payload)
+  std::vector<Value> deliverQueue;     // pending ("deliver", origin, v)
 
   std::unique_ptr<ioa::AutomatonState> clone() const override {
     return std::make_unique<RBState>(*this);
@@ -114,9 +114,9 @@ void ReliableBroadcastProcess::onLocal(ProcessStateBase& base,
                                        const Action& a) const {
   RBState& s = st(base);
   if (a.kind == ioa::ActionKind::Invoke) {
-    s.sendQueue.pop_front();
+    s.sendQueue.erase(s.sendQueue.begin());
   } else if (a.kind == ioa::ActionKind::EnvDecide) {
-    s.deliverQueue.pop_front();
+    s.deliverQueue.erase(s.deliverQueue.begin());
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/hashing.h"
 
@@ -12,6 +13,65 @@ using ioa::ActionKind;
 using ioa::TaskId;
 using ioa::TaskOwner;
 using util::Value;
+
+// ---------------------------------------------------------------------------
+// EndpointQueues
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// First entry whose endpoint is not below i (the table is endpoint-sorted).
+template <typename It>
+It lowerBound(It first, It last, int i) {
+  return std::lower_bound(
+      first, last, i,
+      [](const EndpointQueues::Entry& e, int key) { return e.first < key; });
+}
+
+[[noreturn]] void throwNoEndpoint(int i) {
+  throw std::out_of_range("EndpointQueues::at: no endpoint " +
+                          std::to_string(i));
+}
+
+// Pops the head of a FIFO buffer. Buffers hold a handful of values, so
+// shifting the tail down beats a deque's per-queue block allocation.
+Value popFront(EndpointQueues::Queue& q) {
+  Value head = std::move(q.front());
+  q.erase(q.begin());
+  return head;
+}
+
+}  // namespace
+
+EndpointQueues::Queue& EndpointQueues::operator[](int i) {
+  auto it = lowerBound(entries_.begin(), entries_.end(), i);
+  if (it == entries_.end() || it->first != i) {
+    it = entries_.emplace(it, i, Queue{});
+  }
+  return it->second;
+}
+
+EndpointQueues::Queue& EndpointQueues::at(int i) {
+  auto it = find(i);
+  if (it == entries_.end()) throwNoEndpoint(i);
+  return it->second;
+}
+
+const EndpointQueues::Queue& EndpointQueues::at(int i) const {
+  auto it = find(i);
+  if (it == entries_.end()) throwNoEndpoint(i);
+  return it->second;
+}
+
+EndpointQueues::iterator EndpointQueues::find(int i) {
+  auto it = lowerBound(entries_.begin(), entries_.end(), i);
+  return it != entries_.end() && it->first == i ? it : entries_.end();
+}
+
+EndpointQueues::const_iterator EndpointQueues::find(int i) const {
+  auto it = lowerBound(entries_.begin(), entries_.end(), i);
+  return it != entries_.end() && it->first == i ? it : entries_.end();
+}
 
 // ---------------------------------------------------------------------------
 // ServiceState
@@ -47,7 +107,7 @@ bool ServiceState::equals(const ioa::AutomatonState& other) const {
 
 std::string ServiceState::str() const {
   std::string out = "val=" + val.str();
-  auto bufs = [](const std::map<int, std::deque<Value>>& m) {
+  auto bufs = [](const EndpointQueues& m) {
     std::string s = "{";
     bool first = true;
     for (const auto& [i, q] : m) {
@@ -227,8 +287,7 @@ void CanonicalGeneralService::apply(ioa::AutomatonState& state,
       if (q.empty()) {
         throw std::logic_error(name() + ": perform on empty inv-buffer");
       }
-      Value inv = q.front();
-      q.pop_front();
+      Value inv = popFront(q);
       auto [rm, next] =
           type_.delta1(inv, a.endpoint, s.val, endpoints_, s.failed);
       s.val = std::move(next);
@@ -240,7 +299,7 @@ void CanonicalGeneralService::apply(ioa::AutomatonState& state,
       if (q.empty() || !(q.front() == a.payload)) {
         throw std::logic_error(name() + ": respond does not match buffer head");
       }
-      q.pop_front();
+      popFront(q);
       return;
     }
     case ActionKind::Compute: {
@@ -291,12 +350,13 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::relabeledState(
     return options_.relabelValue ? options_.relabelValue(v, perm) : v;
   };
   out->val = val(s.val);
-  const auto remap = [&](const std::map<int, std::deque<Value>>& m) {
-    std::map<int, std::deque<Value>> r;
+  const auto remap = [&](const EndpointQueues& m) {
+    EndpointQueues r;
+    r.reserve(m.size());
     for (const auto& [i, q] : m) {
-      std::deque<Value> nq;
+      EndpointQueues::Queue& nq = r[perm[static_cast<std::size_t>(i)]];
+      nq.reserve(q.size());
       for (const Value& v : q) nq.push_back(val(v));
-      r.emplace(perm[static_cast<std::size_t>(i)], std::move(nq));
     }
     return r;
   };

@@ -28,11 +28,10 @@
 // ever enabled), so the valence analysis of Section 3 is unaffected.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ioa/automaton.h"
@@ -43,11 +42,45 @@ namespace boosting::services {
 
 enum class DummyPolicy { PreferReal, PreferDummy };
 
+// The per-endpoint FIFO buffers of a ServiceState: one endpoint-sorted flat
+// table of queues. Every reachable configuration holds its service states,
+// so per-endpoint container overhead multiplies by the state count: copying
+// a table is one allocation, and an empty queue allocates nothing (an empty
+// deque allocates over 512 bytes). Exposes the subset of the std::map
+// interface the engine uses; iteration is in endpoint order.
+class EndpointQueues {
+ public:
+  using Queue = std::vector<util::Value>;
+  using Entry = std::pair<int, Queue>;
+  using iterator = std::vector<Entry>::iterator;
+  using const_iterator = std::vector<Entry>::const_iterator;
+
+  // The queue of endpoint i, inserted empty in endpoint order if absent.
+  Queue& operator[](int i);
+  // Checked lookup; throws std::out_of_range for an absent endpoint.
+  Queue& at(int i);
+  const Queue& at(int i) const;
+  iterator find(int i);
+  const_iterator find(int i) const;
+
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+  std::size_t size() const { return entries_.size(); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
+
+  bool operator==(const EndpointQueues&) const = default;
+
+ private:
+  std::vector<Entry> entries_;
+};
+
 class ServiceState final : public ioa::AutomatonState {
  public:
   util::Value val;
-  std::map<int, std::deque<util::Value>> invBuf;
-  std::map<int, std::deque<util::Value>> respBuf;
+  EndpointQueues invBuf;
+  EndpointQueues respBuf;
   std::set<int> failed;
 
   std::unique_ptr<ioa::AutomatonState> clone() const override;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/bivalence.h"
+#include "processes/process.h"
 #include "processes/relay_consensus.h"
 #include "processes/tob_consensus.h"
 
@@ -24,6 +26,36 @@ std::unique_ptr<ioa::System> adversarialRelay(int n, int f,
   spec.addScratchRegister = withRegister;
   spec.policy = services::DummyPolicy::PreferDummy;  // the adversary's build
   return buildRelayConsensusSystem(spec);
+}
+
+// Step 1's node-local check on hand-set decisions. The initialization with
+// one leading one gives inputs P0 = 1, P1 = 0, P2 = 0.
+ioa::SystemState decided(const ioa::System& sys,
+                         std::initializer_list<std::pair<int, int>> ds) {
+  ioa::SystemState s = canonicalInitialization(sys, 1);
+  for (const auto& [i, v] : ds) {
+    processes::ProcessBase::stateOf(s.part(sys.slotForProcess(i))).decision =
+        util::Value(v);
+  }
+  return s;
+}
+
+TEST(Adversary, NodeSafetyNarrativesArePinned) {
+  auto sys = adversarialRelay(3, 1);
+  EXPECT_EQ(nodeSafetyViolation(*sys, decided(*sys, {})), std::nullopt);
+  EXPECT_EQ(nodeSafetyViolation(*sys, decided(*sys, {{0, 0}, {2, 0}})),
+            std::nullopt);
+  EXPECT_EQ(nodeSafetyViolation(*sys, decided(*sys, {{1, 2}})),
+            "validity violated: P1 decided 2, proposed by no process");
+  EXPECT_EQ(nodeSafetyViolation(*sys, decided(*sys, {{0, 1}, {2, 0}})),
+            "agreement violated: P0 decided 1, P2 decided 0");
+  // Process order decides which violation is reported: P1's disagreement
+  // comes before P2's invalid decision.
+  EXPECT_EQ(
+      nodeSafetyViolation(*sys, decided(*sys, {{0, 1}, {1, 0}, {2, 5}})),
+      "agreement violated: P0 decided 1, P1 decided 0");
+  EXPECT_EQ(nodeSafetyViolation(*sys, decided(*sys, {{0, 7}, {1, 0}})),
+            "validity violated: P0 decided 7, proposed by no process");
 }
 
 TEST(Adversary, TheoremTwoOnTwoProcessRelay) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/bivalence.h"
+#include "analysis/por.h"
+#include "analysis/symmetry.h"
 #include "processes/relay_consensus.h"
 #include "processes/tob_consensus.h"
 
@@ -127,6 +129,71 @@ TEST(Hook, ThrowsOnNonBivalentStart) {
   NodeId zero = g.intern(canonicalInitialization(*sys, 0));
   va.explore(zero);
   EXPECT_THROW(findHook(g, va, zero), std::logic_error);
+}
+
+// The walk's (node, cursor) history is a sparse per-iteration map. These
+// outcomes were recorded with the earlier dense states x tasks history on
+// the analyzer's candidate builds (PreferDummy, symmetry off); the walk,
+// its node ids and the hook it stops at must not move.
+struct PinnedWalk {
+  NodeId init;
+  std::size_t iterations;
+  NodeId alpha, alpha0, alphaPrime, alpha1;
+  int ePerformer, ePrimePerformer;  // both tasks are perform tasks
+  std::size_t statesTouched;
+};
+
+void expectPinnedWalk(std::unique_ptr<ioa::System> sys, PorMode por,
+                      int serviceId, const PinnedWalk& want) {
+  StateGraph g(*sys, SymmetryPolicy::forSystem(*sys, SymmetryMode::Off),
+               PorPolicy::forSystem(*sys, por));
+  EXPECT_EQ(g.porActive(), por == PorMode::On);
+  ValenceAnalyzer va(g);
+  const auto biv = findBivalentInitialization(g, va);
+  ASSERT_TRUE(biv.bivalent.has_value());
+  EXPECT_EQ(biv.bivalent->node, want.init);
+  const HookSearchOutcome o = findHook(g, va, biv.bivalent->node);
+  EXPECT_FALSE(o.fairCycle);
+  EXPECT_EQ(o.iterations, want.iterations);
+  ASSERT_TRUE(o.hook.has_value());
+  EXPECT_EQ(o.hook->alpha, want.alpha);
+  EXPECT_EQ(o.hook->alpha0, want.alpha0);
+  EXPECT_EQ(o.hook->alphaPrime, want.alphaPrime);
+  EXPECT_EQ(o.hook->alpha1, want.alpha1);
+  EXPECT_EQ(o.hook->e, ioa::TaskId::servicePerform(serviceId, want.ePerformer));
+  EXPECT_EQ(o.hook->ePrime,
+            ioa::TaskId::servicePerform(serviceId, want.ePrimePerformer));
+  EXPECT_EQ(o.hook->alpha0Valence, Valence::One);
+  EXPECT_EQ(o.hook->alpha1Valence, Valence::Zero);
+  EXPECT_EQ(o.statesTouched, want.statesTouched);
+}
+
+std::unique_ptr<ioa::System> analyzerRelay(int n, int f) {
+  RelaySystemSpec spec;
+  spec.processCount = n;
+  spec.objectResilience = f;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  return buildRelayConsensusSystem(spec);
+}
+
+TEST(HookPinned, RelayFiveWithPor) {
+  expectPinnedWalk(analyzerRelay(5, 1), PorMode::On, 100,
+                   {653, 5, 658, 659, 660, 5682, 0, 1, 6066});
+}
+
+TEST(HookPinned, RelayFiveWithoutPor) {
+  expectPinnedWalk(analyzerRelay(5, 1), PorMode::Off, 100,
+                   {3125, 5, 3255, 3396, 3397, 3640, 0, 1, 27318});
+}
+
+TEST(HookPinned, BridgeFour) {
+  processes::BridgeSystemSpec spec;
+  spec.processCount = 4;
+  spec.bridgeEndpoint = 2;
+  spec.objectResilience = 1;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  expectPinnedWalk(processes::buildBridgeConsensusSystem(spec), PorMode::Off,
+                   101, {825, 4, 859, 892, 893, 948, 0, 1, 5151});
 }
 
 }  // namespace

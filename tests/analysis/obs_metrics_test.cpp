@@ -200,7 +200,7 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
             std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['),
             std::count(doc.begin(), doc.end(), ']'));
-  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v9\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v10\""), std::string::npos);
   EXPECT_NE(doc.find("\"tool\": \"obs_metrics_test\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"timers\""), std::string::npos);
@@ -212,6 +212,27 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   EXPECT_NE(doc.find("graph.bytes_index"), std::string::npos);
   EXPECT_NE(doc.find("process.peak_rss_bytes"), std::string::npos);
   EXPECT_NE(doc.find("explorer.worker0.expanded"), std::string::npos);
+  // v10 memo gauges.
+  EXPECT_NE(doc.find("memo.slot_representatives"), std::string::npos);
+  EXPECT_NE(doc.find("memo.transition_entries"), std::string::npos);
+}
+
+TEST(ObsMetrics, MemoGaugesMatchTheSharedMemo) {
+  // With an injected memo the flushed gauges are exactly its sizes.
+  auto sys = relay(3, 1);
+  obs::Registry reg;
+  AdversaryConfig cfg;
+  cfg.claimedFailures = 2;
+  cfg.exploration.metrics = &reg;
+  cfg.memo = std::make_shared<AnalysisMemo>(*sys);
+  (void)analyzeConsensusCandidate(*sys, cfg);
+  EXPECT_GT(reg.value("graph.states_discovered"), 0u);
+  EXPECT_GE(reg.value("memo.slot_representatives"), 1u);
+  EXPECT_EQ(reg.value("memo.slot_representatives"),
+            cfg.memo->slotCanon().size());
+  EXPECT_GE(reg.value("memo.transition_entries"), 1u);
+  EXPECT_EQ(reg.value("memo.transition_entries"),
+            cfg.memo->transitions().size());
 }
 
 TEST(ObsMetrics, TraceWriterEmitsOneJsonObjectPerLine) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a boosting-metrics-v9 JSON file against docs/metrics_schema.json.
+"""Validate a boosting-metrics-v10 JSON file against docs/metrics_schema.json.
 
 Hand-rolled validator for the draft-07 subset the schema actually uses
 (type, required, properties, additionalProperties, items, enum, minimum,
@@ -45,9 +45,16 @@ promise:
     most once; the difference is jobs still live at snapshot time),
     context_reuses + context_builds + bypasses <= submitted (each
     accepted job sources its exploration state exactly one way), and
-    evictions <= context_builds (only built contexts can be evicted).
+    evictions <= context_builds (only built contexts can be evicted);
+  * the memo gauges (v10) memo.slot_representatives and
+    memo.transition_entries appear together, and a run that discovered a
+    state holds at least one slot representative.
 
-Usage: validate_metrics.py [--schema SCHEMA] [--expect-workers N] METRICS
+With --max-peak-rss-mb M, a process.peak_rss_bytes above M MiB is also a
+violation (a memory guard for CI smoke runs).
+
+Usage: validate_metrics.py [--schema SCHEMA] [--expect-workers N]
+                           [--max-peak-rss-mb M] METRICS
 Exits 0 when valid, 1 with one "path: problem" line per violation.
 """
 
@@ -107,7 +114,7 @@ def named_section(doc, section):
             if isinstance(entry, dict) and "name" in entry}
 
 
-def check_invariants(doc, expect_workers, errors):
+def check_invariants(doc, expect_workers, max_peak_rss_mb, errors):
     for section in ("counters", "timers", "derived"):
         names = [e["name"] for e in doc.get(section, [])
                  if isinstance(e, dict) and "name" in e]
@@ -298,6 +305,29 @@ def check_invariants(doc, expect_workers, errors):
             f"$.counters: process.rss_delta_bytes {rss_delta} > "
             f"process.peak_rss_bytes {rss_peak}")
 
+    # Memo gauges (v10): flushed together with the graph metrics, and any
+    # discovered state holds at least one canonical component state.
+    memo = [n for n in ("memo.slot_representatives",
+                        "memo.transition_entries") if n in counters]
+    if len(memo) == 1:
+        errors.append(
+            f"$.counters: {memo[0]} present without its memo.* partner")
+    if memo and cval("graph.states_discovered") >= 1 and \
+            cval("memo.slot_representatives") < 1:
+        errors.append(
+            "$.counters: memo.slot_representatives 0 with "
+            f"graph.states_discovered {cval('graph.states_discovered')}")
+
+    if max_peak_rss_mb is not None:
+        if "process.peak_rss_bytes" not in counters:
+            errors.append("$.counters: missing process.peak_rss_bytes "
+                          "(required by --max-peak-rss-mb)")
+        elif rss_peak > max_peak_rss_mb * 1024 * 1024:
+            errors.append(
+                f"$.counters: process.peak_rss_bytes {rss_peak} "
+                f"({rss_peak / (1024 * 1024):.1f} MiB) > "
+                f"--max-peak-rss-mb {max_peak_rss_mb}")
+
     # Analysis service (v7): jobs finish at most once, each accepted job
     # sources its exploration state exactly one way (cold build, warm
     # reuse, or busy-bypass), and only built contexts can be evicted.
@@ -354,6 +384,9 @@ def main():
                          "next to this script's repo)")
     ap.add_argument("--expect-workers", type=int, default=None, metavar="N",
                     help="require explorer.worker{0..N-1}.expanded counters")
+    ap.add_argument("--max-peak-rss-mb", type=float, default=None,
+                    metavar="M",
+                    help="fail when process.peak_rss_bytes exceeds M MiB")
     args = ap.parse_args()
 
     schema_path = args.schema
@@ -379,7 +412,8 @@ def main():
     errors = []
     validate(doc, schema, "$", errors)
     if not errors:
-        check_invariants(doc, args.expect_workers, errors)
+        check_invariants(doc, args.expect_workers, args.max_peak_rss_mb,
+                         errors)
 
     if errors:
         for err in errors:
@@ -390,7 +424,7 @@ def main():
 
     counters = len(doc.get("counters", []))
     timers = len(doc.get("timers", []))
-    print(f"{args.metrics}: valid boosting-metrics-v9 "
+    print(f"{args.metrics}: valid boosting-metrics-v10 "
           f"({counters} counters, {timers} timers)")
     return 0
 
