@@ -15,9 +15,16 @@
 //   - All three structures are insert-only append caches of pure
 //     functions of the (immutable, fully built) ioa::System the memo was
 //     constructed for. A warm entry can make a probe cheaper, never
-//     different: TransitionCache keys on canonical slot POINTERS whose
-//     referents the SlotCanonTable owns (shared_ptr chains), so a key can
-//     never dangle or be ABA-reused while the memo lives.
+//     different: TransitionCache keys its rows on the dense slot ids of
+//     this memo's SlotCanonTable, which never reuses an id and owns every
+//     representative (shared_ptr) while the memo lives. An id a state
+//     carries is only trusted when the cache's own id -> representative
+//     map sends it back to the slot's pointer, so ids issued by another
+//     table (the parallel explorer's) or by an earlier memo can never
+//     select a wrong row.
+//   - A memoized transition caches its action's index in this memo's
+//     pool; cache and pool live and die together, so the index cannot go
+//     stale across the graphs that share the memo.
 //   - The action pool assigns indices in first-intern order. Two
 //     explorations of the same system present actions in the same order
 //     (the engines are deterministic), so a warm pool hands out exactly

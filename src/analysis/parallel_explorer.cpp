@@ -259,6 +259,7 @@ struct ParallelExplorer::Impl {
     std::vector<std::uint8_t> everTouched;
     // Per-node scratch, reused across expansions.
     std::vector<const ioa::Action*> porActs;
+    PorPolicy::Scratch porScratch;
     std::vector<std::uint8_t> porFresh;
     struct Deferred {
       std::size_t ti;
@@ -785,16 +786,20 @@ struct ParallelExplorer::Impl {
     std::uint64_t edgeTally = 0;
     ioa::SystemState next;  // reusable successor buffer (see step())
     for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-      const ioa::Action* action = transitions.step(n->state, ti, &next);
-      if (!action) continue;
+      TransitionCache::Transition* t = transitions.step(n->state, ti, &next);
+      if (!t) continue;
       // Pointers into the worker's transition memo: node-stable across the
       // later insertions this loop performs.
-      if (por) w.porActs[ti] = action;
+      if (por) w.porActs[ti] = &t->action;
+      // The worker's cache has one pool consumer, this worker's local
+      // pool, so the transition can carry the local ref.
+      if (t->poolIndex == TransitionCache::kNoPoolIndex) {
+        t->poolIndex = internLocalAction(self, t->action);
+      }
       ++edgeTally;
       const std::uint32_t pos = base + count;
-      w.arena.at(pos) = CompactPEdge{
-          kNoHandle, internLocalAction(self, *action),
-          static_cast<std::uint16_t>(ti)};
+      w.arena.at(pos) = CompactPEdge{kNoHandle, t->poolIndex,
+                                     static_cast<std::uint16_t>(ti)};
       const std::size_t hash = next.hash();
       routeSuccessor(self, std::move(next), hash, h, pos,
                      por ? &w.porFresh[ti] : nullptr, /*spawn=*/por == nullptr);
@@ -806,7 +811,8 @@ struct ParallelExplorer::Impl {
       // the ample decision below, so all pending batches go out now.
       flushWorker(self);
       std::uint64_t enabledMask = 0;
-      const std::uint64_t ample = por->ampleMask(w.porActs, &enabledMask);
+      const std::uint64_t ample =
+          por->ampleMask(w.porActs, &enabledMask, &w.porScratch);
       for (const WorkerState::Deferred& d : w.deferred) {
         if (((ample >> d.ti) & 1) == 0) continue;
         if (w.porFresh[d.ti] != 1) continue;  // known, or over the cap
@@ -1146,6 +1152,7 @@ struct ParallelExplorer::Impl {
     DenseNodeSet enqueuedIds(g.size());
     enqueuedIds.insert(rootId);
     std::vector<const ioa::Action*> acts(tasks.size(), nullptr);
+    PorPolicy::Scratch porScratch;
     std::vector<NodeId> targets;
     const auto enqueueTargets = [&]() {
       for (const NodeId cid : targets) {
@@ -1193,7 +1200,8 @@ struct ParallelExplorer::Impl {
         acts[pe.task] = &localAction(pe.action);
       }
       std::uint64_t enabledMask = 0;
-      const std::uint64_t ample = por->ampleMask(acts, &enabledMask);
+      const std::uint64_t ample =
+          por->ampleMask(acts, &enabledMask, &porScratch);
       bool committedReduced = false;
       if (ample != enabledMask) {
         // Intern the ample targets in task order (the serial pass-2

@@ -25,9 +25,17 @@ inline int codeServiceIndex(std::uint32_t code) {
 }  // namespace
 
 std::size_t PorPolicy::SignatureHash::operator()(const Signature& s) const {
-  std::size_t h = 0x90e4c2b7u;
-  for (std::uint32_t c : s) util::hashValue(h, c);
-  return h;
+  // One multiply per pair of codes, one avalanche at the end: signatures
+  // are short arrays of small codes, so the per-element mix64 rounds of
+  // util::hashValue bought nothing but latency.
+  std::uint64_t h = 0x90e4c2b7u ^ s.size();
+  std::size_t i = 0;
+  for (; i + 2 <= s.size(); i += 2) {
+    const std::uint64_t pair = (std::uint64_t{s[i]} << 32) | s[i + 1];
+    h = (h ^ pair) * 0x9e3779b97f4a7c15ULL;
+  }
+  if (i < s.size()) h = (h ^ s[i]) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<std::size_t>(util::mix64(h));
 }
 
 std::shared_ptr<const PorPolicy> PorPolicy::forSystem(const ioa::System& sys,
@@ -407,6 +415,13 @@ std::uint64_t PorPolicy::computeAmple(const Signature& sig,
 std::uint64_t PorPolicy::ampleMask(
     const std::vector<const ioa::Action*>& actions,
     std::uint64_t* enabledOut) const {
+  Scratch scratch;
+  return ampleMask(actions, enabledOut, &scratch);
+}
+
+std::uint64_t PorPolicy::ampleMask(
+    const std::vector<const ioa::Action*>& actions, std::uint64_t* enabledOut,
+    Scratch* scratch) const {
   std::uint64_t enabledMask = 0;
   if (trivial_) {
     for (std::size_t ti = 0; ti < actions.size(); ++ti)
@@ -414,7 +429,8 @@ std::uint64_t PorPolicy::ampleMask(
     *enabledOut = enabledMask;
     return enabledMask;
   }
-  Signature sig(taskCount_, 0);
+  Signature& sig = scratch->signature;
+  sig.resize(taskCount_);
   bool analyzable = true;
   for (std::size_t ti = 0; ti < taskCount_; ++ti) {
     sig[ti] = codeFor(ti, actions[ti], &analyzable);

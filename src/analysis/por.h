@@ -113,6 +113,16 @@ class PorPolicy {
   std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
                           std::uint64_t* enabledOut) const;
 
+  // Caller-owned scratch for the decision (the per-task signature). An
+  // engine keeps one per expanding thread -- the graph one, each parallel
+  // worker one -- so a warm decision (signature already memoized) makes no
+  // heap allocation. Never shared between threads.
+  struct Scratch {
+    std::vector<std::uint32_t> signature;
+  };
+  std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
+                          std::uint64_t* enabledOut, Scratch* scratch) const;
+
   // True when `a` is a strict no-op self-loop (a waiting process's dummy
   // step). Used by the engines' C3 check: a self-loop target never counts
   // as an open successor.

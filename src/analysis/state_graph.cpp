@@ -70,9 +70,9 @@ StateGraph::StateGraph(const ioa::System& sys,
       memo_(memo ? std::move(memo) : std::make_shared<AnalysisMemo>(sys)),
       transitionsBase_(memo_->transitions().stats()) {
   if (&memo_->system() != &sys_) {
-    // Pointer-keyed memos only make sense against the exact System object
-    // they were built for (the TransitionCache snapshots its task list and
-    // keys on its slot representatives).
+    // The memos only make sense against the exact System object they were
+    // built for (the TransitionCache snapshots its task list and keys on
+    // the ids of its slot representatives).
     throw std::invalid_argument(
         "StateGraph: AnalysisMemo was built for a different System object");
   }
@@ -263,9 +263,9 @@ EdgeList StateGraph::successors(NodeId id) {
   const ioa::SystemState& s = states_[id];
   ioa::SystemState next;  // reusable successor buffer (see step())
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-    const ioa::Action* action = memo_->transitions().step(s, ti, &next);
-    if (!action) continue;
-    const std::uint32_t ai = internAction(*action);
+    TransitionCache::Transition* t = memo_->transitions().step(s, ti, &next);
+    if (!t) continue;
+    const std::uint32_t ai = internAction(*t);
     const std::size_t h = next.hash();
     const InternResult r = internWithHash(std::move(next), h);
     if (r.inserted) {
@@ -319,17 +319,17 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
     reducedSucc_[id].begin = kAliasFull;
     return full;
   }
-  const std::vector<ioa::TaskId>& tasks = sys_.allTasks();
+  const std::size_t taskCount = sys_.allTasks().size();
   // Pass 1: the per-task enabled actions (pointers into the transition
-  // memo, stable for the cache's lifetime). No successor is retained yet.
+  // memo, stable for the cache's lifetime). No successor is built yet.
   const ioa::SystemState& s = states_[id];
-  ioa::SystemState next;  // reusable successor buffer (see step())
-  std::vector<const ioa::Action*> actions(tasks.size(), nullptr);
-  for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-    actions[ti] = memo_->transitions().step(s, ti, &next);
+  porActions_.resize(taskCount);
+  for (std::size_t ti = 0; ti < taskCount; ++ti) {
+    porActions_[ti] = memo_->transitions().enabledAction(s, ti);
   }
   std::uint64_t enabledMask = 0;
-  const std::uint64_t ampleMask = por_->ampleMask(actions, &enabledMask);
+  const std::uint64_t ampleMask =
+      por_->ampleMask(porActions_, &enabledMask, &porScratch_);
   if (ampleMask == enabledMask) {
     // No proper ample set: the full list IS the reduced list.
     const EdgeList full = successors(id);
@@ -344,10 +344,11 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
       static_cast<std::uint32_t>(std::popcount(ampleMask)), &base);
   std::uint32_t count = 0;
   bool open = false;  // C3: some ample target not yet reduced-expanded
+  ioa::SystemState next;  // reusable successor buffer (see step())
   for (std::uint64_t m = ampleMask; m != 0; m &= m - 1) {
     const std::size_t ti = static_cast<std::size_t>(std::countr_zero(m));
-    const ioa::Action* action = memo_->transitions().step(s, ti, &next);
-    const std::uint32_t ai = internAction(*action);
+    const std::uint32_t ai =
+        internAction(*memo_->transitions().step(s, ti, &next));
     const std::size_t h = next.hash();
     const InternResult r = internWithHash(std::move(next), h);
     if (r.inserted) {

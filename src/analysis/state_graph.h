@@ -445,6 +445,15 @@ class StateGraph {
   std::uint32_t internAction(const ioa::Action& a) {
     return memo_->internAction(a);
   }
+  // Same index, cached on the memoized transition so later edges with
+  // this transition skip hashing the action. The memo's cache and pool
+  // live and die together, so the cached index never goes stale.
+  std::uint32_t internAction(TransitionCache::Transition& t) {
+    if (t.poolIndex == TransitionCache::kNoPoolIndex) {
+      t.poolIndex = memo_->internAction(t.action);
+    }
+    return t.poolIndex;
+  }
   std::uint16_t taskIndexOf(const ioa::TaskId& t) const;
 
   std::size_t findIndexSlot(std::size_t hash) const;
@@ -505,6 +514,9 @@ class StateGraph {
   // The shared cache's tallies at this graph's construction, so
   // transitionStats() stays per-graph on a warm memo.
   TransitionCache::Stats transitionsBase_;
+  // reducedSuccessors() pass-1 scratch, reused across expansions.
+  std::vector<const ioa::Action*> porActions_;
+  PorPolicy::Scratch porScratch_;
   Stats stats_;
 #ifndef NDEBUG
   std::thread::id writer_;  // single-writer expectation, asserted in debug

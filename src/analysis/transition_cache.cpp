@@ -1,38 +1,163 @@
 #include "analysis/transition_cache.h"
 
+#include <algorithm>
+#include <bit>
+#include <optional>
+
 namespace boosting::analysis {
+
+namespace {
+
+// Open-addressing growth policy (same as the graph's node index): grow at
+// 70% load so linear probes stay short.
+constexpr bool overloaded(std::size_t used, std::size_t cap) {
+  return used * 10 >= cap * 7;
+}
+
+// Fibonacci hashing: the top bits of key * 2^64/phi index a 2^bits table.
+inline std::size_t homeSlot(std::uint64_t key, std::size_t cap) {
+  const int bits = std::countr_zero(cap);
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                  (64 - bits));
+}
+
+}  // namespace
 
 TransitionCache::TransitionCache(const ioa::System& sys,
                                  ioa::SlotCanonTable& canon)
     : sys_(sys), canon_(canon) {
   const auto& tasks = sys.allTasks();
+  rowSize_.assign(static_cast<std::size_t>(sys.processCount()) +
+                      static_cast<std::size_t>(sys.serviceCount()),
+                  0);
   ownerSlot_.reserve(tasks.size());
-  for (const ioa::TaskId& t : tasks) ownerSlot_.push_back(sys.ownerSlot(t));
+  rowOffset_.reserve(tasks.size());
+  for (const ioa::TaskId& t : tasks) {
+    const std::size_t slot = sys.ownerSlot(t);
+    ownerSlot_.push_back(static_cast<std::uint32_t>(slot));
+    rowOffset_.push_back(rowSize_[slot]++);
+  }
 }
 
-const ioa::Action* TransitionCache::step(const ioa::SystemState& s,
-                                         std::size_t taskIndex,
-                                         ioa::SystemState* next) {
-  const ioa::AutomatonState* owner = &s.part(ownerSlot_[taskIndex]);
-  auto [it, fresh] = entries_.try_emplace(Key{owner, taskIndex});
-  TaskEntry& e = it->second;  // stable: unordered_map nodes don't move
+void TransitionCache::remember(const ioa::SlotCanonTable::Rep& rep,
+                               std::size_t hash, std::size_t slot) {
+  if (rep.id >= ids_.size()) {
+    ids_.resize(std::max<std::size_t>(std::size_t{rep.id} + 1,
+                                      ids_.size() * 2));
+  }
+  IdInfo& info = ids_[rep.id];
+  if (info.rep) return;  // an id names one representative for good
+  info.rep = rep.state;
+  info.hash = hash;
+  info.slot = static_cast<std::uint32_t>(slot);
+}
+
+std::uint32_t TransitionCache::resolve(const ioa::SystemState& s,
+                                       std::size_t slot) {
+  // Verify, then trust: the hint is this table's id only if it maps back
+  // to the very pointer the slot holds, at the same slot position.
+  const std::uint32_t hint = s.slotId(slot);
+  if (hint < ids_.size()) {
+    const IdInfo& info = ids_[hint];
+    if (info.rep.get() == &s.part(slot) && info.slot == slot) return hint;
+  }
+  const std::size_t h = s.slotHashValue(slot);
+  const ioa::SlotCanonTable::Rep rep =
+      canon_.canonicalizeSlot(slot, s.slotShared(slot), h);
+  remember(rep, h, slot);
+  return rep.id;
+}
+
+std::uint32_t TransitionCache::probe(const ioa::SystemState& s,
+                                     std::size_t taskIndex) {
+  const std::size_t slot = ownerSlot_[taskIndex];
+  const std::uint32_t id = resolve(s, slot);
+  std::uint32_t row = ids_[id].row;
+  if (row == kUnknown) {
+    row = static_cast<std::uint32_t>(entries_.size());
+    entries_.resize(entries_.size() + rowSize_[slot]);
+    ids_[id].row = row;
+  }
+  const std::uint32_t ei = row + rowOffset_[taskIndex];
+  Entry& e = entries_[ei];
   ++stats_.enabledLookups;
-  if (fresh) {
-    ++stats_.enabledMisses;
-  } else {
+  if (e.transition != kUnknown) {
     ++stats_.enabledHits;
+    return ei;
   }
-  if (fresh) {
-    auto a = sys_.enabled(s, sys_.allTasks()[taskIndex]);
-    e.enabled = a.has_value();
-    if (e.enabled) {
-      e.action = std::move(*a);
-      sys_.forEachParticipant(e.action, [&e](std::size_t slot) {
-        e.participants.push_back(Participant{slot, {}});
-      });
+  ++stats_.enabledMisses;
+  ++entryCount_;
+  std::optional<ioa::Action> a = sys_.enabled(s, sys_.allTasks()[taskIndex]);
+  if (!a) {
+    e.transition = kDisabled;
+    return ei;
+  }
+  e.othersBegin = static_cast<std::uint32_t>(others_.size());
+  sys_.forEachParticipant(*a, [&](std::size_t p) {
+    if (p == slot) {
+      e.ownerParticipates = true;
+    } else {
+      others_.push_back(static_cast<std::uint32_t>(p));
     }
+  });
+  e.othersCount = static_cast<std::uint16_t>(others_.size() - e.othersBegin);
+  e.transition = static_cast<std::uint32_t>(transitions_.size());
+  transitions_.push_back(Transition{std::move(*a)});
+  return ei;
+}
+
+const ioa::Action* TransitionCache::enabledAction(const ioa::SystemState& s,
+                                                  std::size_t taskIndex) {
+  const std::uint32_t t = entries_[probe(s, taskIndex)].transition;
+  return t == kDisabled ? nullptr : &transitions_[t].action;
+}
+
+std::uint32_t TransitionCache::successorId(const ioa::SystemState& s,
+                                           std::size_t slot,
+                                           const ioa::Action& a) {
+  std::unique_ptr<ioa::AutomatonState> stepped = s.part(slot).clone();
+  sys_.componentAtSlot(slot).apply(*stepped, a);
+  std::shared_ptr<const ioa::AutomatonState> sp(std::move(stepped));
+  const std::size_t h = sp->hash();
+  ioa::statePerfNoteSlotClone();
+  ioa::statePerfNoteSlotHash();
+  const ioa::SlotCanonTable::Rep rep =
+      canon_.canonicalizeSlot(slot, std::move(sp), h);
+  remember(rep, h, slot);
+  return rep.id;
+}
+
+void TransitionCache::adopt(ioa::SystemState* next, std::size_t slot,
+                            std::uint32_t id) {
+  const IdInfo& info = ids_[id];
+  next->adoptCanonicalSlot(slot, info.rep, info.hash, id);
+  lastTouched_.push_back(slot);
+}
+
+TransitionCache::NextSlot& TransitionCache::findNext(std::uint64_t key) {
+  if (nextTable_.empty()) nextTable_.assign(1024, NextSlot{});
+  const std::size_t mask = nextTable_.size() - 1;
+  std::size_t i = homeSlot(key, nextTable_.size());
+  while (nextTable_[i].key != kEmptyKey && nextTable_[i].key != key) {
+    i = (i + 1) & mask;
   }
-  if (!e.enabled) return nullptr;
+  return nextTable_[i];
+}
+
+void TransitionCache::growNext() {
+  std::vector<NextSlot> old = std::move(nextTable_);
+  nextTable_.assign(old.size() * 2, NextSlot{});
+  for (const NextSlot& ns : old) {
+    if (ns.key != kEmptyKey) findNext(ns.key) = ns;
+  }
+}
+
+TransitionCache::Transition* TransitionCache::step(const ioa::SystemState& s,
+                                                   std::size_t taskIndex,
+                                                   ioa::SystemState* next) {
+  const std::uint32_t ei = probe(s, taskIndex);
+  if (entries_[ei].transition == kDisabled) return nullptr;
+  Transition& t = transitions_[entries_[ei].transition];
 
   // Prepare the scratch buffer: a fresh (or moved-from, or foreign-source)
   // buffer gets a full copy of s; a buffer still holding s's previous
@@ -42,33 +167,42 @@ const ioa::Action* TransitionCache::step(const ioa::SystemState& s,
     lastSource_ = &s;
   } else {
     for (std::size_t slot : lastTouched_) {
-      next->adoptCanonicalSlot(slot, s.slotShared(slot), s.slotHashValue(slot));
+      next->adoptCanonicalSlot(slot, s.slotShared(slot), s.slotHashValue(slot),
+                               s.slotId(slot));
     }
   }
   lastTouched_.clear();
-  for (Participant& p : e.participants) {
-    const ioa::AutomatonState* cur = &s.part(p.slot);
-    auto [nit, miss] = p.next.try_emplace(cur);
+
+  if (entries_[ei].ownerParticipates) {
+    const std::size_t owner = ownerSlot_[taskIndex];
     ++stats_.applyLookups;
-    if (miss) {
+    if (entries_[ei].ownerNext == ioa::kNoSlotId) {
       ++stats_.applyMisses;
+      entries_[ei].ownerNext = successorId(s, owner, t.action);
     } else {
       ++stats_.applyHits;
     }
-    if (miss) {
-      std::unique_ptr<ioa::AutomatonState> stepped = cur->clone();
-      sys_.componentAtSlot(p.slot).apply(*stepped, e.action);
-      std::shared_ptr<const ioa::AutomatonState> sp(std::move(stepped));
-      const std::size_t h = sp->hash();
-      ioa::statePerfNoteSlotClone();
-      ioa::statePerfNoteSlotHash();
-      nit->second = SlotNext{canon_.canonicalizeSlot(p.slot, std::move(sp), h),
-                             h};
-    }
-    next->adoptCanonicalSlot(p.slot, nit->second.state, nit->second.hash);
-    lastTouched_.push_back(p.slot);
+    adopt(next, owner, entries_[ei].ownerNext);
   }
-  return &e.action;
+  const Entry e = entries_[ei];
+  for (std::uint32_t k = 0; k < e.othersCount; ++k) {
+    const std::size_t p = others_[e.othersBegin + k];
+    const std::uint64_t key =
+        (std::uint64_t{ei} << 32) | std::uint64_t{resolve(s, p)};
+    ++stats_.applyLookups;
+    NextSlot& ns = findNext(key);
+    std::uint32_t nid = ns.next;
+    if (ns.key == kEmptyKey) {
+      ++stats_.applyMisses;
+      nid = successorId(s, p, t.action);
+      ns = NextSlot{key, nid};  // successorId leaves nextTable_ alone
+      if (overloaded(++nextUsed_, nextTable_.size())) growNext();
+    } else {
+      ++stats_.applyHits;
+    }
+    adopt(next, p, nid);
+  }
+  return &t;
 }
 
 }  // namespace boosting::analysis

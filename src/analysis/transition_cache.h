@@ -5,33 +5,45 @@
 // owning component's local state, and the effect of an action on a
 // participant is a pure function of that participant's local state and the
 // action. Because the exploration engines hash-cons slot states through a
-// SlotCanonTable, "local state" is identified by a canonical pointer, so
-// both functions are memoizable with pointer keys:
+// SlotCanonTable, "local state" is identified by the representative's
+// dense slot id, so both functions are memoizable with integer keys:
 //
-//   (owner slot state, task)          -> enabled? + action + participants
-//   (participant slot state, action)  -> canonical successor slot + hash
+//   (owner slot id, task)               -> enabled? + action + participants
+//                                          + the owner's successor slot id
+//   (transition, other participant id)  -> that participant's successor id
 //
-// With both memos warm, expanding an edge costs a SystemState copy
-// (refcount bumps) plus one hash-map lookup per participant; no component
-// is cloned, stepped, rehashed, or canonicalized more than once per
-// distinct (local state, action) pair in the whole exploration. The action
-// identity in the second memo is represented by its producer (owner
-// pointer, task) -- determinism again -- so the two memos collapse into
-// one keyed table.
+// The first memo is a ROW per owner id: one contiguous block of entries,
+// one per task the owner slot owns, reached by indexing (no hashing). The
+// action identity in the second memo is represented by its producer (the
+// row entry) -- determinism again -- and the owner is always a participant
+// of its own task's action, so its successor lives in the entry itself.
+// Only the other participant of an invoke or respond goes through one
+// open-addressing table keyed by (entry, participant id). With both memos
+// warm, expanding an edge costs a few vector loads plus, per participant,
+// a refcount bump to adopt the successor slot; no component is cloned,
+// stepped, rehashed, or canonicalized more than once per distinct (local
+// state, action) pair in the whole exploration.
 //
-// Correctness never depends on canonicality: a non-canonical (but
-// immutable) slot pointer only causes a memo miss and a recomputation.
+// Ids are HINTS (see SystemState::slotId): a state may carry ids issued by
+// another table (the parallel explorer moves states canonicalized by its
+// own table into the graph). The cache trusts a slot's id only when its
+// own id -> representative map sends that id to the slot's pointer at the
+// same slot position; otherwise it resolves the slot through
+// canonicalizeSlot to its own table's id. Correctness therefore never
+// depends on where a state's ids came from: a foreign or missing id only
+// costs one table lookup.
+//
 // The cache is NOT thread-safe; concurrent engines give each worker its
 // own cache over the shared (striped) SlotCanonTable.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ioa/system.h"
-#include "util/hashing.h"
 
 namespace boosting::analysis {
 
@@ -76,18 +88,36 @@ class TransitionCache {
     }
   };
 
+  static constexpr std::uint32_t kNoPoolIndex =
+      static_cast<std::uint32_t>(-1);
+
+  // One memoized enabled transition: stable address for the cache's
+  // lifetime. `poolIndex` belongs to the cache's single action-pool
+  // consumer (the AnalysisMemo's pool for the memo's cache, the worker's
+  // local pool for a parallel worker's cache), which fills it on first use
+  // so later edges skip hashing the action.
+  struct Transition {
+    ioa::Action action;
+    std::uint32_t poolIndex = kNoPoolIndex;
+  };
+
   // Both referees must outlive the cache; `sys` must be fully built (the
   // task list is snapshotted here).
   TransitionCache(const ioa::System& sys, ioa::SlotCanonTable& canon);
 
   const Stats& stats() const { return stats_; }
   // Memoized (owner slot state, task) entries.
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return entryCount_; }
 
-  // If task #taskIndex (in sys.allTasks() order) is enabled in `s`, makes
-  // *next the successor state -- canonical slots, all hash caches valid --
-  // and returns the enabled action (owned by the cache, stable until
-  // destruction). Returns nullptr when disabled. `s` must only contain
+  // The action task #taskIndex (in sys.allTasks() order) enables in `s`,
+  // or nullptr when disabled. Builds no successor; the pointer is stable
+  // until destruction. Counts as one enabled-memo lookup.
+  const ioa::Action* enabledAction(const ioa::SystemState& s,
+                                   std::size_t taskIndex);
+
+  // If task #taskIndex is enabled in `s`, makes *next the successor state
+  // -- canonical slots, all hash caches valid -- and returns the memoized
+  // transition. Returns nullptr when disabled. `s` must only contain
   // immutable shared slots (any state produced by the engines or by step()
   // itself qualifies).
   //
@@ -98,40 +128,58 @@ class TransitionCache {
   // slots touched by the previous step are reverted and only the new
   // participant slots are written: the per-edge cost is a handful of
   // pointer swaps, no slot-vector copy.
-  const ioa::Action* step(const ioa::SystemState& s, std::size_t taskIndex,
-                          ioa::SystemState* next);
+  Transition* step(const ioa::SystemState& s, std::size_t taskIndex,
+                   ioa::SystemState* next);
 
  private:
-  struct SlotNext {
-    std::shared_ptr<const ioa::AutomatonState> state;
+  static constexpr std::uint32_t kUnknown = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kDisabled = kUnknown - 1;
+
+  // What the cache knows about one id of its table.
+  struct IdInfo {
+    std::shared_ptr<const ioa::AutomatonState> rep;  // null: unseen id
     std::size_t hash = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t row = kUnknown;  // first entry of the owner row
   };
-  struct Participant {
-    std::size_t slot = 0;
-    std::unordered_map<const ioa::AutomatonState*, SlotNext> next;
+  // One (owner id, task) memo entry, 16 bytes.
+  struct Entry {
+    std::uint32_t transition = kUnknown;  // index into transitions_, or
+                                          // kUnknown / kDisabled
+    std::uint32_t ownerNext = ioa::kNoSlotId;  // id of the owner's successor
+    std::uint32_t othersBegin = 0;        // into others_
+    std::uint16_t othersCount = 0;
+    bool ownerParticipates = false;
   };
-  struct TaskEntry {
-    bool enabled = false;
-    ioa::Action action;
-    std::vector<Participant> participants;
+  // (entry index, participant id) -> successor id.
+  struct NextSlot {
+    std::uint64_t key = kEmptyKey;
+    std::uint32_t next = ioa::kNoSlotId;
   };
-  struct Key {
-    const ioa::AutomatonState* owner = nullptr;
-    std::size_t task = 0;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(util::mix64(
-          reinterpret_cast<std::uintptr_t>(k.owner) ^
-          (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(k.task) + 1))));
-    }
-  };
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
+  std::uint32_t resolve(const ioa::SystemState& s, std::size_t slot);
+  void remember(const ioa::SlotCanonTable::Rep& rep, std::size_t hash,
+                std::size_t slot);
+  std::uint32_t probe(const ioa::SystemState& s, std::size_t taskIndex);
+  std::uint32_t successorId(const ioa::SystemState& s, std::size_t slot,
+                            const ioa::Action& a);
+  void adopt(ioa::SystemState* next, std::size_t slot, std::uint32_t id);
+  NextSlot& findNext(std::uint64_t key);
+  void growNext();
 
   const ioa::System& sys_;
   ioa::SlotCanonTable& canon_;
-  std::vector<std::size_t> ownerSlot_;  // per task index
-  std::unordered_map<Key, TaskEntry, KeyHash> entries_;
+  std::vector<std::uint32_t> ownerSlot_;  // per task index
+  std::vector<std::uint32_t> rowOffset_;  // per task: index inside its row
+  std::vector<std::uint32_t> rowSize_;    // per slot: tasks it owns
+  std::vector<IdInfo> ids_;
+  std::vector<Entry> entries_;            // rows, back to back
+  std::deque<Transition> transitions_;    // stable: step() hands them out
+  std::vector<std::uint32_t> others_;     // non-owner participant slots
+  std::vector<NextSlot> nextTable_;
+  std::size_t nextUsed_ = 0;
+  std::size_t entryCount_ = 0;
   // Scratch-buffer bookkeeping: the source state the buffer was last
   // prepared from (address of an engine-stable state) and the slots the
   // previous step wrote, so the next step can revert just those.

@@ -78,7 +78,7 @@ AutomatonState& SystemState::mutablePart(std::size_t slot) {
     sl.state = std::shared_ptr<const AutomatonState>(sl.state->clone());
     gSlotClones.fetch_add(1, std::memory_order_relaxed);
   }
-  sl.canon = false;  // content is about to change
+  sl.id = kNoSlotId;  // content is about to change
   if (sl.hashValid) {
     combined_ ^= slotMix(slot, sl.hash);  // retract the stale contribution
     sl.hashValid = false;
@@ -90,14 +90,15 @@ AutomatonState& SystemState::mutablePart(std::size_t slot) {
 
 void SystemState::adoptCanonicalSlot(std::size_t slot,
                                      std::shared_ptr<const AutomatonState> rep,
-                                     std::size_t repHash) {
+                                     std::size_t repHash,
+                                     std::uint32_t repId) {
   Slot& sl = slots_[slot];
+  sl.id = repId;
   if (sl.state.get() == rep.get()) return;  // self-loop on this slot
   if (sl.hashValid) combined_ ^= slotMix(slot, sl.hash);
   sl.state = std::move(rep);
   sl.hash = repHash;
   sl.hashValid = true;
-  sl.canon = true;
   combined_ ^= slotMix(slot, repHash);
 }
 
@@ -111,7 +112,7 @@ void SystemState::setSlot(std::size_t slot,
   sl.hashValid = true;
   // Canonicality is per (slot, content): content moved in from elsewhere
   // must be re-interned by the slot-canon table for this position.
-  sl.canon = false;
+  sl.id = kNoSlotId;
   combined_ ^= slotMix(slot, repHash);
 }
 
@@ -181,9 +182,7 @@ struct SlotCanonTable::Stripe {
   // key (mixed slot index + slot hash) -> representatives with that key.
   // The chain is almost always a single entry; longer chains only on slot
   // hash collisions.
-  std::unordered_map<std::size_t,
-                     std::vector<std::shared_ptr<const AutomatonState>>>
-      byKey;
+  std::unordered_map<std::size_t, std::vector<Rep>> byKey;
 };
 
 SlotCanonTable::SlotCanonTable(bool concurrent)
@@ -201,7 +200,7 @@ std::size_t SlotCanonTable::size() const {
   return n;
 }
 
-std::shared_ptr<const AutomatonState> SlotCanonTable::canonicalizeSlot(
+SlotCanonTable::Rep SlotCanonTable::canonicalizeSlot(
     std::size_t slot, std::shared_ptr<const AutomatonState> probe,
     std::size_t probeHash) {
   const std::size_t key = slotMix(slot, probeHash);
@@ -209,20 +208,24 @@ std::shared_ptr<const AutomatonState> SlotCanonTable::canonicalizeSlot(
   std::unique_lock<std::mutex> lock(st.m, std::defer_lock);
   if (concurrent_) lock.lock();
   auto& chain = st.byKey[key];
-  for (const auto& rep : chain) {
-    if (rep.get() == probe.get() || rep->equals(*probe)) return rep;
+  for (const Rep& rep : chain) {
+    if (rep.state.get() == probe.get() || rep.state->equals(*probe)) {
+      return rep;
+    }
   }
-  chain.push_back(probe);
-  return probe;
+  chain.push_back(
+      Rep{std::move(probe), nextId_.fetch_add(1, std::memory_order_relaxed)});
+  return chain.back();
 }
 
 void SlotCanonTable::canonicalize(SystemState& s) {
   s.hash();  // flush per-slot caches so every slot hash is valid
   for (std::size_t i = 0; i < s.slots_.size(); ++i) {
     SystemState::Slot& sl = s.slots_[i];
-    if (sl.canon) continue;  // already a representative somewhere
-    sl.state = canonicalizeSlot(i, sl.state, sl.hash);
-    sl.canon = true;
+    if (sl.id != kNoSlotId) continue;  // already a representative somewhere
+    Rep rep = canonicalizeSlot(i, sl.state, sl.hash);
+    sl.state = std::move(rep.state);
+    sl.id = rep.id;
   }
 }
 

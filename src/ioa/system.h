@@ -38,6 +38,7 @@
 // services).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -76,6 +77,9 @@ void statePerfNoteSlotHash();
 // Seed of the combined state hash (also the hash of the empty state).
 inline constexpr std::size_t kSystemStateHashSeed = 0x51ab5e17u;
 
+// Slot id of a slot no SlotCanonTable has canonicalized (see Slot::id).
+inline constexpr std::uint32_t kNoSlotId = static_cast<std::uint32_t>(-1);
+
 class SystemState final {
  public:
   SystemState() = default;
@@ -112,13 +116,14 @@ class SystemState final {
 
   // Replace a slot with a canonical representative of its successor
   // content. Precondition: `rep` is immutable, shared through a
-  // SlotCanonTable, and repHash == rep->hash(). The combined hash is fixed
-  // up incrementally; no clone or component rehash happens. This is the
-  // transition-memo fast path (analysis/transition_cache.h): the slot is
-  // swapped wholesale, so sibling copies are never affected.
+  // SlotCanonTable that gave it id `repId`, and repHash == rep->hash().
+  // The combined hash is fixed up incrementally; no clone or component
+  // rehash happens. This is the transition-memo fast path
+  // (analysis/transition_cache.h): the slot is swapped wholesale, so
+  // sibling copies are never affected.
   void adoptCanonicalSlot(std::size_t slot,
                           std::shared_ptr<const AutomatonState> rep,
-                          std::size_t repHash);
+                          std::size_t repHash, std::uint32_t repId);
 
   // Replace a slot with an arbitrary immutable component state whose hash
   // is already known (repHash == rep->hash()). Like adoptCanonicalSlot the
@@ -142,6 +147,11 @@ class SystemState final {
     return slots_[slot].hashValid ? slots_[slot].hash
                                   : slots_[slot].state->hash();
   }
+  // The dense id the last SlotCanonTable that canonicalized this slot gave
+  // its representative, or kNoSlotId. A HINT only: the state does not
+  // record which table issued it, so a consumer keyed by ids must check
+  // that the id maps back to this slot's pointer in its own table.
+  std::uint32_t slotId(std::size_t slot) const { return slots_[slot].id; }
 
   // Shallow footprint of this state object: the slot array plus the object
   // itself, NOT the component states behind the shared_ptrs (those are
@@ -159,12 +169,13 @@ class SystemState final {
     std::shared_ptr<const AutomatonState> state;
     // Cached state->hash(); valid iff hashValid. Mutable: hash() memoizes.
     mutable std::size_t hash = 0;
+    // The representative's id once a SlotCanonTable has made this pointer
+    // canonical, kNoSlotId otherwise (reset whenever the slot is mutated).
+    // Purely an optimization hint: equality never depends on it.
+    std::uint32_t id = kNoSlotId;
     mutable bool hashValid = false;
-    // True once a SlotCanonTable has made this pointer a canonical
-    // representative (cleared whenever the slot is mutated). Purely an
-    // optimization flag: equality never depends on it.
-    bool canon = false;
   };
+  static_assert(sizeof(Slot) <= 32, "a slot stays four words");
 
   void appendSlot(std::unique_ptr<AutomatonState> s);
 
@@ -183,9 +194,14 @@ class SystemState final {
 // and the deep virtual equals runs at most once per distinct slot content.
 // Also dedupes memory: equal component states are stored once.
 //
+// Every representative gets a dense u32 id (0, 1, 2, ... in registration
+// order) that canonicalize() stores in the slot. Ids of two tables
+// overlap, which is why consumers treat them as hints (Slot::id).
+//
 // `concurrent = true` stripes the table with mutexes so the parallel
 // explorer's workers can canonicalize probe states concurrently; the states
 // being canonicalized are always thread-private, only the table is shared.
+// Ids then come from one atomic counter.
 class SlotCanonTable {
  public:
   explicit SlotCanonTable(bool concurrent = false);
@@ -198,12 +214,16 @@ class SlotCanonTable {
   // content as the representative). Equality and hash of `s` are unchanged.
   void canonicalize(SystemState& s);
 
+  struct Rep {
+    std::shared_ptr<const AutomatonState> state;
+    std::uint32_t id = kNoSlotId;
+  };
   // Single-slot entry point: the representative of `probe`'s content at
-  // `slot` (registering `probe` if first seen). probeHash must equal
-  // probe->hash(); the representative hashes identically.
-  std::shared_ptr<const AutomatonState> canonicalizeSlot(
-      std::size_t slot, std::shared_ptr<const AutomatonState> probe,
-      std::size_t probeHash);
+  // `slot` (registering `probe` if first seen) and its id. probeHash must
+  // equal probe->hash(); the representative hashes identically.
+  Rep canonicalizeSlot(std::size_t slot,
+                       std::shared_ptr<const AutomatonState> probe,
+                       std::size_t probeHash);
 
   // Distinct component states held as representatives, over all slots.
   std::size_t size() const;
@@ -212,6 +232,7 @@ class SlotCanonTable {
   struct Stripe;
   bool concurrent_;
   std::vector<Stripe> stripes_;
+  std::atomic<std::uint32_t> nextId_{0};
 };
 
 // How a system's process-permutation group acts on process component

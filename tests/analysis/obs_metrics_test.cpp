@@ -235,6 +235,26 @@ TEST(ObsMetrics, MemoGaugesMatchTheSharedMemo) {
             cfg.memo->transitions().size());
 }
 
+TEST(ObsMetrics, ColdPrivateMemoHasOneEntryPerEnabledMiss) {
+  // Every enabled-memo miss computes exactly one (owner slot, task) entry
+  // and no lookup computes one without a miss, so on a cold private memo
+  // serving one serial certificate the two gauges agree exactly (relay
+  // n=6 f=1, symmetry off, POR auto: 22,724 each).
+  for (const PorMode por : {PorMode::Auto, PorMode::Off}) {
+    auto sys = relay(4, 1);
+    obs::Registry reg;
+    AdversaryConfig cfg;
+    cfg.claimedFailures = 2;
+    cfg.por = por;
+    cfg.exploration.threads = 1;
+    cfg.exploration.metrics = &reg;
+    (void)analyzeConsensusCandidate(*sys, cfg);
+    EXPECT_GT(reg.value("cache.enabled_misses"), 0u);
+    EXPECT_EQ(reg.value("memo.transition_entries"),
+              reg.value("cache.enabled_misses"));
+  }
+}
+
 TEST(ObsMetrics, TraceWriterEmitsOneJsonObjectPerLine) {
   const std::string path = testing::TempDir() + "/obs_metrics_test_trace.jsonl";
   {

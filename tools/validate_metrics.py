@@ -51,10 +51,14 @@ promise:
     state holds at least one slot representative.
 
 With --max-peak-rss-mb M, a process.peak_rss_bytes above M MiB is also a
-violation (a memory guard for CI smoke runs).
+violation (a memory guard for CI smoke runs). With --max-counter NAME=VALUE
+(repeatable), a missing counter NAME or one above VALUE is a violation (a
+work guard: deterministic counters such as cache.apply_lookups catch
+regressions that wall time on a shared runner cannot).
 
 Usage: validate_metrics.py [--schema SCHEMA] [--expect-workers N]
-                           [--max-peak-rss-mb M] METRICS
+                           [--max-peak-rss-mb M]
+                           [--max-counter NAME=VALUE ...] METRICS
 Exits 0 when valid, 1 with one "path: problem" line per violation.
 """
 
@@ -114,7 +118,8 @@ def named_section(doc, section):
             if isinstance(entry, dict) and "name" in entry}
 
 
-def check_invariants(doc, expect_workers, max_peak_rss_mb, errors):
+def check_invariants(doc, expect_workers, max_peak_rss_mb, errors,
+                     max_counters=()):
     for section in ("counters", "timers", "derived"):
         names = [e["name"] for e in doc.get(section, [])
                  if isinstance(e, dict) and "name" in e]
@@ -328,6 +333,14 @@ def check_invariants(doc, expect_workers, max_peak_rss_mb, errors):
                 f"({rss_peak / (1024 * 1024):.1f} MiB) > "
                 f"--max-peak-rss-mb {max_peak_rss_mb}")
 
+    for name, limit in max_counters:
+        if name not in counters:
+            errors.append(f"$.counters: missing {name} "
+                          "(required by --max-counter)")
+        elif cval(name) > limit:
+            errors.append(f"$.counters: {name} {cval(name)} > "
+                          f"--max-counter {name}={limit}")
+
     # Analysis service (v7): jobs finish at most once, each accepted job
     # sources its exploration state exactly one way (cold build, warm
     # reuse, or busy-bypass), and only built contexts can be evicted.
@@ -376,6 +389,20 @@ def check_invariants(doc, expect_workers, max_peak_rss_mb, errors):
                     f"explorer.states_discovered {discovered}")
 
 
+def counter_limit(text):
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    try:
+        limit = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{name}: limit {value!r} is not an integer") from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"{name}: limit {limit} is negative")
+    return name, limit
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("metrics", help="metrics JSON file to validate")
@@ -387,6 +414,10 @@ def main():
     ap.add_argument("--max-peak-rss-mb", type=float, default=None,
                     metavar="M",
                     help="fail when process.peak_rss_bytes exceeds M MiB")
+    ap.add_argument("--max-counter", action="append", default=[],
+                    type=counter_limit, metavar="NAME=VALUE",
+                    help="fail when counter NAME is missing or exceeds "
+                         "VALUE (repeatable)")
     args = ap.parse_args()
 
     schema_path = args.schema
@@ -413,7 +444,7 @@ def main():
     validate(doc, schema, "$", errors)
     if not errors:
         check_invariants(doc, args.expect_workers, args.max_peak_rss_mb,
-                         errors)
+                         errors, args.max_counter)
 
     if errors:
         for err in errors:
