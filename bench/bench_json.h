@@ -112,55 +112,6 @@ inline bool writeBenchJson(const std::string& path,
   return true;
 }
 
-// Parse and strip a `--flag=v1,v2,...` list argument before
-// benchmark::Initialize sees argv (it rejects unrecognized flags). Used by
-// the thread-scaling benches: `--bench-threads=1,2,4` picks the threads
-// axis, with an ENV-variable fallback (BENCH_THREADS) for CI, and the
-// given defaults otherwise.
-// Malformed entries (empty, non-numeric) fall back to the defaults so a
-// typo degrades to the stock matrix instead of an empty bench run.
-inline std::vector<unsigned> extractCsvFlag(int& argc, char** argv,
-                                            const std::string& flag,
-                                            const char* env,
-                                            std::vector<unsigned> defaults) {
-  const std::string prefix = flag + "=";
-  std::string value;
-  if (env != nullptr) {
-    if (const char* v = std::getenv(env); v != nullptr && *v != '\0') {
-      value = v;
-    }
-  }
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.compare(0, prefix.size(), prefix) == 0) {
-      value = arg.substr(prefix.size());  // flag beats env beats defaults
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  if (value.empty()) return defaults;
-  std::vector<unsigned> parsed;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    const std::size_t comma = value.find(',', pos);
-    const std::string tok =
-        value.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (tok.empty() || end == nullptr || *end != '\0') {
-      std::fprintf(stderr, "bench_json: bad %s entry '%s'; using defaults\n",
-                   flag.c_str(), tok.c_str());
-      return defaults;
-    }
-    parsed.push_back(static_cast<unsigned>(v));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return parsed.empty() ? defaults : parsed;
-}
-
 inline int runBenchmarks(int argc, char** argv, const char* defaultJsonPath) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

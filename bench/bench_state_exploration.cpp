@@ -3,13 +3,13 @@
 // expansion, and full reachable-set exploration with valence computation,
 // over both the relay and TOB fixtures.
 //
-// Exploration uses the engine's own serial BFS (analysis::exploreReachable
-// with threads=1), so states/sec here is exactly what the certificate
-// pipeline sees. Besides wall-clock rates, each exploration run reports the
-// SystemState perf counters (state copies, COW slot clones, slot rehashes)
-// per discovered state, which is what the copy-on-write representation is
-// meant to shrink. Results are also written to BENCH_state_explore.json
-// (override with BENCH_JSON=path) for CI artifacts and EXPERIMENTS.md.
+// Exploration uses the engine's own BFS (analysis::exploreReachable), so
+// states/sec here is exactly what the certificate pipeline sees. Besides
+// wall-clock rates, each exploration run reports the SystemState perf
+// counters (state copies, COW slot clones, slot rehashes) per discovered
+// state, which is what the copy-on-write representation is meant to
+// shrink. Results are also written to BENCH_state_explore.json (override
+// with BENCH_JSON=path) for CI artifacts and EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -86,7 +86,7 @@ void exploreSerial(const ioa::System& sys, benchmark::State& state) {
     NodeId root = g.intern(
         analysis::canonicalInitialization(sys, sys.processCount() / 2));
     auto stats =
-        analysis::exploreReachable(g, root, ExplorationPolicy{1, 0});
+        analysis::exploreReachable(g, root, ExplorationPolicy{});
     expanded += static_cast<std::int64_t>(stats.statesDiscovered);
     states = g.size();
   }
@@ -127,7 +127,7 @@ void regionScan(const ioa::System& sys, benchmark::State& state) {
     StateGraph g(sys);
     for (int j = 0; j <= n; ++j) {
       NodeId root = g.intern(analysis::canonicalInitialization(sys, j));
-      auto stats = analysis::exploreReachable(g, root, ExplorationPolicy{1, 0});
+      auto stats = analysis::exploreReachable(g, root, ExplorationPolicy{});
       expanded += static_cast<std::int64_t>(stats.statesDiscovered);
     }
     states = g.size();
@@ -169,7 +169,7 @@ void regionScanSymmetry(const ioa::System& sys, benchmark::State& state) {
     StateGraph g(sys, pol);
     for (int j = 0; j <= n; ++j) {
       NodeId root = g.intern(analysis::canonicalInitialization(sys, j));
-      auto stats = analysis::exploreReachable(g, root, ExplorationPolicy{1, 0});
+      auto stats = analysis::exploreReachable(g, root, ExplorationPolicy{});
       expanded += static_cast<std::int64_t>(stats.statesDiscovered);
     }
     states = g.size();
@@ -205,7 +205,7 @@ void regionScanSymmetryPor(const ioa::System& sys, benchmark::State& state) {
       StateGraph gq(sys, symPol);
       for (int j = 0; j <= n; ++j) {
         NodeId root = gq.intern(analysis::canonicalInitialization(sys, j));
-        analysis::exploreReachable(gq, root, ExplorationPolicy{1, 0});
+        analysis::exploreReachable(gq, root, ExplorationPolicy{});
       }
       symStates = gq.size();
     }
@@ -215,7 +215,7 @@ void regionScanSymmetryPor(const ioa::System& sys, benchmark::State& state) {
     StateGraph g(sys, symPol, porPol);
     for (int j = 0; j <= n; ++j) {
       NodeId root = g.intern(analysis::canonicalInitialization(sys, j));
-      auto stats = analysis::exploreReachable(g, root, ExplorationPolicy{1, 0});
+      auto stats = analysis::exploreReachable(g, root, ExplorationPolicy{});
       expanded += static_cast<std::int64_t>(stats.statesDiscovered);
     }
     states = g.size();
@@ -247,7 +247,7 @@ void BM_BytesPerState(benchmark::State& state) {
     StateGraph g(*sys);
     for (int j = 0; j <= n; ++j) {
       NodeId root = g.intern(analysis::canonicalInitialization(*sys, j));
-      analysis::exploreReachable(g, root, ExplorationPolicy{1, 0});
+      analysis::exploreReachable(g, root, ExplorationPolicy{});
     }
     states = g.size();
     const auto ms = g.memoryStats();
@@ -258,93 +258,6 @@ void BM_BytesPerState(benchmark::State& state) {
   }
   state.counters["states"] = static_cast<double>(states);
   state.counters["bytes_per_state"] = bytesPerState;
-}
-
-// The thread-scaling sweep over the relay n=4 single-root region (the
-// multi-core truth harness; the phase-1 table always has bit_ceil(threads)
-// shards). Each cell reports:
-//   states_per_sec       raw discovery throughput of the two-phase engine;
-//   scaling_efficiency   rate / (threads * serial reference rate), i.e.
-//                        the fraction of perfect linear speedup realized.
-//                        The serial reference is measured once per process
-//                        so every cell is normalized identically; on a
-//                        single-core box efficiency at t threads tops out
-//                        near 1/t, which is why compare_bench.py gates it
-//                        one-sided (drops fail, gains pass);
-//   install_queue_depth  largest batch any flush handed a shard;
-//   routed / batch_flushes / cross_shard_edges  contention tallies from
-//                        explorer.shard.* (zero on the serial t=1 cell);
-//   peak_rss_bytes       process peak RSS after the cell ran, gating
-//                        shard-table and batch-buffer memory bloat. NOTE:
-//                        this is VmHWM, monotone across the cells of one
-//                        bench process -- only the biggest cell moves it;
-//   rss_delta_bytes      VmRSS growth across this cell's timed loop (the
-//                        v6 per-cell measurement compare_bench.py gates;
-//                        unlike VmHWM it responds to every cell).
-// The threads axis defaults to {1,2,4} and can be overridden with
-// --bench-threads=LIST (or BENCH_THREADS), so the CI multi-core job can
-// widen the sweep without a code change.
-void BM_ShardMatrixRelay(benchmark::State& state) {
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  auto sys = relay(4, 0);
-  static const double serialRate = [] {
-    auto ref = relay(4, 0);
-    {
-      StateGraph warm(*ref);  // warm caches so the reference is not cold
-      analysis::exploreReachable(
-          warm,
-          warm.intern(
-              analysis::canonicalInitialization(*ref, ref->processCount() / 2)),
-          ExplorationPolicy{1, 0});
-    }
-    StateGraph g(*ref);
-    NodeId root = g.intern(
-        analysis::canonicalInitialization(*ref, ref->processCount() / 2));
-    const auto t0 = std::chrono::steady_clock::now();
-    auto stats = analysis::exploreReachable(g, root, ExplorationPolicy{1, 0});
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return secs > 0.0 ? static_cast<double>(stats.statesDiscovered) / secs
-                      : 0.0;
-  }();
-  std::int64_t discovered = 0;
-  double exploreSecs = 0.0;
-  analysis::ExploreStats last;
-  const std::uint64_t rssBefore = analysis::currentRssBytes();
-  for (auto _ : state) {
-    StateGraph g(*sys);
-    NodeId root = g.intern(
-        analysis::canonicalInitialization(*sys, sys->processCount() / 2));
-    ExplorationPolicy pol;
-    pol.threads = threads;
-    const auto t0 = std::chrono::steady_clock::now();
-    last = analysis::exploreReachable(g, root, pol);
-    exploreSecs +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    discovered += static_cast<std::int64_t>(last.statesDiscovered);
-  }
-  const double rate =
-      exploreSecs > 0.0 ? static_cast<double>(discovered) / exploreSecs : 0.0;
-  state.counters["states"] = static_cast<double>(last.statesDiscovered);
-  state.counters["states_per_sec"] = benchmark::Counter(
-      static_cast<double>(discovered), benchmark::Counter::kIsRate);
-  state.counters["scaling_efficiency"] =
-      serialRate > 0.0 ? rate / (static_cast<double>(threads) * serialRate)
-                       : 0.0;
-  state.counters["install_queue_depth"] =
-      static_cast<double>(last.shard.maxQueueDepth);
-  state.counters["routed"] = static_cast<double>(last.shard.routed);
-  state.counters["batch_flushes"] =
-      static_cast<double>(last.shard.batchFlushes);
-  state.counters["cross_shard_edges"] =
-      static_cast<double>(last.shard.crossShardEdges);
-  state.counters["peak_rss_bytes"] =
-      static_cast<double>(analysis::peakRssBytes());
-  const std::uint64_t rssAfter = analysis::currentRssBytes();
-  state.counters["rss_delta_bytes"] = static_cast<double>(
-      rssAfter > rssBefore ? rssAfter - rssBefore : 0);
 }
 
 // Bounded-memory exploration: the relay n=4 region under a 32 KiB edge
@@ -446,12 +359,6 @@ BENCHMARK(BM_BoundedExploreRelay)
     ->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 int main(int argc, char** argv) {
-  const std::vector<unsigned> threadsAxis = boosting::benchjson::extractCsvFlag(
-      argc, argv, "--bench-threads", "BENCH_THREADS", {1, 2, 4});
-  auto* matrix =
-      benchmark::RegisterBenchmark("BM_ShardMatrixRelay", BM_ShardMatrixRelay);
-  matrix->Unit(benchmark::kMillisecond)->UseRealTime();
-  for (unsigned t : threadsAxis) matrix->Arg(static_cast<std::int64_t>(t));
   return boosting::benchjson::runBenchmarks(argc, argv,
                                             "BENCH_state_explore.json");
 }

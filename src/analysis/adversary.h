@@ -58,10 +58,9 @@ struct AdversaryConfig {
   std::size_t gammaMaxSteps = 100000;
   std::size_t hookMaxIterations = 1u << 20;
   bool exemptFailureAware = false;  // Theorem-10 mode similarity
-  // Expansion parallelism for every G(C) exploration in the pipeline
-  // (Lemma 4 scan, valence regions, hook search). threads=1 reproduces the
-  // serial engine byte-for-byte; the verdict and all proof artifacts are
-  // identical for any thread count (see analysis/parallel_explorer.h).
+  // Metrics sink, per-expansion hook and frontier spill for every G(C)
+  // exploration in the pipeline (Lemma 4 scan, valence regions, hook
+  // search); see analysis/parallel_explorer.h.
   ExplorationPolicy exploration;
   // Orbit reduction of every explored graph by the candidate's declared
   // process-permutation group (analysis/symmetry.h). Off preserves the

@@ -16,11 +16,7 @@ AnalysisMemo::AnalysisMemo(const ioa::System& sys)
     : sys_(sys), transitions_(sys, slotCanon_) {}
 
 std::uint32_t AnalysisMemo::internAction(const ioa::Action& a) {
-  return internActionHashed(a, a.hash());
-}
-
-std::uint32_t AnalysisMemo::internActionHashed(const ioa::Action& a,
-                                               std::size_t h) {
+  const std::size_t h = a.hash();
   if (table_.empty()) growTable(256);
   const std::size_t mask = table_.size() - 1;
   std::size_t i = h & mask;
@@ -38,24 +34,6 @@ std::uint32_t AnalysisMemo::internActionHashed(const ioa::Action& a,
     if (slot.hash == h && pool_[slot.idx] == a) return slot.idx;
     i = (i + 1) & mask;
     __builtin_prefetch(&table_[(i + 1) & mask]);
-  }
-}
-
-void AnalysisMemo::internActionBatch(const ioa::Action* const* acts,
-                                     std::uint32_t* ids, std::size_t n) {
-  if (table_.empty()) growTable(256);
-  // Hash pre-pass: hashing touches the actions' payloads, the probe loop
-  // touches the table; splitting the two keeps each phase's working set
-  // coherent and gives the prefetches below real lead time.
-  batchHash_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) batchHash_[k] = acts[k]->hash();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k + 1 < n) {
-      // Home slot of the NEXT action, against the CURRENT table geometry;
-      // an intervening growth merely wastes the hint.
-      __builtin_prefetch(&table_[batchHash_[k + 1] & (table_.size() - 1)]);
-    }
-    ids[k] = internActionHashed(*acts[k], batchHash_[k]);
   }
 }
 

@@ -20,8 +20,7 @@
 //     representative (shared_ptr) while the memo lives. An id a state
 //     carries is only trusted when the cache's own id -> representative
 //     map sends it back to the slot's pointer, so ids issued by another
-//     table (the parallel explorer's) or by an earlier memo can never
-//     select a wrong row.
+//     memo's table can never select a wrong row.
 //   - A memoized transition caches its action's index in this memo's
 //     pool; cache and pool live and die together, so the index cannot go
 //     stale across the graphs that share the memo.
@@ -63,15 +62,6 @@ class AnalysisMemo {
   // Intern `a` into the pool (idempotent) and return its index. Indices
   // are assigned in first-intern order and never change.
   std::uint32_t internAction(const ioa::Action& a);
-  // Bulk form: resolve `n` actions IN ORDER, writing pool indices to
-  // `ids`. First-intern order is exactly that of n sequential
-  // internAction calls; the batch exists so hashes can be precomputed and
-  // the next probe's home slot prefetched while the current action
-  // compares (the parallel installer resolves a whole edge run per
-  // call). Duplicate pointers within a batch are fine (intern is
-  // idempotent).
-  void internActionBatch(const ioa::Action* const* acts, std::uint32_t* ids,
-                         std::size_t n);
   const ioa::Action& actionAt(std::uint32_t idx) const { return pool_[idx]; }
   // Distinct actions interned so far, across every graph that shared this
   // memo (a graph's edges reference a prefix-closed subset).
@@ -92,7 +82,6 @@ class AnalysisMemo {
   };
 
   void growTable(std::size_t newCap);
-  std::uint32_t internActionHashed(const ioa::Action& a, std::size_t h);
 
   const ioa::System& sys_;
   // Slot hash-consing; single-writer (see the lease contract above).
@@ -105,8 +94,6 @@ class AnalysisMemo {
   std::deque<ioa::Action> pool_;
   std::vector<Slot> table_;
   std::size_t count_ = 0;
-  // internActionBatch scratch (hash pre-pass), reused across calls.
-  std::vector<std::size_t> batchHash_;
 };
 
 }  // namespace boosting::analysis

@@ -21,32 +21,10 @@ BivalenceResult findBivalentInitialization(StateGraph& g, ValenceAnalyzer& va,
   obs::Registry* reg = policy.metrics;
   obs::ScopedTimer timer(reg, "phase.bivalence");
 
-  // Parallel mode: one shared expansion covers all n+1 regions at once, so
-  // worker threads stay saturated even when individual regions are small.
-  // The per-region installs below then find every successor cached and
-  // intern in exactly the serial order (alpha_0's region first, then
-  // alpha_1's new nodes, ...), fenced by va's explored set just like the
-  // serial BFS.
-  std::optional<ParallelExplorer> shared;
-  if (resolveWorkers(policy.threads) > 1) {
-    shared.emplace(g, policy);
-    std::vector<ioa::SystemState> roots;
-    roots.reserve(static_cast<std::size_t>(n) + 1);
-    for (int j = 0; j <= n; ++j) {
-      roots.push_back(canonicalInitialization(g.system(), j));
-    }
-    shared->expand(std::move(roots));
-  }
-
   for (int j = 0; j <= n; ++j) {
     InitializationOutcome out;
     out.onesPrefix = j;
-    if (shared) {
-      out.node = shared->install(static_cast<std::size_t>(j),
-                                 [&va](NodeId id) { return va.explored(id); });
-    } else {
-      out.node = g.intern(canonicalInitialization(g.system(), j));
-    }
+    out.node = g.intern(canonicalInitialization(g.system(), j));
     va.explore(out.node);
     out.valence = va.valence(out.node);
     result.initializations.push_back(out);

@@ -42,13 +42,9 @@ struct BivalenceResult {
 ioa::SystemState canonicalInitialization(const ioa::System& sys,
                                          int onesPrefix);
 
-// Classify the n+1 canonical initializations. The scan is embarrassingly
-// parallel: when the policy resolves to more than one worker
-// (resolveWorkers), ALL regions are expanded by one shared
-// work-stealing phase (they are near-disjoint, since process states record
-// their inputs) and then installed region by region in the serial order,
-// so node numbering, valences and the returned outcome are identical to
-// the default serial scan.
+// Classify the n+1 canonical initializations, in order: alpha_j's region
+// is explored (and interned) after alpha_0..alpha_{j-1}'s, which fixes the
+// node numbering.
 BivalenceResult findBivalentInitialization(StateGraph& g, ValenceAnalyzer& va,
                                            const ExplorationPolicy& policy = {});
 

@@ -46,12 +46,6 @@ Valence oppositeOf(Valence v) {
 HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
                            NodeId bivalentInit, std::size_t maxIterations,
                            const ExplorationPolicy& policy) {
-  // Pre-expand the whole bivalent region in parallel (no-op for
-  // threads=1): the Fig. 3 inner scans below then only ever touch cached
-  // successors and cached valences, so the walk itself stays serial and
-  // deterministic while the expensive expansion fans out across workers.
-  expandRegionParallel(g, bivalentInit, policy,
-                       [&va](NodeId id) { return va.explored(id); });
   va.explore(bivalentInit);
   if (va.valence(bivalentInit) != Valence::Bivalent) {
     throw std::logic_error("findHook: starting vertex is not bivalent");
@@ -300,10 +294,7 @@ bool isGenuineHook(StateGraph& g, ValenceAnalyzer& va, const Hook& hook) {
 }
 
 HookEnumeration enumerateHooks(StateGraph& g, ValenceAnalyzer& va, NodeId root,
-                               std::size_t maxHooks,
-                               const ExplorationPolicy& policy) {
-  expandRegionParallel(g, root, policy,
-                       [&va](NodeId id) { return va.explored(id); });
+                               std::size_t maxHooks) {
   va.explore(root);
   HookEnumeration out;
   std::deque<NodeId> frontier{root};

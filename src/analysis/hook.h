@@ -50,11 +50,10 @@ struct HookSearchOutcome {
   std::size_t statesTouched = 0;    // graph size after the search
 };
 
-// The Fig. 3 walk. With policy.threads > 1 the bivalent region is
-// pre-expanded by the confluent parallel engine (canonical numbering, see
-// analysis/parallel_explorer.h), so every inner scan of the walk -- the
-// one-step e-extension checks over the e-free-reachable descendants --
-// runs against fully cached successors and valences.
+// The Fig. 3 walk. The bivalent region is explored (valences included)
+// before the walk starts, so every inner scan -- the one-step e-extension
+// checks over the e-free-reachable descendants -- runs against cached
+// successors and valences; `policy` supplies the metrics sink.
 HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
                            NodeId bivalentInit,
                            std::size_t maxIterations = 1u << 20,
@@ -73,8 +72,7 @@ struct HookEnumeration {
 };
 
 HookEnumeration enumerateHooks(StateGraph& g, ValenceAnalyzer& va,
-                               NodeId root, std::size_t maxHooks = 4096,
-                               const ExplorationPolicy& policy = {});
+                               NodeId root, std::size_t maxHooks = 4096);
 
 // Does `hook` satisfy the Fig. 2 defining conditions in this graph?
 bool isGenuineHook(StateGraph& g, ValenceAnalyzer& va, const Hook& hook);

@@ -36,8 +36,7 @@ std::uint64_t peakRssBytes();
 std::uint64_t currentRssBytes();
 
 // cache.<prefix>enabled_lookups|hits|misses and apply_* for an arbitrary
-// cache (the graph flush uses an empty prefix; workers report through
-// the parallel explorer instead).
+// cache (the graph flush uses an empty prefix).
 void flushTransitionCacheMetrics(obs::Registry* reg,
                                  const TransitionCache::Stats& stats,
                                  const char* prefix = "");

@@ -19,16 +19,15 @@
 //   next access, so the LRU below only bounds RSS, never correctness.
 //
 //   SpilledFrontier -- an external-memory FIFO of 64-bit work items (node
-//   ids / phase-1 handles) for the BFS frontiers. A bounded in-memory head
-//   and tail window wrap a queue of fixed-size segments on disk; elements
-//   come back out in exactly the order they went in, so a frontier that
-//   spills drains in the same order as one that never did -- the install
-//   pass stays bit-identical.
+//   ids) for the BFS frontier. A bounded in-memory head and tail window
+//   wrap a queue of fixed-size segments on disk; elements come back out in
+//   exactly the order they went in, so a frontier that spills drains in
+//   the same order as one that never did -- the explored graph stays
+//   bit-identical.
 //
-// Both classes are single-threaded (the parallel explorer guards each
-// worker queue's frontier with the queue mutex; StateGraph is single-
-// writer). All counters are logical-event tallies, not page-fault counts,
-// so they are deterministic for a deterministic caller.
+// Both classes are single-threaded (StateGraph is single-writer). All
+// counters are logical-event tallies, not page-fault counts, so they are
+// deterministic for a deterministic caller.
 #pragma once
 
 #include <cstddef>

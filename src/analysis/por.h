@@ -61,8 +61,8 @@
 // the policy fall back to full expansion for that configuration.
 //
 // Thread safety: const-after-construction except the signature memo
-// (shared_mutex) and the relaxed statistics; ampleMask() is called
-// concurrently by the parallel explorer's workers.
+// (shared_mutex) and the relaxed statistics, so ampleMask() may be called
+// concurrently.
 #pragma once
 
 #include <atomic>
@@ -108,15 +108,15 @@ class PorPolicy {
   // result equals the enabled mask when no proper ample set is valid (or
   // the configuration is unanalyzable). Memoized on the signature (per-
   // task enabled kind + invoke target), so the decision is a pure
-  // function of the configuration -- identical for serial and parallel
-  // exploration by construction.
+  // function of the configuration, whatever order the engine expands
+  // nodes in.
   std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
                           std::uint64_t* enabledOut) const;
 
-  // Caller-owned scratch for the decision (the per-task signature). An
-  // engine keeps one per expanding thread -- the graph one, each parallel
-  // worker one -- so a warm decision (signature already memoized) makes no
-  // heap allocation. Never shared between threads.
+  // Caller-owned scratch for the decision (the per-task signature). The
+  // graph keeps one across expansions, so a warm decision (signature
+  // already memoized) makes no heap allocation. Never shared between
+  // threads.
   struct Scratch {
     std::vector<std::uint32_t> signature;
   };

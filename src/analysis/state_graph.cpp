@@ -87,10 +87,6 @@ StateGraph::StateGraph(const ioa::System& sys,
     pc.failEvictAfter = spill.failEvictAfter;
     pager_ = std::make_unique<Pager>(pc);
   }
-  taskIndex_.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    taskIndex_.emplace(tasks[i], static_cast<std::uint16_t>(i));
-  }
 #ifndef NDEBUG
   writer_ = std::this_thread::get_id();
 #endif
@@ -99,8 +95,7 @@ StateGraph::StateGraph(const ioa::System& sys,
 void StateGraph::assertWriter() const {
 #ifndef NDEBUG
   // Single-writer contract: all mutating calls must come from the thread
-  // that constructed the graph. Worker threads of the parallel explorer
-  // must never reach here (they only touch the explorer's private table).
+  // that constructed the graph.
   assert(writer_ == std::this_thread::get_id() &&
          "StateGraph mutated from a non-owner thread (single-writer "
          "contract violated)");
@@ -240,14 +235,6 @@ void StateGraph::touchChunkForRead(std::uint32_t chunk) const {
   }
 }
 
-std::uint16_t StateGraph::taskIndexOf(const ioa::TaskId& t) const {
-  auto it = taskIndex_.find(t);
-  if (it == taskIndex_.end()) {
-    throw std::logic_error("StateGraph: task not in System::allTasks()");
-  }
-  return it->second;
-}
-
 EdgeList StateGraph::successors(NodeId id) {
   if (succ_[id].begin != kUnexpanded) return listAt(succ_[id]);
   assertWriter();
@@ -291,25 +278,6 @@ std::optional<EdgeList> StateGraph::cachedSuccessors(NodeId id) const {
   return listAt(succ_[id]);
 }
 
-void StateGraph::setSuccessors(NodeId id, std::vector<Edge> edges) {
-  assertWriter();
-  if (succ_[id].begin != kUnexpanded) {
-    throw std::logic_error("StateGraph::setSuccessors: already cached");
-  }
-  std::uint32_t base = 0;
-  CompactEdge* run = reserveEdgeRun(static_cast<std::uint32_t>(edges.size()),
-                                    &base);
-  std::uint32_t count = 0;
-  for (const Edge& e : edges) {
-    run[count++] =
-        CompactEdge{internAction(e.action), e.to, taskIndexOf(e.task)};
-  }
-  edgeUsed_ += count;
-  succ_[id] = SuccIndex{base, count};
-  stats_.edgesDiscovered += count;
-  ++stats_.expansions;
-}
-
 EdgeList StateGraph::reducedSuccessors(NodeId id) {
   if (auto cached = cachedReducedSuccessors(id)) return *cached;
   assertWriter();
@@ -337,8 +305,7 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
     return full;
   }
   // Pass 2: intern the ample targets, in task order -- exactly the prefix
-  // of work successors() would do, so the parallel installer can replicate
-  // the intern sequence bit for bit.
+  // of work successors() would do.
   std::uint32_t base = 0;
   CompactEdge* run = reserveEdgeRun(
       static_cast<std::uint32_t>(std::popcount(ampleMask)), &base);
@@ -361,9 +328,7 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
     // Cycle proviso: every ample move stays inside already reduced-expanded
     // territory (or loops on the node itself), so taking only the ample
     // subset could postpone the skipped tasks forever. Expand fully; the
-    // reserved run is uncommitted and successors() reuses the space. The
-    // ample targets were interned above in both the serial and the install
-    // path, so the global intern order still matches.
+    // reserved run is uncommitted and successors() reuses the space.
     por_->noteProvisoHit();
     ++stats_.provisoFallbacks;
     const EdgeList full = successors(id);
@@ -389,49 +354,6 @@ std::optional<EdgeList> StateGraph::cachedReducedSuccessors(NodeId id) const {
     return listAt(succ_[id]);
   }
   return listAt(reducedSucc_[id]);
-}
-
-void StateGraph::setReducedSuccessors(NodeId id, std::vector<Edge> edges) {
-  assertWriter();
-  if (reducedSucc_[id].begin != kUnexpanded) {
-    throw std::logic_error("StateGraph::setReducedSuccessors: already cached");
-  }
-  std::uint32_t base = 0;
-  CompactEdge* run = reserveEdgeRun(static_cast<std::uint32_t>(edges.size()),
-                                    &base);
-  std::uint32_t count = 0;
-  for (const Edge& e : edges) {
-    run[count++] =
-        CompactEdge{internAction(e.action), e.to, taskIndexOf(e.task)};
-  }
-  edgeUsed_ += count;
-  reducedSucc_[id] = SuccIndex{base, count};
-  stats_.reducedEdges += count;
-  ++stats_.reducedExpansions;
-}
-
-void StateGraph::markReducedAliasFull(NodeId id) {
-  assertWriter();
-  if (succ_[id].begin == kUnexpanded) {
-    throw std::logic_error(
-        "StateGraph::markReducedAliasFull: full list not cached");
-  }
-  if (reducedSucc_[id].begin != kUnexpanded &&
-      reducedSucc_[id].begin != kAliasFull) {
-    throw std::logic_error(
-        "StateGraph::markReducedAliasFull: proper reduced list cached");
-  }
-  reducedSucc_[id].begin = kAliasFull;
-  reducedSucc_[id].count = 0;
-}
-
-void StateGraph::setParent(NodeId id, NodeId from, const ioa::TaskId& task,
-                           const ioa::Action& action) {
-  assertWriter();
-  if (parent_[id].from != kNoNode) {
-    throw std::logic_error("StateGraph::setParent: parent already set");
-  }
-  parent_[id] = Parent{from, internAction(action), taskIndexOf(task)};
 }
 
 std::optional<Edge> StateGraph::successorVia(NodeId id, const ioa::TaskId& e) {

@@ -26,14 +26,12 @@
 // graph growth exactly like the old per-node vectors did.
 //
 // CONCURRENCY CONTRACT (single writer): StateGraph is NOT thread-safe.
-// intern(), successors(), successorVia(), setSuccessors() and setParent()
-// mutate the lazy caches and must only be called from one thread at a time
-// (debug builds assert this). The parallel exploration engine
-// (analysis/parallel_explorer.h) honors the contract by doing all of its
-// concurrent work in a private sharded table and touching the StateGraph
-// only from the calling thread during its deterministic install pass; the
-// const accessors (state(), size(), cachedSuccessors(), pathTo(), rootOf())
-// are safe to call concurrently only while no writer is active.
+// intern(), successors(), reducedSuccessors() and successorVia() mutate the
+// lazy caches and must only be called from the thread that constructed the
+// graph (debug builds assert this). Every exploration engine is serial and
+// runs on that thread; the const accessors (state(), size(),
+// cachedSuccessors(), pathTo(), rootOf()) are safe to call concurrently
+// only while no writer is active.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +40,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/analysis_memo.h"
@@ -58,8 +55,8 @@ using NodeId = std::uint32_t;
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
 // Materialized edge with owning task/action copies. Returned by the path
-// and lookup APIs (successorVia, pathTo) and accepted by setSuccessors;
-// iteration over successor lists uses the non-owning EdgeView instead.
+// and lookup APIs (successorVia, pathTo); iteration over successor lists
+// uses the non-owning EdgeView instead.
 struct Edge {
   ioa::TaskId task;
   ioa::Action action;
@@ -149,9 +146,9 @@ class StateGraph {
   // synchronization: single-writer contract) and flushed to an
   // obs::Registry by the owning engine. statesDiscovered counts fresh
   // interns and always equals size(); dedupHits counts intern probes that
-  // resolved to an existing node; edgesDiscovered counts edges recorded via
-  // successors() or setSuccessors(); expansions counts nodes whose
-  // successor list was computed or installed.
+  // resolved to an existing node; edgesDiscovered counts edges recorded by
+  // successors(); expansions counts nodes whose full successor list was
+  // computed.
   struct Stats {
     std::uint64_t statesDiscovered = 0;
     std::uint64_t dedupHits = 0;
@@ -247,8 +244,7 @@ class StateGraph {
   std::uint32_t edgeChunkCapacity() const { return chunkCapacity_; }
 
   // Tallies of the TransitionCache that successors() expands edges
-  // through (workers of the parallel explorer use private caches,
-  // reported separately). Reported as a delta since THIS graph's
+  // through. Reported as a delta since THIS graph's
   // construction, so a graph on a warm shared memo still reports per-run
   // numbers -- warm entries populated by earlier jobs show up as hits.
   TransitionCache::Stats transitionStats() const {
@@ -259,9 +255,9 @@ class StateGraph {
   // action pool: the graph's own private one, or the injected shared one.
   const std::shared_ptr<AnalysisMemo>& memo() const { return memo_; }
 
-  // Structural self-check, used to assert that abort paths (a worker throw
-  // inside the parallel explorer, a truncated exploration) never leave the
-  // graph half-mutated. Verifies parallel-array sizes, stats/size
+  // Structural self-check, used to assert that abort paths (a throwing
+  // expansion hook, a failing spill demote, a truncated exploration) never
+  // leave the graph half-mutated. Verifies parallel-array sizes, stats/size
   // agreement, the hash-chain partition, and edge-target/pool-index
   // bounds. Returns false and (when `why` is non-null) a diagnostic on the
   // first violation.
@@ -280,12 +276,6 @@ class StateGraph {
   };
   InternResult internWithHash(const ioa::SystemState& s, std::size_t hash);
   InternResult internWithHash(ioa::SystemState&& s, std::size_t hash);
-
-  // Interning that skips orbit canonicalization: the caller guarantees `s`
-  // already is its orbit representative (the parallel explorer's install
-  // pass, whose workers canonicalized before tabling). Equivalent to
-  // internWithHash when no symmetry policy is active.
-  InternResult internPrecanonicalized(ioa::SystemState&& s, std::size_t hash);
 
   const ioa::SystemState& state(NodeId id) const { return states_[id]; }
   std::size_t size() const { return states_.size(); }
@@ -322,46 +312,6 @@ class StateGraph {
   // The cached reduced list (resolving a full-tier alias), or nullopt if
   // `id` has not been reduced-expanded. Const, like cachedSuccessors().
   std::optional<EdgeList> cachedReducedSuccessors(NodeId id) const;
-
-  // Install an externally computed reduced list (the parallel explorer's
-  // install pass). Precondition: no cached reduced list yet; the edges are
-  // exactly what reducedSuccessors(id) would commit after its proviso
-  // check, in allTasks() order.
-  void setReducedSuccessors(NodeId id, std::vector<Edge> edges);
-
-  // Mark `id`'s reduced tier as an alias of its full list (which must be
-  // cached by the time the reduced list is read).
-  void markReducedAliasFull(NodeId id);
-
-  // Parallel-install callback mirroring the serial proviso accounting
-  // (reducedSuccessors bumps the stat itself).
-  void notePorProvisoFallback() { ++stats_.provisoFallbacks; }
-
-  // Install an externally computed successor list (the parallel explorer's
-  // install pass). Precondition: `id` has no cached successors yet, and the
-  // edges are exactly what successors(id) would compute (one edge per
-  // applicable task, in allTasks() order).
-  void setSuccessors(NodeId id, std::vector<Edge> edges);
-
-  // Record the first-discovery parent of a node created by an external
-  // expansion pass. Precondition: `id` currently has no parent.
-  void setParent(NodeId id, NodeId from, const ioa::TaskId& task,
-                 const ioa::Action& action);
-
-  // Intern `a` into the action pool (idempotent) and return its index.
-  // The parallel installer calls this per edge, in edge order, so the
-  // pool's first-occurrence order -- and with it every compact edge's
-  // action index -- is bit-identical to a serial expansion's.
-  std::uint32_t internActionId(const ioa::Action& a) {
-    return internAction(a);
-  }
-  // Bulk form (see AnalysisMemo::internActionBatch): the parallel
-  // installer resolves one node's whole edge run per call, preserving the
-  // per-edge first-intern order exactly.
-  void internActionIds(const ioa::Action* const* acts, std::uint32_t* ids,
-                       std::size_t n) {
-    memo_->internActionBatch(acts, ids, n);
-  }
 
   // The unique e-successor of `id`, if task e is applicable.
   std::optional<Edge> successorVia(NodeId id, const ioa::TaskId& e);
@@ -423,6 +373,10 @@ class StateGraph {
 
   void assertWriter() const;
 
+  // Interning that skips orbit canonicalization: `s` already is its orbit
+  // representative (or no symmetry policy is active).
+  InternResult internPrecanonicalized(ioa::SystemState&& s, std::size_t hash);
+
   // Reserve a contiguous run of up to `need` edge slots in the arena
   // (starting a fresh chunk when the current tail cannot fit the run) and
   // return its base; commit happens by bumping edgeUsed_ with the actual
@@ -442,20 +396,15 @@ class StateGraph {
   }
   void touchChunkForRead(std::uint32_t chunk) const;
 
-  std::uint32_t internAction(const ioa::Action& a) {
-    return memo_->internAction(a);
-  }
-  // Same index, cached on the memoized transition so later edges with
-  // this transition skip hashing the action. The memo's cache and pool
-  // live and die together, so the cached index never goes stale.
+  // The action's pool index, cached on the memoized transition so later
+  // edges with this transition skip hashing the action. The memo's cache
+  // and pool live and die together, so the cached index never goes stale.
   std::uint32_t internAction(TransitionCache::Transition& t) {
     if (t.poolIndex == TransitionCache::kNoPoolIndex) {
       t.poolIndex = memo_->internAction(t.action);
     }
     return t.poolIndex;
   }
-  std::uint16_t taskIndexOf(const ioa::TaskId& t) const;
-
   std::size_t findIndexSlot(std::size_t hash) const;
   void growIndex(std::size_t newCap);
 
@@ -496,10 +445,6 @@ class StateGraph {
   std::uint32_t edgeUsed_ = 0;  // set to chunkCapacity_ by the constructor
                                 // to force the first chunk
   std::uint64_t edgeSlackSlots_ = 0;
-
-  // Task id -> allTasks() position, for the value-based APIs
-  // (setSuccessors/setParent). Built once in the constructor.
-  std::unordered_map<ioa::TaskId, std::uint16_t> taskIndex_;
 
   // Interning index: linear-probe open addressing of (hash, chain head);
   // states with equal hashes chain intrusively through nextSameHash_.

@@ -35,9 +35,9 @@
 // executions by accumulating the canonicalization permutations along the
 // path (see adversary.cpp).
 //
-// Thread safety: const-after-construction; canonicalize() is called
-// concurrently by the parallel explorer's workers (statistics are relaxed
-// atomics). The policy borrows the System, which must outlive it.
+// Thread safety: const-after-construction; canonicalize() may be called
+// concurrently (statistics are relaxed atomics). The policy borrows the
+// System, which must outlive it.
 #pragma once
 
 #include <atomic>

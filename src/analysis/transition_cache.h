@@ -25,16 +25,16 @@
 // state, action) pair in the whole exploration.
 //
 // Ids are HINTS (see SystemState::slotId): a state may carry ids issued by
-// another table (the parallel explorer moves states canonicalized by its
-// own table into the graph). The cache trusts a slot's id only when its
-// own id -> representative map sends that id to the slot's pointer at the
-// same slot position; otherwise it resolves the slot through
+// another table (a state copied out of one graph and interned into a graph
+// with another memo keeps its old ids). The cache trusts a slot's id only
+// when its own id -> representative map sends that id to the slot's
+// pointer at the same slot position; otherwise it resolves the slot through
 // canonicalizeSlot to its own table's id. Correctness therefore never
 // depends on where a state's ids came from: a foreign or missing id only
 // costs one table lookup.
 //
-// The cache is NOT thread-safe; concurrent engines give each worker its
-// own cache over the shared (striped) SlotCanonTable.
+// The cache is NOT thread-safe; like its SlotCanonTable it belongs to one
+// exploration at a time (see analysis/analysis_memo.h).
 #pragma once
 
 #include <cstddef>
@@ -93,8 +93,7 @@ class TransitionCache {
 
   // One memoized enabled transition: stable address for the cache's
   // lifetime. `poolIndex` belongs to the cache's single action-pool
-  // consumer (the AnalysisMemo's pool for the memo's cache, the worker's
-  // local pool for a parallel worker's cache), which fills it on first use
+  // consumer (the owning AnalysisMemo's pool), which fills it on first use
   // so later edges skip hashing the action.
   struct Transition {
     ioa::Action action;

@@ -41,14 +41,6 @@ void ValenceAnalyzer::explore(NodeId root) {
   obs::ScopedTimer timer(reg, "phase.valence");
   std::uint64_t frontierPeak = 0;
 
-  // Parallel pre-expansion (no-op for threads=1): fills the successor
-  // caches of the whole unexplored region with canonical node numbering,
-  // so the serial BFS below touches only cached data. Already-explored
-  // nodes fence the traversal exactly as they fence the BFS below.
-  expandRegionParallel(g_, root, policy_,
-                       [this](NodeId id) { return explored(id); });
-  ensureSize();
-
   // Phase 1: BFS the unexplored region; collect predecessor lists and seed
   // direct-decision bits.
   std::vector<NodeId> region;
@@ -78,11 +70,11 @@ void ValenceAnalyzer::explore(NodeId root) {
       frontier.pop_front();
       region.push_back(id);
       if (reg) reg->progress("valence.region_nodes", region.size());
-      // Same per-expansion hook as the exploration engines: the serial
-      // valence BFS is the path that actually expands nodes when
-      // threads == 1, so cooperative cancellation/progress must fire here
-      // too. A throw lands between whole-node expansions, where the graph
-      // holds only fully installed nodes/edges.
+      // Same per-expansion hook as exploreReachable: this BFS is the path
+      // that actually expands nodes in a certificate run, so cooperative
+      // cancellation/progress must fire here. A throw lands between
+      // whole-node expansions, where the graph holds only fully installed
+      // nodes/edges.
       if (policy_.expansionHook) policy_.expansionHook(++expansions);
       // Expanding `id` is the only step that grows the graph, so one resize
       // after it covers every node the edge loop can touch. Under an active

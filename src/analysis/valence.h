@@ -34,11 +34,8 @@ class ValenceAnalyzer {
   explicit ValenceAnalyzer(StateGraph& g, util::Value dec0 = util::Value(0),
                            util::Value dec1 = util::Value(1));
 
-  // Exploration policy for region expansion. threads=1 (the default)
-  // reproduces the legacy serial behaviour byte-for-byte; threads>1 runs
-  // the confluent parallel engine of analysis/parallel_explorer.h for the
-  // expansion phase (the dominant cost) and then the usual serial
-  // reverse-propagation over the -- now fully cached -- region.
+  // Exploration policy for region expansion: the metrics sink and the
+  // per-expansion hook (see analysis/parallel_explorer.h).
   void setPolicy(const ExplorationPolicy& policy) { policy_ = policy; }
   const ExplorationPolicy& policy() const { return policy_; }
 

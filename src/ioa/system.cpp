@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -177,44 +176,26 @@ std::string SystemState::str() const {
   return out;
 }
 
-struct SlotCanonTable::Stripe {
-  mutable std::mutex m;
-  // key (mixed slot index + slot hash) -> representatives with that key.
-  // The chain is almost always a single entry; longer chains only on slot
-  // hash collisions.
-  std::unordered_map<std::size_t, std::vector<Rep>> byKey;
-};
-
-SlotCanonTable::SlotCanonTable(bool concurrent)
-    : concurrent_(concurrent), stripes_(concurrent ? 64 : 1) {}
+SlotCanonTable::SlotCanonTable() = default;
 
 SlotCanonTable::~SlotCanonTable() = default;
 
 std::size_t SlotCanonTable::size() const {
   std::size_t n = 0;
-  for (const Stripe& st : stripes_) {
-    std::unique_lock<std::mutex> lock(st.m, std::defer_lock);
-    if (concurrent_) lock.lock();
-    for (const auto& [key, chain] : st.byKey) n += chain.size();
-  }
+  for (const auto& [key, chain] : byKey_) n += chain.size();
   return n;
 }
 
 SlotCanonTable::Rep SlotCanonTable::canonicalizeSlot(
     std::size_t slot, std::shared_ptr<const AutomatonState> probe,
     std::size_t probeHash) {
-  const std::size_t key = slotMix(slot, probeHash);
-  Stripe& st = stripes_[concurrent_ ? (key & (stripes_.size() - 1)) : 0];
-  std::unique_lock<std::mutex> lock(st.m, std::defer_lock);
-  if (concurrent_) lock.lock();
-  auto& chain = st.byKey[key];
+  auto& chain = byKey_[slotMix(slot, probeHash)];
   for (const Rep& rep : chain) {
     if (rep.state.get() == probe.get() || rep.state->equals(*probe)) {
       return rep;
     }
   }
-  chain.push_back(
-      Rep{std::move(probe), nextId_.fetch_add(1, std::memory_order_relaxed)});
+  chain.push_back(Rep{std::move(probe), nextId_++});
   return chain.back();
 }
 
@@ -298,8 +279,8 @@ SystemState System::initialState() const {
 }
 
 // Rebuilt eagerly on every addProcess/addService so that allTasks() is a
-// pure read: concurrent analysis workers may call it (and enabled()/
-// apply()) on a fully built system without synchronization.
+// pure read: concurrent callers may use it (and enabled()/apply()) on a
+// fully built system without synchronization.
 void System::rebuildTaskCache() {
   taskCache_.clear();
   for (const auto& p : processes_) {

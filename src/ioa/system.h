@@ -27,9 +27,9 @@
 //
 // Sharing discipline: a slot whose cached hash is stale is never shared
 // across threads. mutablePart() detaches before invalidating, and every
-// state published to another thread (interned into a graph or the parallel
-// explorer's table) has been hash()-flushed first, so concurrent readers
-// only ever see clean, immutable slots (shared_ptr refcounts are atomic).
+// interned state has been hash()-flushed first, so readers on other
+// threads only ever see clean, immutable slots (shared_ptr refcounts are
+// atomic).
 //
 // ServiceMeta records the connection pattern J_c, the resilience level f_c,
 // and whether the service is failure-aware -- the data that Theorems 2, 9
@@ -38,13 +38,13 @@
 // services).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ioa/automaton.h"
@@ -187,8 +187,8 @@ class SystemState final {
 
 // Slot hash-consing (maximal structural sharing): maps (slot index, slot
 // hash) to the canonical representative of that component-state content.
-// Interning engines (StateGraph, the parallel explorer's sharded table) own
-// one table per interned-state set and canonicalize() every state before
+// Interning engines (StateGraph, through its AnalysisMemo) own one table
+// per interned-state set and canonicalize() every state before
 // probing/storing it, so that equals() between two canonicalized states
 // almost always resolves through the per-slot pointer-identity fast path
 // and the deep virtual equals runs at most once per distinct slot content.
@@ -198,13 +198,10 @@ class SystemState final {
 // order) that canonicalize() stores in the slot. Ids of two tables
 // overlap, which is why consumers treat them as hints (Slot::id).
 //
-// `concurrent = true` stripes the table with mutexes so the parallel
-// explorer's workers can canonicalize probe states concurrently; the states
-// being canonicalized are always thread-private, only the table is shared.
-// Ids then come from one atomic counter.
+// Not thread-safe: a table belongs to one exploration at a time.
 class SlotCanonTable {
  public:
-  explicit SlotCanonTable(bool concurrent = false);
+  SlotCanonTable();
   SlotCanonTable(const SlotCanonTable&) = delete;
   SlotCanonTable& operator=(const SlotCanonTable&) = delete;
   ~SlotCanonTable();
@@ -229,10 +226,11 @@ class SlotCanonTable {
   std::size_t size() const;
 
  private:
-  struct Stripe;
-  bool concurrent_;
-  std::vector<Stripe> stripes_;
-  std::atomic<std::uint32_t> nextId_{0};
+  // key (mixed slot index + slot hash) -> representatives with that key.
+  // The chain is almost always a single entry; longer chains only on slot
+  // hash collisions.
+  std::unordered_map<std::size_t, std::vector<Rep>> byKey_;
+  std::uint32_t nextId_ = 0;
 };
 
 // How a system's process-permutation group acts on process component
@@ -281,8 +279,7 @@ class System {
   // tasks first, then service tasks grouped per service). The list is
   // rebuilt eagerly whenever a component is added, so this accessor (like
   // enabled()/apply(), which are pure over immutable automata) is safe for
-  // concurrent callers once the system is fully built -- the contract the
-  // parallel exploration engine relies on.
+  // concurrent callers once the system is fully built.
   const std::vector<TaskId>& allTasks() const { return taskCache_; }
 
   // The slot whose component owns task `t` (the only slot enabled()

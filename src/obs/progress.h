@@ -7,8 +7,8 @@
 //   progress[  1.40s] explore.states=18231
 //
 // without flooding terminals or CI logs. Thread-safe: a single atomic
-// timestamp claims the right to print, so concurrent workers race benignly
-// (at most one line per interval, whichever worker wins).
+// timestamp claims the right to print, so concurrent jobs race benignly
+// (at most one line per interval, whichever job wins).
 #pragma once
 
 #include <atomic>

@@ -100,7 +100,7 @@ bool Registry::writeMetricsJson(const std::string& path,
     std::fprintf(stderr, "obs: cannot open %s for writing\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"schema\": \"boosting-metrics-v10\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"boosting-metrics-v11\",\n");
   std::fprintf(f, "  \"tool\": \"%s\",\n",
                jsonEscape(tool).c_str());
   std::fprintf(f, "  \"counters\": [\n");

@@ -13,7 +13,7 @@
 //
 //   * Flush-based, not event-based, for counters. The exploration engines
 //     already keep local stats structs (StateGraph::Stats,
-//     TransitionCache::Stats, per-worker WorkerStats); the registry is the
+//     TransitionCache::Stats, ExploreStats); the registry is the
 //     rendezvous where those tallies land under stable dotted names
 //     ("graph.states_discovered", "cache.enabled_hits", ...) when a phase
 //     completes. add() is therefore called a handful of times per run, so

@@ -7,7 +7,7 @@
 // `ev` is the event type, `t_ns` the steady-clock time since the writer
 // was opened; the remaining fields are event-specific. The format is
 // append-only and tool-friendly (jq, pandas.read_json(lines=True)), and a
-// single mutex serializes whole lines, so events from parallel workers
+// single mutex serializes whole lines, so events from concurrent jobs
 // never interleave mid-record.
 //
 // Emission is opt-in: components hold an obs::Registry* and only build

@@ -22,7 +22,7 @@
 // engines' per-expansion hook (ExplorationPolicy::expansionHook), so
 // cancellation drains through the engines' existing abort path -- the
 // StateGraph is guaranteed consistent after a hook throw (checkConsistent;
-// see analysis/parallel_explorer.h) -- and pause blocks the job at a
+// see analysis/state_graph.h) -- and pause blocks the job at a
 // state-graph-consistent boundary.
 //
 // Determinism: dispatch picks the highest priority first, FIFO within a

@@ -107,6 +107,8 @@ void writeLine(Conn& c, const WireObject& obj) {
 }
 
 // Every key a `submit` request may carry; handleSubmit refuses the rest.
+// `threads` is accepted and ignored (exploration is serial): it is kept
+// only because certbench/run.py still sends it with its one-shot specs.
 const char* const kSubmitKeys[] = {
     "op",      "id",       "candidate", "n",   "f",       "claim",
     "threads", "priority", "symmetry",  "por", "witness", "progress"};
@@ -447,24 +449,20 @@ class Server {
     }
     JobSpec spec;
     std::string err;
-    std::int64_t n = spec.n, f = spec.f, claim = spec.claim,
-                 threads = spec.threads, priority = 0;
+    std::int64_t n = spec.n, f = spec.f, claim = spec.claim, priority = 0,
+                 ignoredThreads = 1;
     std::string symmetry = "auto", por = "auto";
     bool ok = extractStr(req, "id", &spec.id, &err) &&
               extractStr(req, "candidate", &spec.candidate, &err) &&
               extractInt(req, "n", &n, &err) &&
               extractInt(req, "f", &f, &err) &&
               extractInt(req, "claim", &claim, &err) &&
-              extractInt(req, "threads", &threads, &err) &&
+              extractInt(req, "threads", &ignoredThreads, &err) &&
               extractInt(req, "priority", &priority, &err) &&
               extractStr(req, "symmetry", &symmetry, &err) &&
               extractStr(req, "por", &por, &err) &&
               extractBool(req, "witness", &spec.wantWitness, &err) &&
               extractBool(req, "progress", &spec.progress, &err);
-    if (ok && threads < 0) {
-      err = "threads: must be non-negative";
-      ok = false;
-    }
     auto parseMode = [&](const std::string& v, const char* key, auto* out,
                          auto autoV, auto onV, auto offV) {
       if (v == "auto") { *out = autoV; return true; }
@@ -486,7 +484,6 @@ class Server {
     spec.n = static_cast<int>(n);
     spec.f = static_cast<int>(f);
     spec.claim = static_cast<int>(claim);
-    spec.threads = static_cast<unsigned>(threads);
     spec.priority = static_cast<int>(priority);
 
     std::shared_ptr<Conn> conn = c;

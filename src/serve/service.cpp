@@ -72,9 +72,6 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
   if (spec.claim >= 0 && (spec.claim < 1 || spec.claim > 19)) {
     return fmt("claim: value %d out of range [1, 19]", spec.claim);
   }
-  if (spec.threads > 256) {
-    return fmt("threads: value %u out of range [0, 256]", spec.threads);
-  }
   if (spec.f >= spec.n) {
     return fmt("f: service resilience %d must be smaller than n %d", spec.f,
                spec.n);
@@ -158,7 +155,6 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
   analysis::AdversaryConfig acfg;
   acfg.claimedFailures = spec.claim;
   acfg.exemptFailureAware = true;
-  acfg.exploration.threads = spec.threads;
   acfg.exploration.metrics = cfg_.metrics;
   acfg.symmetry = spec.symmetry;
   acfg.por = spec.por;

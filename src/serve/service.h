@@ -17,7 +17,7 @@
 // Cancellation drains through the exploration engines' abort seam
 // (ExplorationPolicy::expansionHook throwing JobCancelled), so a cancelled
 // job leaves its leased context's memo CONSISTENT -- the hook rethrow path
-// is checkConsistent-guaranteed (analysis/parallel_explorer.h) -- and the
+// is checkConsistent-guaranteed (analysis/state_graph.h) -- and the
 // context stays safely reusable by later jobs. The gamma/simulation phase
 // has no hook; cancellation there takes effect at the next exploration
 // checkpoint (the phase is bounded by gammaMaxSteps regardless).
@@ -48,7 +48,6 @@ struct JobSpec {
   int n = 2;
   int f = 0;
   int claim = -1;  // default: f + 1
-  unsigned threads = 1;
   analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
   analysis::PorMode por = analysis::PorMode::Auto;
   int priority = 0;         // higher dispatches first

@@ -1,9 +1,8 @@
 // Differential tests for the flat StateGraph memory layout: the pooled
 // CSR edge arena, the interned action table and the compact
 // {task_idx, action_idx, to} edges are storage changes only -- every
-// observable (successor lists, witness paths, rootOf, node numbering,
-// and the intern indices themselves under serial vs parallel
-// exploration) must be independent of the layout. The oracle here is the
+// observable (successor lists, witness paths, rootOf, node numbering)
+// must be independent of the layout. The oracle here is the
 // System itself: enabled()/applyInPlace() recompute each successor list
 // from first principles.
 #include <gtest/gtest.h>
@@ -117,7 +116,7 @@ TEST(GraphLayout, CompactEdgesRoundTripThroughInternPools) {
     auto sys = fx.build();
     StateGraph g(*sys);
     const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-    exploreReachable(g, root, ExplorationPolicy{1, 0});
+    exploreReachable(g, root, ExplorationPolicy{});
     std::size_t totalEdges = 0;
     for (NodeId x = 0; x < g.size(); ++x) {
       const auto edges = g.cachedSuccessors(x);
@@ -140,56 +139,6 @@ TEST(GraphLayout, CompactEdgesRoundTripThroughInternPools) {
   }
 }
 
-// Serial and 4-worker exploration must agree bit-for-bit, down to the
-// intern indices inside the compact edges: same node numbering, same
-// action pool (same first-occurrence order), same task indices, same
-// witness paths.
-TEST(GraphLayout, SerialAndParallelLayoutsBitIdentical) {
-  for (const Fixture& fx : kFixtures) {
-    auto sysS = fx.build();
-    StateGraph gs(*sysS);
-    const NodeId rootS = gs.intern(canonicalInitialization(*sysS, 1));
-    exploreReachable(gs, rootS, ExplorationPolicy{1, 0});
-
-    auto sysP = fx.build();
-    StateGraph gp(*sysP);
-    const NodeId rootP = gp.intern(canonicalInitialization(*sysP, 1));
-    exploreReachable(gp, rootP, ExplorationPolicy{4, 0});
-
-    ASSERT_EQ(gs.size(), gp.size()) << fx.name;
-    ASSERT_EQ(gs.actionPoolSize(), gp.actionPoolSize()) << fx.name;
-    for (NodeId id = 0; id < gs.size(); ++id) {
-      ASSERT_TRUE(gs.state(id).equals(gp.state(id)))
-          << fx.name << " node " << id;
-      EXPECT_EQ(gs.rootOf(id), gp.rootOf(id)) << fx.name << " node " << id;
-      const auto se = gs.cachedSuccessors(id);
-      const auto pe = gp.cachedSuccessors(id);
-      ASSERT_EQ(se.has_value(), pe.has_value()) << fx.name << " node " << id;
-      if (!se) continue;
-      ASSERT_EQ(se->size(), pe->size()) << fx.name << " node " << id;
-      for (std::size_t k = 0; k < se->size(); ++k) {
-        const CompactEdge& a = se->data()[k];
-        const CompactEdge& b = pe->data()[k];
-        EXPECT_EQ(a.task, b.task) << fx.name << " node " << id;
-        EXPECT_EQ(a.action, b.action) << fx.name << " node " << id;
-        EXPECT_EQ(a.to, b.to) << fx.name << " node " << id;
-      }
-      const auto sp = gs.pathTo(id);
-      const auto pp = gp.pathTo(id);
-      ASSERT_EQ(sp.size(), pp.size()) << fx.name << " node " << id;
-      for (std::size_t k = 0; k < sp.size(); ++k) {
-        EXPECT_EQ(sp[k].task, pp[k].task);
-        EXPECT_EQ(sp[k].action, pp[k].action);
-        EXPECT_EQ(sp[k].to, pp[k].to);
-      }
-    }
-    // Both pools decode every index to equal actions.
-    for (std::uint32_t a = 0; a < gs.actionPoolSize(); ++a) {
-      EXPECT_EQ(gs.actionAt(a), gp.actionAt(a)) << fx.name << " action " << a;
-    }
-  }
-}
-
 // Witness paths replay through the real System to the node's state even
 // though parents store only intern indices.
 TEST(GraphLayout, PathToReplaysThroughSystem) {
@@ -197,7 +146,7 @@ TEST(GraphLayout, PathToReplaysThroughSystem) {
     auto sys = fx.build();
     StateGraph g(*sys);
     const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-    exploreReachable(g, root, ExplorationPolicy{1, 0});
+    exploreReachable(g, root, ExplorationPolicy{});
     // Sample the whole graph on the small fixtures, stride the big ones.
     const NodeId stride = g.size() > 2000 ? 37 : 1;
     for (NodeId id = 0; id < g.size(); id += stride) {
@@ -217,7 +166,7 @@ TEST(GraphLayout, MemoryStatsTrackGrowth) {
   const NodeId root = g.intern(canonicalInitialization(*sys, 1));
   const auto empty = g.memoryStats();
   EXPECT_GT(empty.bytesStates, 0u);
-  exploreReachable(g, root, ExplorationPolicy{1, 0});
+  exploreReachable(g, root, ExplorationPolicy{});
   const auto full = g.memoryStats();
   EXPECT_GT(full.bytesStates, empty.bytesStates);
   EXPECT_GT(full.bytesEdges, 0u);

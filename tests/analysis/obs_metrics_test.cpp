@@ -1,8 +1,8 @@
 // Observability end-to-end: the registry's counters must agree with the
-// engines' ground truth (serial == parallel discovery counts, memo
-// hits + misses == lookups, per-worker expansions summing to the states
-// actually expanded), timers must record the phases that ran, and the
-// metrics JSON export must be well formed.
+// engines' ground truth (discovery counts equal to the report's, memo
+// hits + misses == lookups, explore.* tallies equal to the returned
+// stats), timers must record the phases that ran, and the metrics JSON
+// export must be well formed.
 #include "analysis/metrics.h"
 
 #include <gtest/gtest.h>
@@ -49,61 +49,50 @@ std::unique_ptr<ioa::System> tob(int n, int f) {
 struct PipelineCounters {
   std::uint64_t states = 0;
   std::uint64_t edges = 0;
+  std::size_t reported = 0;  // AdversaryReport::statesExplored
 };
 
 PipelineCounters runPipeline(const ioa::System& sys, int claim,
-                             unsigned threads, obs::Registry& reg) {
+                             obs::Registry& reg) {
   AdversaryConfig cfg;
   cfg.claimedFailures = claim;
-  cfg.exploration.threads = threads;
   cfg.exploration.metrics = &reg;
-  (void)analyzeConsensusCandidate(sys, cfg);
+  const AdversaryReport report = analyzeConsensusCandidate(sys, cfg);
   return PipelineCounters{reg.value("graph.states_discovered"),
-                          reg.value("graph.edges_discovered")};
+                          reg.value("graph.edges_discovered"),
+                          report.statesExplored};
 }
 
-TEST(ObsMetrics, SerialAndParallelDiscoveryCountersAgree) {
+TEST(ObsMetrics, DiscoveryCountersMatchTheReport) {
   struct Fixture {
     std::unique_ptr<ioa::System> sys;
     int claim;
   };
   Fixture fixtures[] = {{relay(3, 1), 2}, {tob(2, 0), 1}};
   for (const auto& fx : fixtures) {
-    obs::Registry serialReg, parallelReg;
-    const PipelineCounters s = runPipeline(*fx.sys, fx.claim, 1, serialReg);
-    const PipelineCounters p = runPipeline(*fx.sys, fx.claim, 2, parallelReg);
-    EXPECT_GT(s.states, 0u);
-    EXPECT_GT(s.edges, 0u);
-    EXPECT_EQ(s.states, p.states);
-    EXPECT_EQ(s.edges, p.edges);
+    obs::Registry reg;
+    const PipelineCounters c = runPipeline(*fx.sys, fx.claim, reg);
+    EXPECT_GT(c.states, 0u);
+    EXPECT_GT(c.edges, 0u);
+    EXPECT_EQ(c.states, c.reported);
   }
 }
 
 TEST(ObsMetrics, CacheHitsPlusMissesEqualLookups) {
   auto sys = relay(3, 1);
-  for (unsigned threads : {1u, 2u}) {
-    obs::Registry reg;
-    runPipeline(*sys, 2, threads, reg);
-    for (const char* prefix : {"cache.", "explorer.cache."}) {
-      const std::string p(prefix);
-      EXPECT_EQ(reg.value(p + "enabled_hits") + reg.value(p + "enabled_misses"),
-                reg.value(p + "enabled_lookups"))
-          << p << " enabled memo, threads=" << threads;
-      EXPECT_EQ(reg.value(p + "apply_hits") + reg.value(p + "apply_misses"),
-                reg.value(p + "apply_lookups"))
-          << p << " apply memo, threads=" << threads;
-    }
-    // Something must actually have been counted on the path that ran.
-    const std::string active = threads == 1 ? "cache." : "explorer.cache.";
-    EXPECT_GT(reg.value(active + "enabled_lookups"), 0u)
-        << "threads=" << threads;
-  }
+  obs::Registry reg;
+  runPipeline(*sys, 2, reg);
+  EXPECT_EQ(reg.value("cache.enabled_hits") + reg.value("cache.enabled_misses"),
+            reg.value("cache.enabled_lookups"));
+  EXPECT_EQ(reg.value("cache.apply_hits") + reg.value("cache.apply_misses"),
+            reg.value("cache.apply_lookups"));
+  EXPECT_GT(reg.value("cache.enabled_lookups"), 0u);
 }
 
 TEST(ObsMetrics, PhaseTimersRecorded) {
   auto sys = relay(3, 1);
   obs::Registry reg;
-  runPipeline(*sys, 2, 1, reg);
+  runPipeline(*sys, 2, reg);
   for (const char* phase :
        {"phase.adversary", "phase.bivalence", "phase.valence",
         "phase.safety_scan", "phase.hook"}) {
@@ -113,45 +102,12 @@ TEST(ObsMetrics, PhaseTimersRecorded) {
   EXPECT_GT(reg.value("runner.runs"), 0u);
 }
 
-TEST(ObsMetrics, PerWorkerExpansionsSumToStates) {
-  auto sys = relay(3, 1);
-  StateGraph g(*sys);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  ExplorationPolicy policy;
-  policy.threads = 2;
-  const ExploreStats stats = exploreReachable(g, root, policy);
-  ASSERT_FALSE(stats.truncated);
-  ASSERT_EQ(stats.perWorker.size(), 2u);
-  std::uint64_t expanded = 0;
-  for (const auto& ws : stats.perWorker) expanded += ws.expanded;
-  EXPECT_EQ(expanded, stats.statesDiscovered);
-  // Graph-level stats agree with the engine's view after install.
-  EXPECT_EQ(g.stats().statesDiscovered, stats.statesDiscovered);
-  std::string why;
-  EXPECT_TRUE(g.checkConsistent(&why)) << why;
-}
-
-TEST(ObsMetrics, ParallelExploreReportsShardCountAndNoInstallWait) {
+TEST(ObsMetrics, ExploreFlushesItsStats) {
   auto sys = relay(3, 1);
   StateGraph g(*sys);
   const NodeId root = g.intern(canonicalInitialization(*sys, 1));
   obs::Registry reg;
   ExplorationPolicy policy;
-  policy.threads = 2;
-  policy.metrics = &reg;
-  const ExploreStats stats = exploreReachable(g, root, policy);
-  EXPECT_EQ(stats.shard.count, shard_router::resolveShardCount(2));
-  EXPECT_EQ(reg.value("explorer.shard.count"), stats.shard.count);
-  // The canonical install runs after the join: nothing waits on phase 1.
-  EXPECT_EQ(stats.pipeline.installWaitNs, 0u);
-}
-
-TEST(ObsMetrics, SerialExploreFlushesFrontierPeak) {
-  auto sys = relay(3, 1);
-  StateGraph g(*sys);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  obs::Registry reg;
-  ExplorationPolicy policy;  // threads = 1
   policy.metrics = &reg;
   const ExploreStats stats = exploreReachable(g, root, policy);
   EXPECT_EQ(reg.value("explore.states_discovered"), stats.statesDiscovered);
@@ -183,7 +139,7 @@ TEST(ObsMetrics, RegistryPrimitives) {
 TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   auto sys = relay(3, 1);
   obs::Registry reg;
-  runPipeline(*sys, 2, 2, reg);
+  runPipeline(*sys, 2, reg);
   reg.derive("cache_hit_rate", 0.75);
   const std::string path =
       testing::TempDir() + "/obs_metrics_test_metrics.json";
@@ -200,7 +156,7 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
             std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['),
             std::count(doc.begin(), doc.end(), ']'));
-  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v10\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v11\""), std::string::npos);
   EXPECT_NE(doc.find("\"tool\": \"obs_metrics_test\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"timers\""), std::string::npos);
@@ -211,7 +167,9 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   EXPECT_NE(doc.find("graph.bytes_edges"), std::string::npos);
   EXPECT_NE(doc.find("graph.bytes_index"), std::string::npos);
   EXPECT_NE(doc.find("process.peak_rss_bytes"), std::string::npos);
-  EXPECT_NE(doc.find("explorer.worker0.expanded"), std::string::npos);
+  // v11 dropped the engine-only explorer.worker*/threads counters.
+  EXPECT_EQ(doc.find("explorer.worker"), std::string::npos);
+  EXPECT_EQ(doc.find("explorer.threads"), std::string::npos);
   // v10 memo gauges.
   EXPECT_NE(doc.find("memo.slot_representatives"), std::string::npos);
   EXPECT_NE(doc.find("memo.transition_entries"), std::string::npos);
@@ -246,7 +204,6 @@ TEST(ObsMetrics, ColdPrivateMemoHasOneEntryPerEnabledMiss) {
     AdversaryConfig cfg;
     cfg.claimedFailures = 2;
     cfg.por = por;
-    cfg.exploration.threads = 1;
     cfg.exploration.metrics = &reg;
     (void)analyzeConsensusCandidate(*sys, cfg);
     EXPECT_GT(reg.value("cache.enabled_misses"), 0u);

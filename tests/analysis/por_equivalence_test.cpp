@@ -46,14 +46,12 @@ std::unique_ptr<ioa::System> bridgeFixture(int n) {
 }
 
 AdversaryReport runWith(const ioa::System& sys, int claim, SymmetryMode sym,
-                        PorMode por, bool exemptFailureAware = false,
-                        int threads = 1) {
+                        PorMode por, bool exemptFailureAware = false) {
   AdversaryConfig cfg;
   cfg.claimedFailures = claim;
   cfg.exemptFailureAware = exemptFailureAware;
   cfg.symmetry = sym;
   cfg.por = por;
-  cfg.exploration.threads = threads;
   return analyzeConsensusCandidate(sys, cfg);
 }
 
@@ -207,41 +205,6 @@ TEST(PorEquivalence, SingleFDN3Theorem10ModeDeclines) {
   EXPECT_FALSE(on.porReduced);
   expectSameProofShape(off, on, "por-on (declined) vs full");
   EXPECT_EQ(off.statesExplored, on.statesExplored);
-}
-
-TEST(PorEquivalence, ReductionIsDeterministicAcrossThreadCounts) {
-  // The PR-1 guarantee survives the stacked reduction: serial and
-  // parallel exploration of the reduced quotient agree on every proof
-  // artifact, on the state count, and on the witness byte-for-byte.
-  auto sys = relayFixture(3, 1);
-  const auto serial = runWith(*sys, 2, SymmetryMode::On, PorMode::On,
-                              false, /*threads=*/1);
-  const auto parallel = runWith(*sys, 2, SymmetryMode::On, PorMode::On,
-                                false, /*threads=*/4);
-  expectSameProofShape(serial, parallel, "parallel vs serial");
-  EXPECT_EQ(serial.statesExplored, parallel.statesExplored);
-  ASSERT_EQ(serial.witness.size(), parallel.witness.size());
-  for (std::size_t i = 0; i < serial.witness.size(); ++i) {
-    EXPECT_EQ(serial.witness.actions()[i].str(),
-              parallel.witness.actions()[i].str())
-        << "witness diverges at action " << i;
-  }
-}
-
-TEST(PorEquivalence, PorOnlyDeterministicAcrossThreadCounts) {
-  auto sys = floodingFixture(3, 0);
-  const auto serial = runWith(*sys, 1, SymmetryMode::Off, PorMode::On,
-                              false, /*threads=*/1);
-  const auto parallel = runWith(*sys, 1, SymmetryMode::Off, PorMode::On,
-                                false, /*threads=*/4);
-  expectSameProofShape(serial, parallel, "parallel vs serial");
-  EXPECT_EQ(serial.statesExplored, parallel.statesExplored);
-  ASSERT_EQ(serial.witness.size(), parallel.witness.size());
-  for (std::size_t i = 0; i < serial.witness.size(); ++i) {
-    EXPECT_EQ(serial.witness.actions()[i].str(),
-              parallel.witness.actions()[i].str())
-        << "witness diverges at action " << i;
-  }
 }
 
 TEST(PorEquivalence, AutoEnablesForDeclaredTaskStructureOnly) {

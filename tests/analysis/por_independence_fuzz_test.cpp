@@ -163,8 +163,8 @@ TEST(PorIndependenceFuzz, SampledReachableStatesCommute) {
 }
 
 TEST(PorIndependenceFuzz, AmpleDecisionIsAPureFunctionOfTheState) {
-  // The memoized decision must be stable across repeated queries (the
-  // parallel explorer relies on this for determinism).
+  // The memoized decision must be stable across repeated queries (eager
+  // and lazy exploration rely on this to build the same reduced graph).
   auto sys = makeFixture("relay3");
   const auto por = PorPolicy::forSystem(*sys, PorMode::On);
   ASSERT_FALSE(por->trivial());

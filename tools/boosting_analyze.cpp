@@ -8,13 +8,9 @@
 //
 // Usage:
 //   boosting_analyze --candidate relay --n 3 --f 1 [--claim 2]
-//                    [--threads T] [--brute] [--witness trace.txt]
+//                    [--brute] [--witness trace.txt]
 //                    [--dot graph.dot] [--metrics-json FILE]
 //                    [--trace FILE] [--progress] [--replay FILE]
-//
-// --threads T runs every G(C) exploration of the pipeline on T
-// work-stealing workers (0 = hardware concurrency). The verdict and all
-// proof artifacts are identical for any T; only the wall clock changes.
 //
 // --symmetry auto|on|off controls orbit canonicalization (symmetry
 // reduction, see analysis/symmetry.h): candidates whose processes are
@@ -81,7 +77,6 @@ struct Options {
   int n = 2;
   int f = 0;
   int claim = -1;  // default: f + 1
-  unsigned threads = 1;
   analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
   analysis::PorMode por = analysis::PorMode::Auto;
   std::uint64_t memoryBudgetBytes = 0;  // 0 = fully in-memory
@@ -98,7 +93,7 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --candidate relay|bridge|tob|flooding|single-fd "
-               "--n N --f F [--claim C] [--threads T] "
+               "--n N --f F [--claim C] "
                "[--symmetry auto|on|off] [--por auto|on|off] "
                "[--memory-budget BYTES] [--spill-dir DIR] [--brute] "
                "[--witness FILE] [--dot FILE] [--metrics-json FILE] "
@@ -220,9 +215,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--claim") == 0) {
       opt.claim = static_cast<int>(
           parseIntOrDie("--claim", needArg("--claim"), 1, 19));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opt.threads = static_cast<unsigned>(
-          parseIntOrDie("--threads", needArg("--threads"), 0, 256));
     } else if (std::strcmp(argv[i], "--symmetry") == 0) {
       const char* v = needArg("--symmetry");
       if (std::strcmp(v, "auto") == 0) {
@@ -336,8 +328,8 @@ int main(int argc, char** argv) {
 
   auto sys = buildCandidate(opt);
   std::printf("candidate '%s': n=%d, service resilience f=%d, claimed to "
-              "tolerate %d failures (exploration threads: %u)\n",
-              opt.candidate.c_str(), opt.n, opt.f, opt.claim, opt.threads);
+              "tolerate %d failures\n",
+              opt.candidate.c_str(), opt.n, opt.f, opt.claim);
   if (opt.memoryBudgetBytes != 0) {
     std::printf("memory budget: %llu bytes (edge-arena cold tier + frontier "
                 "spill)\n",
@@ -375,7 +367,6 @@ int main(int argc, char** argv) {
   analysis::AdversaryConfig cfg;
   cfg.claimedFailures = opt.claim;
   cfg.exemptFailureAware = true;
-  cfg.exploration.threads = opt.threads;
   cfg.exploration.metrics = reg;
   cfg.exploration.memoryBudgetBytes = opt.memoryBudgetBytes;
   cfg.exploration.spillDir = opt.spillDir;

@@ -15,14 +15,9 @@ when the fresh run regresses beyond the tolerance:
     the flat-layout memory headline) are additionally gated on it: fresh
     bytes above baseline * (1 + tolerance) fail, so edge/index bloat is
     caught even when wall-clock stays flat;
-  * benchmarks that report a scaling_efficiency counter (the threads x
-    shards matrix of BM_ShardMatrixRelay) are additionally gated on it:
-    fresh efficiency below baseline * (1 - tolerance) fails. The gate is
-    one-sided, so baselines produced on boxes with fewer cores than the CI
-    runner (efficiency can only go UP with real cores) still pass;
   * benchmarks that report a peak_rss_bytes counter are additionally gated
     on it: fresh peak RSS above baseline * (1 + tolerance) fails, catching
-    shard-table or batch-buffer memory bloat. NOTE: peak_rss_bytes is the
+    memory bloat. NOTE: peak_rss_bytes is the
     process-lifetime VmHWM, monotone across the cells of one bench binary;
   * benchmarks that report an rss_delta_bytes counter (per-cell VmRSS
     delta, v6) are gated the same way -- this is the per-cell memory
@@ -169,16 +164,6 @@ def compare(baseline, fresh, tolerance):
                     f"{name}: bytes_per_state regressed {bv:.0f} -> {fv:.0f} "
                     f"({(ratio - 1.0) * 100.0:.1f}% fatter > "
                     f"{tolerance * 100.0:.0f}% tolerance)")
-        # Multi-core scaling gate (one-sided: drops fail, gains pass).
-        if gated(name, "scaling_efficiency", b, f, problems):
-            bv, fv = b["scaling_efficiency"], f["scaling_efficiency"]
-            ratio = fv / bv if bv else float("inf")
-            rows.append((name, "eff", bv, fv, ratio))
-            if bv and fv < bv * (1.0 - tolerance):
-                problems.append(
-                    f"{name}: scaling_efficiency regressed {bv:.3f} -> "
-                    f"{fv:.3f} ({(1.0 - ratio) * 100.0:.1f}% drop > "
-                    f"{tolerance * 100.0:.0f}% tolerance)")
         # Served-throughput gate (v7, one-sided: drops fail, gains pass).
         # verdicts_per_min is end-to-end through the resident server
         # (tools/serve_loadgen.py --mode throughput), so it covers the wire
@@ -192,7 +177,7 @@ def compare(baseline, fresh, tolerance):
                     f"{name}: verdicts_per_min regressed {bv:.0f} -> {fv:.0f} "
                     f"({(1.0 - ratio) * 100.0:.1f}% drop > "
                     f"{tolerance * 100.0:.0f}% tolerance)")
-        # Peak-RSS gate: catches shard-table / batch-buffer memory bloat.
+        # Peak-RSS gate: catches memory bloat.
         # peak_rss_bytes is the process-lifetime VmHWM, so within one bench
         # process it is monotone across cells -- it can only catch the
         # biggest cell. The delta gate below is the per-cell measurement.

@@ -7,8 +7,8 @@ Two modes:
       For each spec in a small matrix (relay and flooding at n=3), run the
       one-shot CLI (boosting_analyze) and the resident server over the
       SAME spec -- twice each on the server so the second hit is
-      warm-cache, plus once through the parallel engine (threads=2) --
-      and assert the served verdicts are byte-identical to the CLI's:
+      warm-cache -- and assert the served verdicts are byte-identical to
+      the CLI's:
       summary text, state count, witness action count, witness text and
       exit code. Also checks that an unknown submit key is refused with a
       diagnostic before any job is enqueued, and exercises queued-job
@@ -147,19 +147,14 @@ def check_mode(args):
                 failures.append(f"{tag}: CLI output had no summary:\n"
                                 f"{cli['stdout']}")
                 continue
-            # "parallel" runs the same spec through the two-phase parallel
-            # engine (threads=2): its verdict must still be byte-identical
-            # to the serial CLI reference -- the canonical install's
-            # determinism contract, checked over the wire.
             lines = [submit_line(spec, "cold", witness=True),
-                     submit_line(spec, "warm", witness=True),
-                     submit_line(spec, "parallel", witness=True, threads=2)]
+                     submit_line(spec, "warm", witness=True)]
             rc, events, err = run_server(args.server, lines)
             if rc != 0:
                 failures.append(f"{tag}: server exited {rc}: {err}")
                 continue
             results = {e["id"]: e for e in events if e.get("ev") == "result"}
-            for which in ("cold", "warm", "parallel"):
+            for which in ("cold", "warm"):
                 r = results.get(which)
                 if r is None:
                     failures.append(f"{tag}: no result event for '{which}'")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a boosting-metrics-v10 JSON file against docs/metrics_schema.json.
+"""Validate a boosting-metrics-v11 JSON file against docs/metrics_schema.json.
 
 Hand-rolled validator for the draft-07 subset the schema actually uses
 (type, required, properties, additionalProperties, items, enum, minimum,
@@ -8,7 +8,7 @@ minLength), so CI needs nothing beyond the stock Python interpreter.
 Beyond the schema, this also checks the semantic invariants the metrics
 promise:
   * counter/timer/derived names are unique and sorted;
-  * every memo-cache family satisfies hits + misses == lookups;
+  * the transition memo (cache.*) satisfies hits + misses == lookups;
   * when symmetry reduction ran (explorer.symmetry.* counters present),
     states_canonical <= states_raw and orbits_collapsed <= states_raw,
     i.e. the quotient never invents states;
@@ -17,22 +17,11 @@ promise:
     least a byte, in practice dozens) and a nonzero process.peak_rss_bytes
     is >= the sum of the graph.bytes_* gauges (the process cannot hold the
     graph in less memory than the graph's own accounting);
-  * when the sharded phase-1 table ran (explorer.shard.* counters present,
-    v5), routed == explorer.states_discovered (every discovered state was
-    installed into exactly one shard, roots included), batch_flushes >=
-    active_pairs (every worker-shard pair that ever buffered a successor
-    flushed at least once), cross_shard_edges <= explorer.edges_computed,
-    and count == bit_ceil(explorer.threads) (v9: the shard count is no
-    longer a setting);
   * when partial-order reduction ran (explorer.por.* counters present, v4),
     states_reduced <= nodes_evaluated (only evaluated nodes can commit an
     ample subset), tasks_skipped >= states_reduced (every reduced node
     skipped at least one enabled task), and ample_avg <= 1000 (it is a
     per-mille fraction of enabled tasks kept);
-  * with --expect-workers N, per-worker expansion counters exist for
-    workers 0..N-1 and sum to explorer.states_discovered -- or, when POR
-    ran, to at most it (non-ample children are interned by workers but
-    reduced-expanded serially during install, outside the worker tallies);
   * when the out-of-core tier ran (graph.spill.* counters present, v6),
     bytes_on_disk > 0 implies chunks_cold > 0, evictions <= chunks_cold +
     faults (each eviction follows a demote or a refault), the RSS-vs-graph
@@ -56,8 +45,7 @@ violation (a memory guard for CI smoke runs). With --max-counter NAME=VALUE
 work guard: deterministic counters such as cache.apply_lookups catch
 regressions that wall time on a shared runner cannot).
 
-Usage: validate_metrics.py [--schema SCHEMA] [--expect-workers N]
-                           [--max-peak-rss-mb M]
+Usage: validate_metrics.py [--schema SCHEMA] [--max-peak-rss-mb M]
                            [--max-counter NAME=VALUE ...] METRICS
 Exits 0 when valid, 1 with one "path: problem" line per violation.
 """
@@ -118,8 +106,7 @@ def named_section(doc, section):
             if isinstance(entry, dict) and "name" in entry}
 
 
-def check_invariants(doc, expect_workers, max_peak_rss_mb, errors,
-                     max_counters=()):
+def check_invariants(doc, max_peak_rss_mb, errors, max_counters=()):
     for section in ("counters", "timers", "derived"):
         names = [e["name"] for e in doc.get(section, [])
                  if isinstance(e, dict) and "name" in e]
@@ -133,15 +120,14 @@ def check_invariants(doc, expect_workers, max_peak_rss_mb, errors,
     def cval(name):
         return counters[name]["value"] if name in counters else 0
 
-    for prefix in ("cache.", "explorer.cache."):
-        for family in ("enabled", "apply"):
-            lookups = cval(f"{prefix}{family}_lookups")
-            hits = cval(f"{prefix}{family}_hits")
-            misses = cval(f"{prefix}{family}_misses")
-            if hits + misses != lookups:
-                errors.append(
-                    f"$.counters: {prefix}{family}: hits {hits} + misses "
-                    f"{misses} != lookups {lookups}")
+    for family in ("enabled", "apply"):
+        lookups = cval(f"cache.{family}_lookups")
+        hits = cval(f"cache.{family}_hits")
+        misses = cval(f"cache.{family}_misses")
+        if hits + misses != lookups:
+            errors.append(
+                f"$.counters: cache.{family}: hits {hits} + misses "
+                f"{misses} != lookups {lookups}")
 
     symmetry = [n for n in counters if n.startswith("explorer.symmetry.")]
     if symmetry:
@@ -161,48 +147,6 @@ def check_invariants(doc, expect_workers, max_peak_rss_mb, errors,
             errors.append(
                 f"$.counters: explorer.symmetry.orbits_collapsed {collapsed} "
                 f"> states_raw {raw}")
-
-    shard = [n for n in counters if n.startswith("explorer.shard.")]
-    if shard:
-        for required in ("explorer.shard.count",
-                         "explorer.shard.routed",
-                         "explorer.shard.batch_flushes",
-                         "explorer.shard.max_queue_depth",
-                         "explorer.shard.cross_shard_edges",
-                         "explorer.shard.active_pairs"):
-            if required not in counters:
-                errors.append(
-                    "$.counters: explorer.shard.* present but incomplete "
-                    f"({sorted(shard)})")
-                break
-        routed = cval("explorer.shard.routed")
-        discovered = cval("explorer.states_discovered")
-        if routed != discovered:
-            errors.append(
-                f"$.counters: explorer.shard.routed {routed} != "
-                f"explorer.states_discovered {discovered} (every discovered "
-                "state must be installed into exactly one shard)")
-        flushes = cval("explorer.shard.batch_flushes")
-        pairs = cval("explorer.shard.active_pairs")
-        if flushes < pairs:
-            errors.append(
-                f"$.counters: explorer.shard.batch_flushes {flushes} < "
-                f"active_pairs {pairs} (every active worker-shard pair "
-                "flushes at least once)")
-        cross = cval("explorer.shard.cross_shard_edges")
-        edges = cval("explorer.edges_computed")
-        if cross > edges:
-            errors.append(
-                f"$.counters: explorer.shard.cross_shard_edges {cross} > "
-                f"explorer.edges_computed {edges}")
-        count = cval("explorer.shard.count")
-        threads = cval("explorer.threads")
-        if count < 1:
-            errors.append("$.counters: explorer.shard.count < 1")
-        elif threads >= 1 and count != 1 << (threads - 1).bit_length():
-            errors.append(
-                f"$.counters: explorer.shard.count {count} != "
-                f"bit_ceil(explorer.threads {threads})")
 
     por = [n for n in counters if n.startswith("explorer.por.")]
     if por:
@@ -288,18 +232,13 @@ def check_invariants(doc, expect_workers, max_peak_rss_mb, errors,
                 "(each eviction follows a demote or a refault)")
 
     # Frontier spill (v6): a segment can only be reloaded after it was
-    # spilled, under both the parallel (explorer.frontier.*) and serial
-    # (explore.frontier_*) naming.
-    for spilled_name, reload_name in (
-            ("explorer.frontier.segments_spilled",
-             "explorer.frontier.reloads"),
-            ("explore.frontier_segments_spilled",
-             "explore.frontier_reloads")):
-        if spilled_name in counters or reload_name in counters:
-            if cval(reload_name) > cval(spilled_name):
-                errors.append(
-                    f"$.counters: {reload_name} {cval(reload_name)} > "
-                    f"{spilled_name} {cval(spilled_name)}")
+    # spilled.
+    spilled = cval("explore.frontier_segments_spilled")
+    reloaded = cval("explore.frontier_reloads")
+    if reloaded > spilled:
+        errors.append(
+            f"$.counters: explore.frontier_reloads {reloaded} > "
+            f"explore.frontier_segments_spilled {spilled}")
 
     # Per-phase RSS delta (v6): the delta cannot exceed the process
     # lifetime peak -- VmHWM is a superset of any phase's growth.
@@ -366,28 +305,6 @@ def check_invariants(doc, expect_workers, max_peak_rss_mb, errors,
                 f"serve.cache.context_builds "
                 f"{cval('serve.cache.context_builds')}")
 
-    if expect_workers is not None:
-        total = 0
-        for w in range(expect_workers):
-            name = f"explorer.worker{w}.expanded"
-            if name not in counters:
-                errors.append(f"$.counters: missing {name}")
-            else:
-                total += cval(name)
-        if "explorer.states_discovered" in counters:
-            discovered = cval("explorer.states_discovered")
-            # Under POR some interned states are never worker-expanded
-            # (their reduced expansion happens serially during install), so
-            # the strict equality relaxes to an upper bound.
-            if por and total > discovered:
-                errors.append(
-                    f"$.counters: per-worker expanded sum {total} > "
-                    f"explorer.states_discovered {discovered}")
-            elif not por and total != discovered:
-                errors.append(
-                    f"$.counters: per-worker expanded sum {total} != "
-                    f"explorer.states_discovered {discovered}")
-
 
 def counter_limit(text):
     name, sep, value = text.partition("=")
@@ -409,8 +326,6 @@ def main():
     ap.add_argument("--schema", default=None,
                     help="schema file (default: docs/metrics_schema.json "
                          "next to this script's repo)")
-    ap.add_argument("--expect-workers", type=int, default=None, metavar="N",
-                    help="require explorer.worker{0..N-1}.expanded counters")
     ap.add_argument("--max-peak-rss-mb", type=float, default=None,
                     metavar="M",
                     help="fail when process.peak_rss_bytes exceeds M MiB")
@@ -443,8 +358,7 @@ def main():
     errors = []
     validate(doc, schema, "$", errors)
     if not errors:
-        check_invariants(doc, args.expect_workers, args.max_peak_rss_mb,
-                         errors, args.max_counter)
+        check_invariants(doc, args.max_peak_rss_mb, errors, args.max_counter)
 
     if errors:
         for err in errors:
@@ -455,7 +369,7 @@ def main():
 
     counters = len(doc.get("counters", []))
     timers = len(doc.get("timers", []))
-    print(f"{args.metrics}: valid boosting-metrics-v10 "
+    print(f"{args.metrics}: valid boosting-metrics-v11 "
           f"({counters} counters, {timers} timers)")
     return 0
 
