@@ -12,11 +12,8 @@
 // with BENCH_JSON=path) for CI artifacts and EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "analysis/bivalence.h"
 #include "analysis/hook.h"
-#include "analysis/metrics.h"
 #include "analysis/parallel_explorer.h"
 #include "analysis/por.h"
 #include "analysis/symmetry.h"
@@ -260,48 +257,6 @@ void BM_BytesPerState(benchmark::State& state) {
   state.counters["bytes_per_state"] = bytesPerState;
 }
 
-// Bounded-memory exploration: the relay n=4 region under a 32 KiB edge
-// budget (8 resident cold mappings) with deliberately small (256-edge)
-// chunks, so the cold tier demotes and evicts continuously. The throughput counter prices the
-// paging overhead against the unbounded BM_ReachableExpansion numbers, the
-// spill counters keep the cold tier honest in the baseline, and
-// rss_delta_bytes is what the budget is supposed to bound.
-void BM_BoundedExploreRelay(benchmark::State& state) {
-  auto sys = relay(static_cast<int>(state.range(0)), 0);
-  std::int64_t discovered = 0;
-  double exploreSecs = 0.0;
-  analysis::Pager::Stats spillLast;
-  const std::uint64_t rssBefore = analysis::currentRssBytes();
-  for (auto _ : state) {
-    analysis::SpillConfig spill;
-    spill.memoryBudgetBytes = 32 * 1024;
-    spill.edgeChunkShift = 8;
-    StateGraph g(*sys, nullptr, nullptr, spill);
-    NodeId root = g.intern(
-        analysis::canonicalInitialization(*sys, sys->processCount() / 2));
-    ExplorationPolicy pol;
-    pol.memoryBudgetBytes = spill.memoryBudgetBytes;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto stats = analysis::exploreReachable(g, root, pol);
-    exploreSecs +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    discovered += static_cast<std::int64_t>(stats.statesDiscovered);
-    spillLast = g.spillStats();
-  }
-  const std::uint64_t rssAfter = analysis::currentRssBytes();
-  state.counters["states_per_sec"] = benchmark::Counter(
-      static_cast<double>(discovered), benchmark::Counter::kIsRate);
-  state.counters["spill_chunks_cold"] =
-      static_cast<double>(spillLast.chunksCold);
-  state.counters["spill_bytes_on_disk"] =
-      static_cast<double>(spillLast.bytesOnDisk);
-  state.counters["spill_evictions"] =
-      static_cast<double>(spillLast.evictions);
-  state.counters["rss_delta_bytes"] = static_cast<double>(
-      rssAfter > rssBefore ? rssAfter - rssBefore : 0);
-}
-
 // The Fig. 3 walk end to end (bivalent init + hook search), the consumer
 // of the dense scratch sets: every walk iteration runs two BFS scans and
 // a fair-cycle membership probe over the explored region.
@@ -355,8 +310,6 @@ BENCHMARK(BM_RegionScanRelaySymmetry)
 BENCHMARK(BM_RegionScanRelayPOR)
     ->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ValenceFullRegion)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BoundedExploreRelay)
-    ->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 int main(int argc, char** argv) {
   return boosting::benchjson::runBenchmarks(argc, argv,

@@ -211,10 +211,7 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
   const std::shared_ptr<const SymmetryPolicy> symmetry =
       SymmetryPolicy::forSystem(sys, cfg.symmetry);
   const std::shared_ptr<const PorPolicy> por = PorPolicy::forSystem(sys, cfg.por);
-  SpillConfig spill;
-  spill.memoryBudgetBytes = cfg.exploration.memoryBudgetBytes;
-  spill.spillDir = cfg.exploration.spillDir;
-  StateGraph g(sys, symmetry, por, spill, cfg.memo);
+  StateGraph g(sys, symmetry, por, cfg.memo);
   report.symmetryReduced = g.symmetryActive();
   if (!report.symmetryReduced) report.symmetryNote = symmetry->disabledReason();
   report.porReduced = g.porActive();
@@ -237,9 +234,9 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
     const StateGraph& g;
     // VmRSS sampled at construction: the flush reports the pipeline's RSS
     // DELTA, which -- unlike the monotone process-lifetime VmHWM behind
-    // process.peak_rss_bytes -- reflects memory the spill tier avoided
-    // keeping resident. Clamped at zero (the kernel may reclaim pages
-    // mid-phase, driving VmRSS below the starting sample).
+    // process.peak_rss_bytes -- isolates this pipeline from whatever the
+    // process held before it. Clamped at zero (the kernel may reclaim
+    // pages mid-phase, driving VmRSS below the starting sample).
     std::uint64_t rssBefore = currentRssBytes();
     ~Flusher() {
       flushGraphMetrics(reg, g);
@@ -488,14 +485,6 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
     report.porNodesReduced = por->nodesReduced();
     report.porTasksSkipped = por->tasksSkipped();
     report.porProvisoHits = por->provisoHits();
-  }
-  if (g.spillActive()) {
-    const Pager::Stats ps = g.spillStats();
-    report.spillActive = true;
-    report.spillChunksCold = ps.chunksCold;
-    report.spillBytesOnDisk = ps.bytesOnDisk;
-    report.spillFaults = ps.faults;
-    report.spillEvictions = ps.evictions;
   }
   return report;
 }

@@ -58,7 +58,7 @@ struct AdversaryConfig {
   std::size_t gammaMaxSteps = 100000;
   std::size_t hookMaxIterations = 1u << 20;
   bool exemptFailureAware = false;  // Theorem-10 mode similarity
-  // Metrics sink, per-expansion hook and frontier spill for every G(C)
+  // Metrics sink and per-expansion hook for every G(C)
   // exploration in the pipeline (Lemma 4 scan, valence regions, hook
   // search); see analysis/parallel_explorer.h.
   ExplorationPolicy exploration;
@@ -74,12 +74,6 @@ struct AdversaryConfig {
   // component declares a canonical task structure; On requests it and
   // surfaces the reason when it cannot be honored.
   PorMode por = PorMode::Off;
-  // Out-of-core exploration: exploration.memoryBudgetBytes != 0 configures
-  // BOTH the StateGraph edge-arena cold tier (SpillConfig, derived here)
-  // and the frontier spill of every exploration, sharing
-  // exploration.spillDir. Spill never changes the verdict or any proof
-  // artifact -- runs are bit-identical with and without a budget (see
-  // DESIGN.md "Out-of-core exploration").
   // Cross-job warm start (the analysis service): a memo built for the SAME
   // System object shares its slot canon table, transition cache and action
   // pool with the pipeline's StateGraph. Null (the default) keeps the
@@ -128,14 +122,6 @@ struct AdversaryReport {
   std::uint64_t porNodesReduced = 0;    // proper ample sets committed
   std::uint64_t porTasksSkipped = 0;    // successor expansions saved
   std::uint64_t porProvisoHits = 0;     // ample sets rejected by C3
-
-  // Out-of-core telemetry (all zero unless a memory budget was set; the
-  // same tallies reach metrics as graph.spill.*).
-  bool spillActive = false;
-  std::uint64_t spillChunksCold = 0;    // sealed edge chunks demoted
-  std::uint64_t spillBytesOnDisk = 0;   // spill-file bytes backing them
-  std::uint64_t spillFaults = 0;        // reads of evicted cold chunks
-  std::uint64_t spillEvictions = 0;     // cold mappings dropped from RSS
 
   std::string summary() const;
 };

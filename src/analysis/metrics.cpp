@@ -74,17 +74,6 @@ void flushGraphMetrics(obs::Registry* reg, const StateGraph& g) {
   reg->add("graph.bytes_edges", ms.bytesEdges);
   reg->add("graph.bytes_index", ms.bytesIndex);
   reg->maxOf("process.peak_rss_bytes", peakRssBytes());
-  if (g.spillActive()) {
-    // Cold-tier telemetry (see DESIGN.md "Out-of-core exploration"). All
-    // four are logical-event tallies of the single-writer graph, so they
-    // are deterministic; bytes_on_disk > 0 implies chunks_cold > 0 is a
-    // validate_metrics.py invariant.
-    const Pager::Stats ps = g.spillStats();
-    reg->maxOf("graph.spill.chunks_cold", ps.chunksCold);
-    reg->maxOf("graph.spill.bytes_on_disk", ps.bytesOnDisk);
-    reg->maxOf("graph.spill.faults", ps.faults);
-    reg->maxOf("graph.spill.evictions", ps.evictions);
-  }
   if (g.symmetryActive()) {
     const SymmetryPolicy& sp = *g.symmetryPolicy();
     // Quotient telemetry: states_raw counts intern probes (pre-reduction),

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "analysis/state_graph.h"
@@ -49,19 +48,6 @@ struct ExplorationPolicy {
   // count. A throwing hook interrupts the exploration between whole-node
   // expansions; the StateGraph stays consistent (checkConsistent).
   std::function<void(std::size_t)> expansionHook;
-  // Out-of-core exploration (see DESIGN.md "Out-of-core exploration").
-  // Non-zero runs the BFS frontier through an external-memory queue that
-  // preserves FIFO order exactly -- so spill never changes node ids,
-  // intern indices or witnesses. The StateGraph's own edge-arena cold tier
-  // is configured separately via SpillConfig; callers normally set both
-  // from the same --memory-budget.
-  std::size_t memoryBudgetBytes = 0;
-  // In-memory entries the frontier may hold before segments move to disk.
-  // 0 = auto (65536 under a budget, spill disabled otherwise).
-  std::size_t frontierSpillThreshold = 0;
-  // Directory for the unlinked frontier spill files ("" = $TMPDIR, else
-  // /tmp).
-  std::string spillDir;
 };
 
 struct ExploreStats {
@@ -69,14 +55,6 @@ struct ExploreStats {
   // perWorker[].steals; exploreReachable leaves perWorker empty.
   struct WorkerStats {
     std::uint64_t steals = 0;
-  };
-
-  // Frontier-spill tallies (all zero unless the policy enables spill).
-  // Reloaded <= spilled always; the difference is segments dropped by an
-  // abort.
-  struct FrontierSpillStats {
-    std::uint64_t segmentsSpilled = 0;
-    std::uint64_t segmentsReloaded = 0;
   };
 
   // Kept only for the certificate benchmark's harness, which reads
@@ -90,7 +68,6 @@ struct ExploreStats {
   bool truncated = false;            // maxStates cap was hit
   std::uint64_t frontierPeak = 0;    // BFS queue high-water mark
   std::vector<WorkerStats> perWorker;  // harness-only, always empty
-  FrontierSpillStats frontierSpill;    // out-of-core frontier tallies
   PipelineStats pipeline;              // harness-only, always 0
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 
 #include "util/hashing.h"
 
@@ -286,7 +285,7 @@ std::uint32_t PorPolicy::codeFor(std::size_t ti, const ioa::Action* a,
           for (std::size_t q = 0; q < info.depInvoke.size(); ++q)
             if (serviceIds_[q] == a->component) s = static_cast<int>(q);
           if (s < 0 || info.depInvoke[s] == 0) {
-            declarationViolations_.fetch_add(1, std::memory_order_relaxed);
+            ++declarationViolations_;
             *analyzable = false;
             return pack(a->kind);
           }
@@ -437,30 +436,17 @@ std::uint64_t PorPolicy::ampleMask(
     if (codeEnabled(sig[ti])) enabledMask |= bit(ti);
   }
   *enabledOut = enabledMask;
-  nodesEvaluated_.fetch_add(1, std::memory_order_relaxed);
-  enabledSum_.fetch_add(static_cast<std::uint64_t>(popcount(enabledMask)),
-                        std::memory_order_relaxed);
-  std::uint64_t result;
-  if (!analyzable) {
-    result = enabledMask;
-  } else {
-    bool hit = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(memoMutex_);
-      const auto it = memo_.find(sig);
-      if (it != memo_.end()) {
-        result = it->second;
-        hit = true;
-      }
+  ++nodesEvaluated_;
+  enabledSum_ += static_cast<std::uint64_t>(popcount(enabledMask));
+  std::uint64_t result = enabledMask;
+  if (analyzable) {
+    auto it = memo_.find(sig);
+    if (it == memo_.end()) {
+      it = memo_.emplace(sig, computeAmple(sig, enabledMask)).first;
     }
-    if (!hit) {
-      result = computeAmple(sig, enabledMask);
-      std::unique_lock<std::shared_mutex> lock(memoMutex_);
-      memo_.emplace(sig, result);
-    }
+    result = it->second;
   }
-  ampleSum_.fetch_add(static_cast<std::uint64_t>(popcount(result)),
-                      std::memory_order_relaxed);
+  ampleSum_ += static_cast<std::uint64_t>(popcount(result));
   return result;
 }
 

@@ -60,15 +60,14 @@
 // shapes, undeclared invocations, or a disabled always-enabled task make
 // the policy fall back to full expansion for that configuration.
 //
-// Thread safety: const-after-construction except the signature memo
-// (shared_mutex) and the relaxed statistics, so ampleMask() may be called
-// concurrently.
+// Thread safety: none. ampleMask() and the note*() callbacks update the
+// signature memo and the statistics through plain mutable members, so a
+// policy belongs to one exploration thread. Every run builds its own
+// policies (the adversary per analysis, the analysis service per job).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -130,47 +129,33 @@ class PorPolicy {
     return a.kind == ioa::ActionKind::ProcDummy;
   }
 
-  // -- Reduction statistics (relaxed; flushed by flushGraphMetrics) -------
+  // -- Reduction statistics (flushed by flushGraphMetrics) ---------------
   // Expansions that consulted the policy.
-  std::uint64_t nodesEvaluated() const {
-    return nodesEvaluated_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t nodesEvaluated() const { return nodesEvaluated_; }
   // Expansions that committed a proper ample subset (after the proviso).
-  std::uint64_t nodesReduced() const {
-    return nodesReduced_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t nodesReduced() const { return nodesReduced_; }
   // Enabled tasks NOT expanded at reduced nodes (the saved successor
   // expansions).
-  std::uint64_t tasksSkipped() const {
-    return tasksSkipped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t tasksSkipped() const { return tasksSkipped_; }
   // Ample sets rejected by the cycle proviso (full expansion forced).
-  std::uint64_t provisoHits() const {
-    return provisoHits_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t provisoHits() const { return provisoHits_; }
   // Sum of ample / enabled set sizes over evaluated nodes (for the
   // average ample fraction).
-  std::uint64_t ampleSum() const {
-    return ampleSum_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t enabledSum() const {
-    return enabledSum_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t ampleSum() const { return ampleSum_; }
+  std::uint64_t enabledSum() const { return enabledSum_; }
   // Enabled actions that contradicted the declared task structure (e.g.
   // an undeclared invocation); nonzero means a component lied and the
   // affected configurations were expanded fully.
   std::uint64_t declarationViolations() const {
-    return declarationViolations_.load(std::memory_order_relaxed);
+    return declarationViolations_;
   }
 
   // Engine callbacks (const: the graph holds a shared_ptr<const>).
   void noteReduced(std::uint64_t enabled, std::uint64_t ample) const {
-    nodesReduced_.fetch_add(1, std::memory_order_relaxed);
-    tasksSkipped_.fetch_add(enabled - ample, std::memory_order_relaxed);
+    ++nodesReduced_;
+    tasksSkipped_ += enabled - ample;
   }
-  void noteProvisoHit() const {
-    provisoHits_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void noteProvisoHit() const { ++provisoHits_; }
 
  private:
   PorPolicy() = default;
@@ -212,16 +197,15 @@ class PorPolicy {
   };
   std::vector<TaskInfo> tasks_;
 
-  mutable std::shared_mutex memoMutex_;
   mutable std::unordered_map<Signature, std::uint64_t, SignatureHash> memo_;
 
-  mutable std::atomic<std::uint64_t> nodesEvaluated_{0};
-  mutable std::atomic<std::uint64_t> nodesReduced_{0};
-  mutable std::atomic<std::uint64_t> tasksSkipped_{0};
-  mutable std::atomic<std::uint64_t> provisoHits_{0};
-  mutable std::atomic<std::uint64_t> ampleSum_{0};
-  mutable std::atomic<std::uint64_t> enabledSum_{0};
-  mutable std::atomic<std::uint64_t> declarationViolations_{0};
+  mutable std::uint64_t nodesEvaluated_ = 0;
+  mutable std::uint64_t nodesReduced_ = 0;
+  mutable std::uint64_t tasksSkipped_ = 0;
+  mutable std::uint64_t provisoHits_ = 0;
+  mutable std::uint64_t ampleSum_ = 0;
+  mutable std::uint64_t enabledSum_ = 0;
+  mutable std::uint64_t declarationViolations_ = 0;
 };
 
 }  // namespace boosting::analysis

@@ -30,43 +30,15 @@ void StateGraph::validateTaskCapacity(std::size_t taskCount,
         "StateGraph: edge chunk capacity " + std::to_string(chunkCapacity) +
         " cannot hold one full successor list for " +
         std::to_string(taskCount) +
-        " tasks; raise SpillConfig::edgeChunkShift");
+        " tasks; raise StateGraph::kEdgeChunkShift");
   }
-}
-
-std::uint32_t StateGraph::resolveEdgeChunkShift(const SpillConfig& spill) {
-  if (spill.edgeChunkShift != 0) {
-    if (spill.edgeChunkShift < 6 || spill.edgeChunkShift > 20) {
-      throw std::invalid_argument(
-          "StateGraph: SpillConfig::edgeChunkShift " +
-          std::to_string(spill.edgeChunkShift) + " outside [6, 20]");
-    }
-    return spill.edgeChunkShift;
-  }
-  if (spill.memoryBudgetBytes == 0) return kDefaultEdgeChunkShift;
-  // Budget-scaled: aim for ~16 chunks of LRU headroom inside the budget so
-  // small bounded runs still seal (and therefore demote) whole chunks,
-  // clamped to [8, default]. The shift moves arena positions only -- node
-  // ids, intern indices and successor lists are unaffected.
-  const std::uint64_t entries =
-      spill.memoryBudgetBytes / (16 * sizeof(CompactEdge));
-  std::uint32_t shift = 8;
-  while (shift < kDefaultEdgeChunkShift &&
-         (std::uint64_t{1} << (shift + 1)) <= entries) {
-    ++shift;
-  }
-  return shift;
 }
 
 StateGraph::StateGraph(const ioa::System& sys,
                        std::shared_ptr<const SymmetryPolicy> symmetry,
                        std::shared_ptr<const PorPolicy> por,
-                       const SpillConfig& spill,
                        std::shared_ptr<AnalysisMemo> memo)
     : sys_(sys), symmetry_(std::move(symmetry)), por_(std::move(por)),
-      chunkShift_(resolveEdgeChunkShift(spill)),
-      chunkCapacity_(1u << chunkShift_),
-      edgeUsed_(chunkCapacity_),
       memo_(memo ? std::move(memo) : std::make_shared<AnalysisMemo>(sys)),
       transitionsBase_(memo_->transitions().stats()) {
   if (&memo_->system() != &sys_) {
@@ -76,17 +48,7 @@ StateGraph::StateGraph(const ioa::System& sys,
     throw std::invalid_argument(
         "StateGraph: AnalysisMemo was built for a different System object");
   }
-  const auto& tasks = sys_.allTasks();
-  validateTaskCapacity(tasks.size(), chunkCapacity_);
-  if (spill.memoryBudgetBytes != 0) {
-    Pager::Config pc;
-    pc.budgetBytes = spill.memoryBudgetBytes;
-    pc.chunkBytes = std::size_t{chunkCapacity_} * sizeof(CompactEdge);
-    pc.spillDir = spill.spillDir;
-    pc.failDemoteAfter = spill.failDemoteAfter;
-    pc.failEvictAfter = spill.failEvictAfter;
-    pager_ = std::make_unique<Pager>(pc);
-  }
+  validateTaskCapacity(sys_.allTasks().size(), kEdgeChunkCapacity);
 #ifndef NDEBUG
   writer_ = std::this_thread::get_id();
 #endif
@@ -195,44 +157,16 @@ StateGraph::InternResult StateGraph::internPrecanonicalized(
 
 CompactEdge* StateGraph::reserveEdgeRun(std::uint32_t need,
                                         std::uint32_t* base) {
-  if (edgeChunks_.empty() || chunkCapacity_ - edgeUsed_ < need) {
+  if (edgeChunks_.empty() || kEdgeChunkCapacity - edgeUsed_ < need) {
     if (!edgeChunks_.empty()) {
-      edgeSlackSlots_ += chunkCapacity_ - edgeUsed_;
-      if (pager_) {
-        // Seal point: once the arena moves on, the tail chunk is immutable
-        // (committed runs never mutate; an abandoned reserved tail is
-        // never read), so it demotes to the spill file now. demote() is
-        // all-or-nothing and we throw BEFORE the new chunk or any edge of
-        // the current expansion is committed, so a demote failure leaves
-        // the graph exactly as the last commit did (checkConsistent holds).
-        const std::uint32_t coldId =
-            pager_->demote(edgeChunks_.back().data);
-        (void)coldId;
-        assert(coldId + 1 == edgeChunks_.size() &&
-               "cold ids must track chunk positions (demote-in-order)");
-      }
+      edgeSlackSlots_ += kEdgeChunkCapacity - edgeUsed_;
     }
-    EdgeChunk chunk;
-    if (pager_) {
-      chunk.data = static_cast<CompactEdge*>(pager_->allocChunk());
-    } else {
-      chunk.heap = std::make_unique<CompactEdge[]>(chunkCapacity_);
-      chunk.data = chunk.heap.get();
-    }
-    edgeChunks_.push_back(std::move(chunk));
+    edgeChunks_.push_back(std::make_unique<CompactEdge[]>(kEdgeChunkCapacity));
     edgeUsed_ = 0;
   }
   *base = static_cast<std::uint32_t>(
-      ((edgeChunks_.size() - 1) << chunkShift_) | edgeUsed_);
-  return edgeChunks_.back().data + edgeUsed_;
-}
-
-void StateGraph::touchChunkForRead(std::uint32_t chunk) const {
-  // Chunks demote strictly in order, so every chunk but the live tail is
-  // cold and its cold id equals its position.
-  if (static_cast<std::size_t>(chunk) + 1 < edgeChunks_.size()) {
-    pager_->touchCold(chunk);
-  }
+      ((edgeChunks_.size() - 1) << kEdgeChunkShift) | edgeUsed_);
+  return edgeChunks_.back().get() + edgeUsed_;
 }
 
 EdgeList StateGraph::successors(NodeId id) {
@@ -508,7 +442,7 @@ StateGraph::MemoryStats StateGraph::memoryStats() const {
   MemoryStats ms;
   for (const ioa::SystemState& s : states_) ms.bytesStates += s.shallowBytes();
   ms.bytesEdges =
-      static_cast<std::uint64_t>(edgeChunks_.size()) * chunkCapacity_ *
+      static_cast<std::uint64_t>(edgeChunks_.size()) * kEdgeChunkCapacity *
           sizeof(CompactEdge) +
       memo_->actionBytes();
   ms.bytesIndex = index_.capacity() * sizeof(IndexSlot) +

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "analysis/analysis_memo.h"
-#include "analysis/pager.h"
 #include "analysis/por.h"
 #include "analysis/symmetry.h"
 #include "analysis/transition_cache.h"
@@ -81,25 +80,6 @@ struct EdgeView {
 };
 
 class StateGraph;
-
-// Out-of-core configuration for StateGraph's edge arenas (see DESIGN.md
-// "Out-of-core exploration"). The default -- no budget -- keeps the exact
-// in-memory arena behaviour of the unbounded build.
-struct SpillConfig {
-  // Hot-tier budget in bytes for the cold chunk mappings. 0 = fully
-  // in-memory: no pager, no spill file, heap-allocated chunks.
-  std::uint64_t memoryBudgetBytes = 0;
-  // Directory for the unlinked spill file ("" = $TMPDIR, else /tmp).
-  std::string spillDir;
-  // Edge chunk shift override (chunk capacity = 1 << shift edges). 0 =
-  // auto: the unbounded default of 15, or budget-scaled under a budget so
-  // small bounded runs still demote whole chunks. Explicit values must lie
-  // in [6, 20] and still fit one full successor list (validated).
-  std::uint32_t edgeChunkShift = 0;
-  // Test seams, forwarded to Pager::Config (0 = never fail).
-  std::uint64_t failDemoteAfter = 0;
-  std::uint64_t failEvictAfter = 0;
-};
 
 // Lightweight span view of a node's successor list. Valid for the graph's
 // lifetime: the arena chunks and pools it points into never relocate.
@@ -183,11 +163,6 @@ class StateGraph {
   // With a non-trivial `por`, the graph additionally maintains a REDUCED
   // successor tier (see exploreSuccessors below); the full tier and every
   // legacy accessor are unaffected.
-  // With a non-zero `spill.memoryBudgetBytes`, sealed edge-arena chunks
-  // demote to an mmap-backed unlinked spill file and an LRU keeps at most
-  // a budget's worth of cold mappings resident; node ids, intern indices
-  // and successor lists are bit-identical to the unbounded build (the
-  // remap preserves both addresses and contents).
   // With a non-null `memo`, the graph shares that memo's slot canon table,
   // transition cache and action pool instead of creating private ones --
   // the analysis service's cross-job warm start (see
@@ -199,22 +174,22 @@ class StateGraph {
   explicit StateGraph(const ioa::System& sys,
                       std::shared_ptr<const SymmetryPolicy> symmetry = nullptr,
                       std::shared_ptr<const PorPolicy> por = nullptr,
-                      const SpillConfig& spill = {},
                       std::shared_ptr<AnalysisMemo> memo = nullptr);
+
+  // Edges per arena chunk. Power of two: a global edge position is
+  // (chunk << kEdgeChunkShift) | offset. It must exceed allTasks().size()
+  // so one node's list always fits (validateTaskCapacity).
+  static constexpr std::uint32_t kEdgeChunkShift = 15;
+  static constexpr std::uint32_t kEdgeChunkCapacity = 1u << kEdgeChunkShift;
 
   // Checked narrowing for the compact edge encoding: every stored edge
   // carries a 16-bit task index and one node's successor list must fit a
-  // single arena chunk. Throws std::invalid_argument naming the violated
-  // bound; called by the constructor (the candidate zoo can produce big
+  // single arena chunk of `chunkCapacity` edges. Throws
+  // std::invalid_argument naming the violated bound; called by the
+  // constructor with kEdgeChunkCapacity (the candidate zoo can produce big
   // task sets, so this is a runtime check, not an assert).
   static void validateTaskCapacity(std::size_t taskCount,
                                    std::uint32_t chunkCapacity);
-
-  // The chunk shift a SpillConfig resolves to: the explicit override when
-  // non-zero (validated to [6, 20]), else the unbounded default of 15,
-  // else -- under a budget -- a budget-scaled power of two in [8, 15] so
-  // the LRU has ~16 chunks of headroom. Exposed for tests and benches.
-  static std::uint32_t resolveEdgeChunkShift(const SpillConfig& spill);
 
   const ioa::System& system() const { return sys_; }
 
@@ -232,17 +207,6 @@ class StateGraph {
   const Stats& stats() const { return stats_; }
   MemoryStats memoryStats() const;
 
-  // True when a memory budget is active (cold tier + spill file exist).
-  bool spillActive() const { return pager_ != nullptr; }
-  // Cold-tier tallies (all zero without a budget).
-  Pager::Stats spillStats() const {
-    return pager_ ? pager_->stats() : Pager::Stats{};
-  }
-  // The pager itself, for tests (nullptr without a budget).
-  const Pager* pager() const { return pager_.get(); }
-  // Resolved edges-per-chunk of this graph's arena.
-  std::uint32_t edgeChunkCapacity() const { return chunkCapacity_; }
-
   // Tallies of the TransitionCache that successors() expands edges
   // through. Reported as a delta since THIS graph's
   // construction, so a graph on a warm shared memo still reports per-run
@@ -256,11 +220,10 @@ class StateGraph {
   const std::shared_ptr<AnalysisMemo>& memo() const { return memo_; }
 
   // Structural self-check, used to assert that abort paths (a throwing
-  // expansion hook, a failing spill demote, a truncated exploration) never
-  // leave the graph half-mutated. Verifies parallel-array sizes, stats/size
-  // agreement, the hash-chain partition, and edge-target/pool-index
-  // bounds. Returns false and (when `why` is non-null) a diagnostic on the
-  // first violation.
+  // expansion hook, a truncated exploration) never leave the graph
+  // half-mutated. Verifies parallel-array sizes, stats/size agreement, the
+  // hash-chain partition, and edge-target/pool-index bounds. Returns false
+  // and (when `why` is non-null) a diagnostic on the first violation.
   bool checkConsistent(std::string* why = nullptr) const;
 
   // Canonical node id for `s` (inserted if new).
@@ -365,11 +328,6 @@ class StateGraph {
   // (proviso fallback / no proper ample set). Never a valid arena
   // position: runs are bounded by the chunk count.
   static constexpr std::uint32_t kAliasFull = static_cast<std::uint32_t>(-2);
-  // Default edges-per-chunk shift of the unbounded build. Power of two: a
-  // global edge position is (chunk << chunkShift_) | offset. The resolved
-  // capacity must exceed allTasks().size() (validateTaskCapacity, checked
-  // in the constructor) so one node's list always fits.
-  static constexpr std::uint32_t kDefaultEdgeChunkShift = 15;
 
   void assertWriter() const;
 
@@ -384,17 +342,12 @@ class StateGraph {
   // recurses into expansion).
   CompactEdge* reserveEdgeRun(std::uint32_t need, std::uint32_t* base);
   const CompactEdge* edgeAt(std::uint32_t pos) const {
-    return edgeChunks_[pos >> chunkShift_].data +
-           (pos & (chunkCapacity_ - 1));
+    return edgeChunks_[pos >> kEdgeChunkShift].get() +
+           (pos & (kEdgeChunkCapacity - 1));
   }
   EdgeList listAt(const SuccIndex& si) const {
-    // Cold-tier accounting rides on list access (one touch per list, not
-    // per edge): every read path materializes lists through here, while
-    // raw edgeAt stays free of pager bookkeeping for the self-check.
-    if (pager_ && si.count) touchChunkForRead(si.begin >> chunkShift_);
     return EdgeList(this, si.count ? edgeAt(si.begin) : nullptr, si.count);
   }
-  void touchChunkForRead(std::uint32_t chunk) const;
 
   // The action's pool index, cached on the memoized transition so later
   // edges with this transition skip hashing the action. The memo's cache
@@ -418,32 +371,15 @@ class StateGraph {
   std::vector<SuccIndex> reducedSucc_;
   std::vector<Parent> parent_;
 
-  // One arena chunk: heap-owned in the unbounded build, a pager mapping
-  // under a memory budget. `data` is the storage either way; chunks never
-  // relocate (the pager remaps in place on demotion).
-  struct EdgeChunk {
-    std::unique_ptr<CompactEdge[]> heap;
-    CompactEdge* data = nullptr;
-  };
-
-  // Resolved edges-per-chunk geometry (runtime so bounded runs and tests
-  // can use smaller chunks; shift changes arena positions but never node
-  // ids, intern indices or successor lists).
-  std::uint32_t chunkShift_ = kDefaultEdgeChunkShift;
-  std::uint32_t chunkCapacity_ = 1u << kDefaultEdgeChunkShift;
-
-  // Cold tier (null without a budget). Declared before edgeChunks_ only
-  // for grouping; chunk mappings live until the pager destructs, after
-  // edgeChunks_ (reverse member order), so no pointer ever dangles.
-  std::unique_ptr<Pager> pager_;
+  // One arena chunk of kEdgeChunkCapacity edges; chunks never relocate.
+  using EdgeChunk = std::unique_ptr<CompactEdge[]>;
 
   // Edge arena: fixed-capacity chunks that never relocate; successor lists
   // are contiguous runs inside one chunk. edgeUsed_ is the tail of the
   // last chunk; edgeSlackSlots_ counts the slots wasted at chunk tails
   // when a run would not fit.
   std::vector<EdgeChunk> edgeChunks_;
-  std::uint32_t edgeUsed_ = 0;  // set to chunkCapacity_ by the constructor
-                                // to force the first chunk
+  std::uint32_t edgeUsed_ = kEdgeChunkCapacity;  // forces the first chunk
   std::uint64_t edgeSlackSlots_ = 0;
 
   // Interning index: linear-probe open addressing of (hash, chain head);

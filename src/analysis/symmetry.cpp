@@ -249,7 +249,7 @@ std::vector<std::vector<int>> SymmetryPolicy::candidatePerms(
 std::optional<SymmetryPolicy::CanonResult> SymmetryPolicy::canonicalize(
     const ioa::SystemState& s) const {
   if (trivial_) return std::nullopt;
-  statesRaw_.fetch_add(1, std::memory_order_relaxed);
+  ++statesRaw_;
   s.hash();  // flush the per-slot caches the candidate keys reuse
 
   const std::vector<std::vector<int>> perms = candidatePerms(s);
@@ -266,7 +266,7 @@ std::optional<SymmetryPolicy::CanonResult> SymmetryPolicy::canonicalize(
     }
   }
   if (best->equals(s)) return std::nullopt;
-  orbitsCollapsed_.fetch_add(1, std::memory_order_relaxed);
+  ++orbitsCollapsed_;
   best->hash();  // publishable: every slot cache valid
   return CanonResult{std::move(*best), perms[bestIdx]};
 }

@@ -35,12 +35,11 @@
 // executions by accumulating the canonicalization permutations along the
 // path (see adversary.cpp).
 //
-// Thread safety: const-after-construction; canonicalize() may be called
-// concurrently (statistics are relaxed atomics). The policy borrows the
-// System, which must outlive it.
+// Thread safety: none. canonicalize() updates the statistics through plain
+// mutable members, so a policy belongs to one exploration thread. The
+// policy borrows the System, which must outlive it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -107,15 +106,11 @@ class SymmetryPolicy {
                                       const std::vector<int>& inner);
   static std::vector<int> invertPerm(const std::vector<int>& p);
 
-  // -- Quotient statistics (relaxed; flushed by flushGraphMetrics) --------
+  // -- Quotient statistics (flushed by flushGraphMetrics) -----------------
   // States presented for canonicalization (== intern probes).
-  std::uint64_t statesRaw() const {
-    return statesRaw_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t statesRaw() const { return statesRaw_; }
   // Probes whose state was replaced by a different orbit representative.
-  std::uint64_t orbitsCollapsed() const {
-    return orbitsCollapsed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t orbitsCollapsed() const { return orbitsCollapsed_; }
 
  private:
   SymmetryPolicy() = default;
@@ -132,8 +127,8 @@ class SymmetryPolicy {
   ioa::ProcessSymmetry strategy_ = ioa::ProcessSymmetry::None;
   int n_ = 0;
 
-  mutable std::atomic<std::uint64_t> statesRaw_{0};
-  mutable std::atomic<std::uint64_t> orbitsCollapsed_{0};
+  mutable std::uint64_t statesRaw_ = 0;
+  mutable std::uint64_t orbitsCollapsed_ = 0;
 };
 
 }  // namespace boosting::analysis

@@ -7,7 +7,11 @@
 // from first principles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -64,6 +68,16 @@ std::unique_ptr<ioa::System> tob21() {
   return buildTOBConsensusSystem(spec);
 }
 
+// Unreduced relay(5,1): large enough that the successor lists cross
+// several 2^15-edge arena chunk boundaries.
+std::unique_ptr<ioa::System> relay51() {
+  RelaySystemSpec spec;
+  spec.processCount = 5;
+  spec.objectResilience = 1;
+  spec.addScratchRegister = false;
+  return buildRelayConsensusSystem(spec);
+}
+
 const Fixture kFixtures[] = {
     {"relay(3,0)", relay30},
     {"relay(3,1)", relay31},
@@ -73,15 +87,23 @@ const Fixture kFixtures[] = {
 
 // Every cached successor list must be exactly what the System computes
 // for that state: one edge per applicable task, in allTasks() order, with
-// the enabled action and the interned image of applying it.
+// the enabled action and the interned image of applying it. The walk
+// covers the regions of every initialization; on relay(5,1) that is
+// 190,656 edges, about six arena chunks, so lists on both sides of chunk
+// boundaries are checked.
 TEST(GraphLayout, SuccessorListsMatchSystemOracle) {
-  for (const Fixture& fx : kFixtures) {
+  std::vector<Fixture> fixtures(std::begin(kFixtures), std::end(kFixtures));
+  fixtures.push_back({"relay(5,1)", relay51});
+  std::uint64_t maxEdges = 0;
+  for (const Fixture& fx : fixtures) {
     auto sys = fx.build();
     StateGraph g(*sys);
-    const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-    std::vector<NodeId> stack{root};
+    std::vector<NodeId> stack;
     DenseNodeSet seen(64);
-    seen.insert(root);
+    for (int j = 0; j <= sys->processCount(); ++j) {
+      const NodeId root = g.intern(canonicalInitialization(*sys, j));
+      if (seen.insert(root)) stack.push_back(root);
+    }
     while (!stack.empty()) {
       const NodeId x = stack.back();
       stack.pop_back();
@@ -105,7 +127,9 @@ TEST(GraphLayout, SuccessorListsMatchSystemOracle) {
       ASSERT_EQ(k, edges.size()) << fx.name << " node " << x;
       ASSERT_LT(g.size(), 200000u) << fx.name;
     }
+    maxEdges = std::max(maxEdges, g.stats().edgesDiscovered);
   }
+  EXPECT_GT(maxEdges, 4u * StateGraph::kEdgeChunkCapacity);
 }
 
 // The raw compact edges must round-trip through the intern pools: action
@@ -179,9 +203,24 @@ TEST(GraphLayout, MemoryStatsTrackGrowth) {
     if (const auto edges = g.cachedSuccessors(x)) edgeCount += edges->size();
   }
   EXPECT_GE(full.bytesEdges, edgeCount * sizeof(CompactEdge));
-  EXPECT_LE(full.bytesEdges, (1u << 15) * sizeof(CompactEdge) + (1u << 20));
+  EXPECT_LE(full.bytesEdges,
+            StateGraph::kEdgeChunkCapacity * sizeof(CompactEdge) + (1u << 20));
   EXPECT_EQ(full.total(),
             full.bytesStates + full.bytesEdges + full.bytesIndex);
+}
+
+TEST(GraphLayout, TaskCountMustFitSixteenBits) {
+  EXPECT_THROW(StateGraph::validateTaskCapacity(1u << 16, 1u << 15),
+               std::invalid_argument);
+  EXPECT_NO_THROW(StateGraph::validateTaskCapacity(65535, 1u << 17));
+}
+
+TEST(GraphLayout, ChunkMustHoldOneFullSuccessorList) {
+  // taskCount == chunkCapacity cannot hold one full list (a run of
+  // allTasks().size() edges must fit a single chunk).
+  EXPECT_THROW(StateGraph::validateTaskCapacity(256, 256),
+               std::invalid_argument);
+  EXPECT_NO_THROW(StateGraph::validateTaskCapacity(255, 256));
 }
 
 }  // namespace

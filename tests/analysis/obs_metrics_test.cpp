@@ -156,7 +156,7 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
             std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['),
             std::count(doc.begin(), doc.end(), ']'));
-  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v11\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v12\""), std::string::npos);
   EXPECT_NE(doc.find("\"tool\": \"obs_metrics_test\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"timers\""), std::string::npos);

@@ -70,7 +70,7 @@ TEST(ServeCache, WarmMemoGraphsMatchNodeForNode) {
 
   auto memo = std::make_shared<analysis::AnalysisMemo>(*sys);
   for (int round = 0; round < 2; ++round) {
-    analysis::StateGraph warm(*sys, nullptr, nullptr, {}, memo);
+    analysis::StateGraph warm(*sys, nullptr, nullptr, memo);
     const auto warmRoot =
         warm.intern(analysis::canonicalInitialization(*sys, 1));
     analysis::exploreReachable(warm, warmRoot);
@@ -115,7 +115,7 @@ TEST(ServeCache, StateGraphRejectsMemoOfDifferentSystem) {
   // Equal parameters but a DIFFERENT System object: pointer-keyed caches
   // would silently poison, so the graph must refuse up front.
   EXPECT_THROW(
-      analysis::StateGraph(*sysB, nullptr, nullptr, {}, memoA),
+      analysis::StateGraph(*sysB, nullptr, nullptr, memoA),
       std::invalid_argument);
 }
 

@@ -52,16 +52,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
-
-#include <unistd.h>
 
 #include "analysis/adversary.h"
 #include "analysis/dot_export.h"
 #include "analysis/metrics.h"
-#include "analysis/pager.h"
 #include "obs/progress.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -79,8 +75,6 @@ struct Options {
   int claim = -1;  // default: f + 1
   analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
   analysis::PorMode por = analysis::PorMode::Auto;
-  std::uint64_t memoryBudgetBytes = 0;  // 0 = fully in-memory
-  std::string spillDir;                 // "" = $TMPDIR, else /tmp
   bool brute = false;
   bool progress = false;
   std::string witnessPath;
@@ -95,7 +89,7 @@ struct Options {
                "usage: %s --candidate relay|bridge|tob|flooding|single-fd "
                "--n N --f F [--claim C] "
                "[--symmetry auto|on|off] [--por auto|on|off] "
-               "[--memory-budget BYTES] [--spill-dir DIR] [--brute] "
+               "[--brute] "
                "[--witness FILE] [--dot FILE] [--metrics-json FILE] "
                "[--trace FILE] [--progress] [--replay FILE]\n",
                argv0);
@@ -181,13 +175,9 @@ void deriveSummaryMetrics(obs::Registry& reg) {
                    wallS);
   }
   const std::uint64_t hits =
-      reg.value("cache.enabled_hits") + reg.value("cache.apply_hits") +
-      reg.value("explorer.cache.enabled_hits") +
-      reg.value("explorer.cache.apply_hits");
+      reg.value("cache.enabled_hits") + reg.value("cache.apply_hits");
   const std::uint64_t lookups =
-      reg.value("cache.enabled_lookups") + reg.value("cache.apply_lookups") +
-      reg.value("explorer.cache.enabled_lookups") +
-      reg.value("explorer.cache.apply_lookups");
+      reg.value("cache.enabled_lookups") + reg.value("cache.apply_lookups");
   if (lookups > 0) {
     reg.derive("cache_hit_rate",
                static_cast<double>(hits) / static_cast<double>(lookups));
@@ -240,15 +230,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--por: expected auto|on|off, got '%s'\n", v);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--memory-budget") == 0) {
-      // Floor of 1 MiB: the budget must hold at least a couple of edge
-      // chunks or the pager would thrash uselessly (resolveEdgeChunkShift
-      // sizes chunks so ~16 fit the budget).
-      opt.memoryBudgetBytes = static_cast<std::uint64_t>(
-          parseIntOrDie("--memory-budget", needArg("--memory-budget"),
-                        1048576, std::numeric_limits<long>::max()));
-    } else if (std::strcmp(argv[i], "--spill-dir") == 0) {
-      opt.spillDir = needArg("--spill-dir");
     } else if (std::strcmp(argv[i], "--brute") == 0) {
       opt.brute = true;
     } else if (std::strcmp(argv[i], "--progress") == 0) {
@@ -285,23 +266,6 @@ int main(int argc, char** argv) {
                  opt.claim, opt.n);
     return 2;
   }
-  // Spill cross-validation: --spill-dir is inert without a budget (reject
-  // rather than silently ignore), and a bad directory should fail with a
-  // flag-named diagnostic up front, not an exception mid-pipeline.
-  if (!opt.spillDir.empty() && opt.memoryBudgetBytes == 0) {
-    std::fprintf(stderr,
-                 "--spill-dir: requires --memory-budget (nothing spills "
-                 "without a budget)\n");
-    return 2;
-  }
-  if (opt.memoryBudgetBytes != 0) {
-    try {
-      ::close(analysis::openUnlinkedSpillFile(opt.spillDir));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--spill-dir: %s\n", e.what());
-      return 2;
-    }
-  }
   // Observability: one registry for the whole invocation. A null registry
   // pointer downstream disables all collection, so only wire it when some
   // output was requested.
@@ -330,11 +294,6 @@ int main(int argc, char** argv) {
   std::printf("candidate '%s': n=%d, service resilience f=%d, claimed to "
               "tolerate %d failures\n",
               opt.candidate.c_str(), opt.n, opt.f, opt.claim);
-  if (opt.memoryBudgetBytes != 0) {
-    std::printf("memory budget: %llu bytes (edge-arena cold tier + frontier "
-                "spill)\n",
-                static_cast<unsigned long long>(opt.memoryBudgetBytes));
-  }
 
   const ioa::StatePerfCounters perfBefore = ioa::statePerfSnapshot();
 
@@ -368,8 +327,6 @@ int main(int argc, char** argv) {
   cfg.claimedFailures = opt.claim;
   cfg.exemptFailureAware = true;
   cfg.exploration.metrics = reg;
-  cfg.exploration.memoryBudgetBytes = opt.memoryBudgetBytes;
-  cfg.exploration.spillDir = opt.spillDir;
   cfg.symmetry = opt.symmetry;
   cfg.por = opt.por;
   auto report = analysis::analyzeConsensusCandidate(*sys, cfg);
@@ -421,14 +378,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.porProvisoHits));
   } else if (opt.por == analysis::PorMode::On) {
     std::printf("por: not applied (%s)\n", report.porNote.c_str());
-  }
-  if (report.spillActive) {
-    std::printf("spill: %llu chunks cold, %llu bytes on disk, %llu faults, "
-                "%llu evictions\n",
-                static_cast<unsigned long long>(report.spillChunksCold),
-                static_cast<unsigned long long>(report.spillBytesOnDisk),
-                static_cast<unsigned long long>(report.spillFaults),
-                static_cast<unsigned long long>(report.spillEvictions));
   }
 
   if (!opt.witnessPath.empty() && !report.witness.empty()) {

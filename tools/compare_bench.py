@@ -21,8 +21,7 @@ when the fresh run regresses beyond the tolerance:
     process-lifetime VmHWM, monotone across the cells of one bench binary;
   * benchmarks that report an rss_delta_bytes counter (per-cell VmRSS
     delta, v6) are gated the same way -- this is the per-cell memory
-    measurement that a --memory-budget run must keep bounded, immune to
-    the VmHWM monotonicity blind spot;
+    measurement, immune to the VmHWM monotonicity blind spot;
   * benchmarks that report a verdicts_per_min counter (the resident-server
     throughput record tools/serve_loadgen.py --mode throughput merges in,
     v7) are gated one-sided: fresh throughput below baseline *
@@ -192,7 +191,7 @@ def compare(baseline, fresh, tolerance):
                     f"{tolerance * 100.0:.0f}% tolerance)")
         # Delta-RSS gate (v6): per-cell VmRSS growth while the cell ran.
         # Unlike the monotone VmHWM above, this responds to memory each
-        # cell actually held -- it is what a --memory-budget must bound.
+        # cell actually held.
         if gated(name, "rss_delta_bytes", b, f, problems):
             bv, fv = b["rss_delta_bytes"], f["rss_delta_bytes"]
             ratio = fv / bv if bv else float("inf")

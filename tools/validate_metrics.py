@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a boosting-metrics-v11 JSON file against docs/metrics_schema.json.
+"""Validate a boosting-metrics-v12 JSON file against docs/metrics_schema.json.
 
 Hand-rolled validator for the draft-07 subset the schema actually uses
 (type, required, properties, additionalProperties, items, enum, minimum,
@@ -22,12 +22,7 @@ promise:
     ample subset), tasks_skipped >= states_reduced (every reduced node
     skipped at least one enabled task), and ample_avg <= 1000 (it is a
     per-mille fraction of enabled tasks kept);
-  * when the out-of-core tier ran (graph.spill.* counters present, v6),
-    bytes_on_disk > 0 implies chunks_cold > 0, evictions <= chunks_cold +
-    faults (each eviction follows a demote or a refault), the RSS-vs-graph
-    accounting subtracts the spilled bytes (cold chunks live in the spill
-    file, not in RSS), frontier segment reloads never exceed segments
-    spilled, and process.rss_delta_bytes (the per-phase VmRSS delta) never
+  * process.rss_delta_bytes (the per-phase VmRSS delta, v6) never
     exceeds the process-lifetime process.peak_rss_bytes;
   * when the analysis service ran (serve.jobs.* counters present, v7),
     completed + failed + cancelled <= submitted (every job finishes at
@@ -196,49 +191,12 @@ def check_invariants(doc, max_peak_rss_mb, errors, max_counters=()):
                 f"states_discovered {states} (bytes must be monotone in "
                 "states)")
         rss = cval("process.peak_rss_bytes")
-        # Cold edge chunks live in the spill file, not in RSS, so the
-        # accounting invariant subtracts what the cold tier moved to disk
-        # (v6). Without spill this is the old strict check.
         graph_total = (bytes_states + cval("graph.bytes_edges") +
-                       cval("graph.bytes_index") -
-                       cval("graph.spill.bytes_on_disk"))
+                       cval("graph.bytes_index"))
         if rss > 0 and rss < graph_total:
             errors.append(
                 f"$.counters: process.peak_rss_bytes {rss} < sum of "
-                f"graph.bytes_* minus spilled bytes {graph_total}")
-
-    spill = [n for n in counters if n.startswith("graph.spill.")]
-    if spill:
-        for required in ("graph.spill.chunks_cold",
-                         "graph.spill.bytes_on_disk",
-                         "graph.spill.faults",
-                         "graph.spill.evictions"):
-            if required not in counters:
-                errors.append(
-                    "$.counters: graph.spill.* present but incomplete "
-                    f"({sorted(spill)})")
-                break
-        if cval("graph.spill.bytes_on_disk") > 0 and \
-                cval("graph.spill.chunks_cold") == 0:
-            errors.append(
-                f"$.counters: graph.spill.bytes_on_disk "
-                f"{cval('graph.spill.bytes_on_disk')} > 0 with "
-                "chunks_cold == 0 (disk bytes must back cold chunks)")
-        if cval("graph.spill.evictions") > cval("graph.spill.chunks_cold") + \
-                cval("graph.spill.faults"):
-            errors.append(
-                "$.counters: graph.spill.evictions "
-                f"{cval('graph.spill.evictions')} > chunks_cold + faults "
-                "(each eviction follows a demote or a refault)")
-
-    # Frontier spill (v6): a segment can only be reloaded after it was
-    # spilled.
-    spilled = cval("explore.frontier_segments_spilled")
-    reloaded = cval("explore.frontier_reloads")
-    if reloaded > spilled:
-        errors.append(
-            f"$.counters: explore.frontier_reloads {reloaded} > "
-            f"explore.frontier_segments_spilled {spilled}")
+                f"graph.bytes_* {graph_total}")
 
     # Per-phase RSS delta (v6): the delta cannot exceed the process
     # lifetime peak -- VmHWM is a superset of any phase's growth.
@@ -369,7 +327,7 @@ def main():
 
     counters = len(doc.get("counters", []))
     timers = len(doc.get("timers", []))
-    print(f"{args.metrics}: valid boosting-metrics-v11 "
+    print(f"{args.metrics}: valid boosting-metrics-v12 "
           f"({counters} counters, {timers} timers)")
     return 0
 
