@@ -63,10 +63,11 @@ struct AdversaryConfig {
   // search); see analysis/parallel_explorer.h.
   ExplorationPolicy exploration;
   // Orbit reduction of every explored graph by the candidate's declared
-  // process-permutation group (analysis/symmetry.h). Off preserves the
-  // legacy engine bit-for-bit; Auto enables reduction exactly when the
-  // candidate declares a symmetry the policy can exploit; On requests it
-  // and surfaces the reason when it cannot be honored.
+  // process-permutation group (analysis/symmetry.h). Off and Auto keep
+  // the identity group (Auto is the front ends' default: POR alone is
+  // faster); On enables the quotient when the candidate declares a
+  // symmetry the policy can exploit and surfaces the reason when it cannot
+  // be honored.
   SymmetryMode symmetry = SymmetryMode::Off;
   // Ample-set partial-order reduction of every explored graph, stacked on
   // top of the symmetry quotient (analysis/por.h). Off preserves the

@@ -37,15 +37,17 @@ std::string escape(const std::string& s) {
 
 std::string exportDot(StateGraph& g, ValenceAnalyzer& va, NodeId root,
                       const DotOptions& options) {
-  va.explore(root);
-
-  std::set<std::pair<NodeId, NodeId>> hookEdges;
-  if (options.highlightHook) {
-    const Hook& h = *options.highlightHook;
-    hookEdges.insert({h.alpha, h.alpha0});
-    hookEdges.insert({h.alpha, h.alphaPrime});
-    hookEdges.insert({h.alphaPrime, h.alpha1});
-  }
+  // The three hook edges, matched on task as well as endpoints: under the
+  // symmetry quotient several tasks can lead to the same node.
+  const std::optional<Hook>& hook = options.highlightHook;
+  const auto inHook = [&hook](NodeId from, const EdgeView& e) {
+    return hook && ((from == hook->alpha && e.task == hook->e &&
+                     e.to == hook->alpha0) ||
+                    (from == hook->alpha && e.task == hook->ePrime &&
+                     e.to == hook->alphaPrime) ||
+                    (from == hook->alphaPrime && e.task == hook->e &&
+                     e.to == hook->alpha1));
+  };
 
   std::string out = "digraph GC {\n  rankdir=TB;\n  node [style=filled];\n";
   std::deque<NodeId> frontier{root};
@@ -63,6 +65,10 @@ std::string exportDot(StateGraph& g, ValenceAnalyzer& va, NodeId root,
   std::set<NodeId> included(nodes.begin(), nodes.end());
 
   for (NodeId x : nodes) {
+    // The walk follows the full edge tier; under POR the valence analysis
+    // explores only the reduced tier, so a node the walk reaches may not
+    // have been explored yet.
+    va.explore(x);
     std::string label = "n" + std::to_string(x) + "\\n" +
                         valenceName(va.valence(x));
     if (options.includeStateLabels) {
@@ -74,10 +80,9 @@ std::string exportDot(StateGraph& g, ValenceAnalyzer& va, NodeId root,
   for (NodeId x : nodes) {
     for (const EdgeView e : g.successors(x)) {
       if (included.count(e.to) == 0) continue;
-      const bool inHook = hookEdges.count({x, e.to}) != 0;
       out += "  n" + std::to_string(x) + " -> n" + std::to_string(e.to) +
              " [label=\"" + escape(e.task.str()) + "\"" +
-             (inHook ? ", color=red, penwidth=2.5" : "") + "];\n";
+             (inHook(x, e) ? ", color=red, penwidth=2.5" : "") + "];\n";
     }
   }
   out += "}\n";

@@ -80,15 +80,15 @@ std::shared_ptr<const SymmetryPolicy> SymmetryPolicy::forSystem(
   };
 
   if (mode == SymmetryMode::Off) return disabled("disabled (--symmetry off)");
-  const ioa::ProcessSymmetry decl = sys.processSymmetry();
-  if (decl == ioa::ProcessSymmetry::None) {
+  if (mode == SymmetryMode::Auto) {
+    return disabled(
+        "off by default: POR alone is faster on every measured candidate; "
+        "--symmetry on enables the orbit quotient");
+  }
+  if (!sys.processSymmetric()) {
     return disabled("candidate declares no process symmetry");
   }
   if (pol->n_ < 2) return disabled("fewer than two processes: trivial group");
-  if (decl == ioa::ProcessSymmetry::IdSensitive &&
-      pol->n_ > kMaxIdSensitiveN) {
-    return disabled("n exceeds the id-sensitive orbit-enumeration cap");
-  }
   // Full S_n is an automorphism group only if every service is connected
   // to every process (the connection pattern is permutation-invariant).
   for (int id : sys.serviceIds()) {
@@ -96,25 +96,17 @@ std::shared_ptr<const SymmetryPolicy> SymmetryPolicy::forSystem(
       return disabled("service connection pattern is not process-symmetric");
     }
   }
-  // Every slot the relabeling touches must implement relabeledState.
+  // Every service slot the relabeling touches must implement relabeledState.
   const ioa::SystemState init = sys.initialState();
   const std::vector<int> id = identityPerm(pol->n_);
-  const std::size_t firstService = static_cast<std::size_t>(pol->n_);
-  for (std::size_t k = firstService; k < init.partCount(); ++k) {
+  for (std::size_t k = static_cast<std::size_t>(pol->n_);
+       k < init.partCount(); ++k) {
     if (!sys.componentAtSlot(k).relabeledState(init.part(k), id)) {
       return disabled("a service does not support relabeling");
     }
   }
-  if (decl == ioa::ProcessSymmetry::IdSensitive) {
-    for (std::size_t k = 0; k < firstService; ++k) {
-      if (!sys.componentAtSlot(k).relabeledState(init.part(k), id)) {
-        return disabled("a process does not support relabeling");
-      }
-    }
-  }
 
   pol->trivial_ = false;
-  pol->strategy_ = decl;
   return pol;
 }
 
@@ -123,23 +115,14 @@ ioa::SystemState SymmetryPolicy::relabeled(const ioa::SystemState& s,
   if (isIdentity(perm)) return s;
   s.hash();  // flush slot caches so slotHashValue is the cached content hash
   ioa::SystemState t(s);
-  const std::size_t firstService = static_cast<std::size_t>(n_);
+  // Process content is position-independent: move the shared pointer, no
+  // clone, reusing the cached slot hash.
   for (int i = 0; i < n_; ++i) {
     const std::size_t from = sys_->slotForProcess(i);
     const std::size_t to = sys_->slotForProcess(perm[static_cast<std::size_t>(i)]);
-    if (strategy_ == ioa::ProcessSymmetry::IdFree) {
-      // Id-free process content is position-independent: move the shared
-      // pointer, no clone, reusing the cached slot hash.
-      t.setSlot(to, s.slotShared(from), s.slotHashValue(from));
-    } else {
-      std::shared_ptr<const ioa::AutomatonState> ns =
-          sys_->componentAtSlot(from).relabeledState(s.part(from), perm);
-      assert(ns && "relabeledState support was validated in forSystem");
-      const std::size_t h = ns->hash();
-      t.setSlot(to, std::move(ns), h);
-    }
+    t.setSlot(to, s.slotShared(from), s.slotHashValue(from));
   }
-  for (std::size_t k = firstService; k < s.partCount(); ++k) {
+  for (std::size_t k = static_cast<std::size_t>(n_); k < s.partCount(); ++k) {
     std::shared_ptr<const ioa::AutomatonState> ns =
         sys_->componentAtSlot(k).relabeledState(s.part(k), perm);
     assert(ns && "relabeledState support was validated in forSystem");
@@ -153,13 +136,6 @@ ioa::Action SymmetryPolicy::relabelAction(const ioa::Action& a,
                                           const std::vector<int>& perm) const {
   ioa::Action out = a;
   if (a.endpoint >= 0) out.endpoint = perm[static_cast<std::size_t>(a.endpoint)];
-  if ((a.kind == ioa::ActionKind::Invoke ||
-       a.kind == ioa::ActionKind::Respond) &&
-      a.component >= 0) {
-    const ioa::Automaton& svc =
-        sys_->componentAtSlot(sys_->slotForService(a.component));
-    out.payload = svc.relabeledPayload(a.payload, perm);
-  }
   return out;
 }
 
@@ -167,17 +143,7 @@ std::vector<std::vector<int>> SymmetryPolicy::candidatePerms(
     const ioa::SystemState& s) const {
   const int n = n_;
   std::vector<std::vector<int>> out;
-  if (strategy_ == ioa::ProcessSymmetry::IdSensitive) {
-    // Id-sensitive relabeling can change process contents, so no content
-    // sort pre-discriminates: minimize over the full group.
-    std::vector<int> p = identityPerm(n);
-    do {
-      out.push_back(p);
-    } while (std::next_permutation(p.begin(), p.end()));
-    return out;
-  }
-
-  // Id-free: process contents are permutation-invariant, so any minimizing
+  // Process contents are permutation-invariant, so any minimizing
   // permutation must sort the process slots by content. Order the slots by
   // (cached hash, serialized content) and enumerate only the assignments
   // within tied blocks; the candidate set is orbit-invariant because the

@@ -67,12 +67,12 @@ class Automaton {
   // -- Process-permutation support (analysis/symmetry.h) ------------------
   //
   // `s` relabeled under the process permutation `perm` (perm[i] is the new
-  // index of process i): every process identity embedded in the state --
-  // buffer keys, message sender/recipient fields -- is mapped through
-  // `perm`. Returns nullptr when the component does not support relabeling,
-  // in which case the symmetry layer disables itself for the whole system.
-  // Components whose states never mention process identities may return
-  // clone(). Must be equivariant with apply():
+  // index of process i): every endpoint-keyed part of the state -- buffer
+  // keys, failed sets -- is mapped through `perm`. Consulted for service
+  // slots only (process states of symmetric candidates are id-free and move
+  // as a whole). Returns nullptr when the component does not support
+  // relabeling, in which case the symmetry layer disables itself for the
+  // whole system. Must be equivariant with apply():
   //   relabeledState(apply(s, a), perm) == apply(relabeledState(s, perm),
   //                                              relabel(a, perm)).
   virtual std::unique_ptr<AutomatonState> relabeledState(
@@ -80,15 +80,6 @@ class Automaton {
     (void)s;
     (void)perm;
     return nullptr;
-  }
-
-  // Companion for action payloads: the payload of an Invoke/Respond of this
-  // component under `perm` (identity for components whose payloads carry no
-  // process identities).
-  virtual util::Value relabeledPayload(const util::Value& v,
-                                       const std::vector<int>& perm) const {
-    (void)perm;
-    return v;
   }
 
   // -- Task-structure declaration (analysis/por.h) -------------------------

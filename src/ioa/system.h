@@ -233,20 +233,6 @@ class SlotCanonTable {
   std::uint32_t nextId_ = 0;
 };
 
-// How a system's process-permutation group acts on process component
-// states, declared by the system builder (the analysis engine trusts the
-// declaration; the symmetry fuzz suite exercises it):
-//   None        -- no symmetry declared: the group is trivial (asymmetric
-//                  protocols like bridge/rotating, or simply undeclared).
-//   IdFree      -- every permutation of the full S_n is an automorphism and
-//                  process states never embed process identities, so
-//                  relabeling a process slot is moving its (shared) content
-//                  to the permuted position (relay).
-//   IdSensitive -- full S_n, but process states embed process identities,
-//                  so relabeling goes through Automaton::relabeledState
-//                  (flooding, whose states index messages by sender).
-enum class ProcessSymmetry { None, IdFree, IdSensitive };
-
 class System {
  public:
   System() = default;
@@ -310,9 +296,16 @@ class System {
   void injectInit(SystemState& s, int endpoint, util::Value v) const;
   void injectFail(SystemState& s, int endpoint) const;
 
-  // -- Symmetry declaration (see ProcessSymmetry above) --------------------
-  void declareProcessSymmetry(ProcessSymmetry s) { processSymmetry_ = s; }
-  ProcessSymmetry processSymmetry() const { return processSymmetry_; }
+  // -- Symmetry declaration -------------------------------------------------
+  // Declared by the system builder (the analysis engine trusts it; the
+  // symmetry fuzz suite exercises it): every permutation of the full S_n
+  // is an automorphism and process states never embed process identities,
+  // so relabeling a process slot is moving its (shared) content to the
+  // permuted position (relay). Undeclared means the trivial group
+  // (asymmetric protocols like bridge/rotating, and protocols whose states
+  // name processes, like flooding).
+  void declareProcessSymmetry() { processSymmetric_ = true; }
+  bool processSymmetric() const { return processSymmetric_; }
 
  private:
   void rebuildTaskCache();
@@ -322,7 +315,7 @@ class System {
   std::vector<ServiceMeta> serviceMetas_;
   std::map<int, std::size_t> serviceSlotById_;  // id -> absolute slot
   std::vector<TaskId> taskCache_;
-  ProcessSymmetry processSymmetry_ = ProcessSymmetry::None;
+  bool processSymmetric_ = false;
 };
 
 template <typename Fn>

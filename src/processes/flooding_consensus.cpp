@@ -94,22 +94,6 @@ std::unique_ptr<ioa::AutomatonState> FloodingConsensusProcess::initialState()
   return s;
 }
 
-std::unique_ptr<ioa::AutomatonState> FloodingConsensusProcess::relabeledState(
-    const ioa::AutomatonState& state, const std::vector<int>& perm) const {
-  const auto& s = dynamic_cast<const FloodState&>(state);
-  auto out = std::make_unique<FloodState>(s);
-  for (std::size_t j = 0; j < s.received.size(); ++j) {
-    out->received[static_cast<std::size_t>(perm[j])] = s.received[j];
-  }
-  for (std::size_t j = 0; j < s.sendQueue.size(); ++j) {
-    const Value& v = s.sendQueue[j];  // ("send", to, m); m carries no ids
-    out->sendQueue[j] =
-        sym("send", Value(perm[static_cast<std::size_t>(v.at(1).asInt())]),
-            v.at(2));
-  }
-  return out;
-}
-
 Action FloodingConsensusProcess::chooseAction(
     const ProcessStateBase& base) const {
   const FloodState& s = st(base);
@@ -169,24 +153,12 @@ std::unique_ptr<ioa::System> buildFloodingConsensusSystem(
   }
   services::CanonicalObliviousService::Options opts;
   opts.policy = spec.policy;
-  // Channel values embed sender/recipient identities; rewrite them when the
-  // symmetry layer relabels a configuration.
-  opts.relabelValue = [](const Value& v, const std::vector<int>& perm) {
-    if ((v.tag() == "send" || v.tag() == "msg") && v.size() == 3) {
-      return sym(std::string(v.tag()),
-                 Value(perm[static_cast<std::size_t>(v.at(1).asInt())]),
-                 v.at(2));
-    }
-    return v;
-  };
   auto fabric = std::make_shared<services::CanonicalObliviousService>(
       types::pointToPointChannelType(), spec.channelId, all,
       spec.channelResilience, opts);
   sys->addService(fabric, fabric->meta());
-  // Every process runs the same program and the fabric spans all of them:
-  // the full S_n acts on configurations, but flood states embed process
-  // identities, so relabeling must go through relabeledState.
-  sys->declareProcessSymmetry(ioa::ProcessSymmetry::IdSensitive);
+  // No process symmetry is declared: flood states and channel messages
+  // name their sender, so the id-free orbit quotient does not apply.
   return sys;
 }
 

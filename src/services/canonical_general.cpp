@@ -346,29 +346,17 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::relabeledState(
     const ioa::AutomatonState& state, const std::vector<int>& perm) const {
   const ServiceState& s = stateOf(state);
   auto out = std::make_unique<ServiceState>();
-  const auto val = [this, &perm](const Value& v) {
-    return options_.relabelValue ? options_.relabelValue(v, perm) : v;
-  };
-  out->val = val(s.val);
+  out->val = s.val;
   const auto remap = [&](const EndpointQueues& m) {
     EndpointQueues r;
     r.reserve(m.size());
-    for (const auto& [i, q] : m) {
-      EndpointQueues::Queue& nq = r[perm[static_cast<std::size_t>(i)]];
-      nq.reserve(q.size());
-      for (const Value& v : q) nq.push_back(val(v));
-    }
+    for (const auto& [i, q] : m) r[perm[static_cast<std::size_t>(i)]] = q;
     return r;
   };
   out->invBuf = remap(s.invBuf);
   out->respBuf = remap(s.respBuf);
   for (int i : s.failed) out->failed.insert(perm[static_cast<std::size_t>(i)]);
   return out;
-}
-
-util::Value CanonicalGeneralService::relabeledPayload(
-    const util::Value& v, const std::vector<int>& perm) const {
-  return options_.relabelValue ? options_.relabelValue(v, perm) : v;
 }
 
 ioa::Automaton::TaskStructure CanonicalGeneralService::taskStructure() const {

@@ -28,7 +28,6 @@
 // ever enabled), so the valence analysis of Section 3 is unaffected.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <utility>
@@ -108,13 +107,6 @@ class CanonicalGeneralService : public ioa::Automaton {
     // (true for the Section-5.1 sequential embedding, set by
     // CanonicalAtomicObject). Must be accurate when set.
     bool respondsToInvokerOnly = false;
-    // Rewrites process identities embedded in buffered values / the current
-    // value under a process permutation (analysis/symmetry.h): called for
-    // every buffered invocation/response and for val. Unset means the
-    // service type's values never mention process identities (consensus,
-    // registers) and relabeling only remaps the buffer keys.
-    std::function<util::Value(const util::Value&, const std::vector<int>&)>
-        relabelValue;
   };
 
   CanonicalGeneralService(types::GeneralServiceType type, int id,
@@ -134,8 +126,6 @@ class CanonicalGeneralService : public ioa::Automaton {
   std::unique_ptr<ioa::AutomatonState> relabeledState(
       const ioa::AutomatonState& s,
       const std::vector<int>& perm) const override;
-  util::Value relabeledPayload(const util::Value& v,
-                               const std::vector<int>& perm) const override;
   ioa::Automaton::TaskStructure taskStructure() const override;
 
   // -- Metadata ------------------------------------------------------------

@@ -10,7 +10,6 @@ CanonicalGeneralService::Options lowerOptions(
   out.coalesceResponses = o.coalesceResponses;
   out.failureAware = false;
   out.isRegister = false;
-  out.relabelValue = o.relabelValue;
   return out;
 }
 }  // namespace

@@ -15,9 +15,6 @@ class CanonicalObliviousService : public CanonicalGeneralService {
   struct Options {
     DummyPolicy policy = DummyPolicy::PreferReal;
     bool coalesceResponses = false;
-    // See CanonicalGeneralService::Options::relabelValue (symmetry layer).
-    std::function<util::Value(const util::Value&, const std::vector<int>&)>
-        relabelValue;
   };
 
   CanonicalObliviousService(const types::ServiceType& type, int id,

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/bivalence.h"
+#include "analysis/por.h"
+#include "analysis/symmetry.h"
 #include "processes/relay_consensus.h"
 
 namespace boosting::analysis {
@@ -73,6 +75,38 @@ TEST(DotExport, HookEdgesHighlighted) {
   opts.highlightHook = outcome.hook;
   std::string dot = exportDot(g, va, biv.bivalent->node, opts);
   EXPECT_NE(dot.find("color=red"), std::string::npos);
+}
+
+TEST(DotExport, PorGraphHighlightsExactlyTheHook) {
+  // Under POR the valence analysis explores only the reduced edge tier
+  // while the export walks the full one: every exported node must still
+  // get a valence, and exactly the three hook edges turn red.
+  RelaySystemSpec spec;
+  spec.processCount = 4;
+  spec.objectResilience = 1;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  auto sys = buildRelayConsensusSystem(spec);
+  StateGraph g(*sys, SymmetryPolicy::forSystem(*sys, SymmetryMode::Off),
+               PorPolicy::forSystem(*sys, PorMode::Auto));
+  ASSERT_TRUE(g.porActive());
+  ValenceAnalyzer va(g);
+  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
+  auto outcome = findHook(g, va, root);
+  ASSERT_TRUE(outcome.hook);
+  DotOptions opts;
+  opts.maxNodes = 250;
+  opts.highlightHook = outcome.hook;
+  std::string dot;
+  ASSERT_NO_THROW(dot = exportDot(g, va, root, opts));
+  std::size_t red = 0;
+  for (std::size_t pos = 0;
+       (pos = dot.find("color=red", pos)) != std::string::npos; ++pos) {
+    ++red;
+  }
+  EXPECT_EQ(red, 3u);
+  const NodeId alpha = outcome.hook->alpha;
+  EXPECT_NE(dot.find("  n" + std::to_string(alpha) + " -> "),
+            std::string::npos);
 }
 
 TEST(DotExport, StateLabelsOptIn) {

@@ -100,12 +100,12 @@ TEST(ExploreReachable, EagerRegionMatchesLazyValenceWalk) {
   const std::pair<SymmetryMode, PorMode> modes[] = {
       {SymmetryMode::Off, PorMode::Off},
       {SymmetryMode::Off, PorMode::Auto},
-      {SymmetryMode::Auto, PorMode::Auto},
+      {SymmetryMode::On, PorMode::Auto},
   };
   for (const auto& fx : fixtures) {
     for (const auto& [sym, por] : modes) {
       SCOPED_TRACE(std::string(fx.name) + " symmetry " +
-                   (sym == SymmetryMode::Off ? "off" : "auto") + " por " +
+                   (sym == SymmetryMode::Off ? "off" : "on") + " por " +
                    (por == PorMode::Off ? "off" : "auto"));
       auto sysE = fx.build();
       StateGraph eager(*sysE, SymmetryPolicy::forSystem(*sysE, sym),

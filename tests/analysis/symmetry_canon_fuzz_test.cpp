@@ -12,7 +12,6 @@
 
 #include "analysis/bivalence.h"
 #include "analysis/symmetry.h"
-#include "processes/flooding_consensus.h"
 #include "processes/relay_consensus.h"
 #include "util/rng.h"
 
@@ -25,14 +24,6 @@ std::unique_ptr<ioa::System> relayFixture(int n) {
   spec.objectResilience = 0;
   spec.policy = services::DummyPolicy::PreferDummy;
   return processes::buildRelayConsensusSystem(spec);
-}
-
-std::unique_ptr<ioa::System> floodingFixture(int n) {
-  processes::FloodingConsensusSpec spec;
-  spec.processCount = n;
-  spec.channelResilience = 0;
-  spec.policy = services::DummyPolicy::PreferDummy;
-  return processes::buildFloodingConsensusSystem(spec);
 }
 
 ioa::SystemState canonOf(const SymmetryPolicy& pol,
@@ -148,28 +139,11 @@ TEST(SymmetryCanonFuzz, RelayN4IdFree) {
   checkCanonProperties(*sys, *pol, rng, /*permsPerState=*/3);
 }
 
-TEST(SymmetryCanonFuzz, FloodingN3IdSensitive) {
-  auto sys = floodingFixture(3);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
-  ASSERT_FALSE(pol->trivial()) << pol->disabledReason();
-  ASSERT_EQ(pol->strategy(), ioa::ProcessSymmetry::IdSensitive);
-  util::Rng rng(0x0ddba11c0ffee000ull);
-  checkCanonProperties(*sys, *pol, rng, /*permsPerState=*/3);
-}
-
 TEST(SymmetryCanonFuzz, RelayEquivariance) {
   auto sys = relayFixture(3);
   auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
   ASSERT_FALSE(pol->trivial());
   util::Rng rng(0xabcdef0123456789ull);
-  checkEquivariance(*sys, *pol, rng);
-}
-
-TEST(SymmetryCanonFuzz, FloodingEquivariance) {
-  auto sys = floodingFixture(3);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
-  ASSERT_FALSE(pol->trivial());
-  util::Rng rng(0x1234123412341234ull);
   checkEquivariance(*sys, *pol, rng);
 }
 

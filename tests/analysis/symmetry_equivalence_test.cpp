@@ -5,7 +5,8 @@
 // similarity lemmas (see DESIGN.md "Symmetry reduction"); this suite is
 // the executable form of that argument on every n=3 fixture, including
 // the candidates where the reduction must REFUSE to apply (asymmetric
-// connection patterns, undeclared symmetry).
+// connection patterns, undeclared symmetry), and of the default: Auto is
+// POR alone, identical to Off.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "processes/relay_consensus.h"
 #include "processes/rotating_consensus.h"
 #include "processes/tob_consensus.h"
+#include "sim/trace_io.h"
 
 namespace boosting::analysis {
 namespace {
@@ -37,12 +39,39 @@ std::unique_ptr<ioa::System> floodingFixture(int n, int f) {
   return processes::buildFloodingConsensusSystem(spec);
 }
 
+std::unique_ptr<ioa::System> tobFixture(int n, int f) {
+  processes::TOBConsensusSpec spec;
+  spec.processCount = n;
+  spec.serviceResilience = f;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  return processes::buildTOBConsensusSystem(spec);
+}
+
+std::unique_ptr<ioa::System> bridgeFixture(int n, int f) {
+  processes::BridgeSystemSpec spec;
+  spec.processCount = n;
+  spec.bridgeEndpoint = n / 2;
+  spec.objectResilience = f;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  return processes::buildBridgeConsensusSystem(spec);
+}
+
+std::unique_ptr<ioa::System> singleFdFixture(int n, int f) {
+  processes::SingleFDConsensusSpec spec;
+  spec.processCount = n;
+  spec.fdResilience = f;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  return processes::buildSingleFDRotatingConsensusSystem(spec);
+}
+
 AdversaryReport runWith(const ioa::System& sys, int claim, SymmetryMode mode,
-                        bool exemptFailureAware = false) {
+                        bool exemptFailureAware = false,
+                        PorMode por = PorMode::Off) {
   AdversaryConfig cfg;
   cfg.claimedFailures = claim;
   cfg.exemptFailureAware = exemptFailureAware;
   cfg.symmetry = mode;
+  cfg.por = por;
   return analyzeConsensusCandidate(sys, cfg);
 }
 
@@ -110,23 +139,8 @@ TEST(SymmetryEquivalence, RelayN3FOne) {
   EXPECT_EQ(off.witnessFailures.size(), on.witnessFailures.size());
 }
 
-TEST(SymmetryEquivalence, FloodingN3IdSensitive) {
-  // Flood states embed sender identities, so this exercises the
-  // full-group relabeledState strategy rather than the id-free sort.
-  auto sys = floodingFixture(3, 0);
-  const auto off = runWith(*sys, 1, SymmetryMode::Off);
-  const auto on = runWith(*sys, 1, SymmetryMode::On);
-  expectSameProofShape(off, on);
-  EXPECT_TRUE(on.symmetryReduced) << on.symmetryNote;
-  EXPECT_LT(on.statesExplored, off.statesExplored);
-}
-
 TEST(SymmetryEquivalence, TOBN3DeclinesWithoutDeclaredSymmetry) {
-  processes::TOBConsensusSpec spec;
-  spec.processCount = 3;
-  spec.serviceResilience = 0;
-  spec.policy = services::DummyPolicy::PreferDummy;
-  auto sys = processes::buildTOBConsensusSystem(spec);
+  auto sys = tobFixture(3, 0);
   const auto off = runWith(*sys, 1, SymmetryMode::Off);
   const auto on = runWith(*sys, 1, SymmetryMode::On);
   // No declared symmetry: On must fall back to the identity group, say
@@ -138,10 +152,7 @@ TEST(SymmetryEquivalence, TOBN3DeclinesWithoutDeclaredSymmetry) {
 }
 
 TEST(SymmetryEquivalence, BridgeN3AsymmetricTopologyDeclines) {
-  processes::BridgeSystemSpec spec;
-  spec.processCount = 3;
-  spec.policy = services::DummyPolicy::PreferDummy;
-  auto sys = processes::buildBridgeConsensusSystem(spec);
+  auto sys = bridgeFixture(3, 0);
   const auto off = runWith(*sys, 1, SymmetryMode::Off);
   const auto on = runWith(*sys, 1, SymmetryMode::On);
   EXPECT_FALSE(on.symmetryReduced);
@@ -151,11 +162,7 @@ TEST(SymmetryEquivalence, BridgeN3AsymmetricTopologyDeclines) {
 }
 
 TEST(SymmetryEquivalence, SingleFDN3Theorem10Mode) {
-  processes::SingleFDConsensusSpec spec;
-  spec.processCount = 3;
-  spec.fdResilience = 0;
-  spec.policy = services::DummyPolicy::PreferDummy;
-  auto sys = processes::buildSingleFDRotatingConsensusSystem(spec);
+  auto sys = singleFdFixture(3, 0);
   const auto off =
       runWith(*sys, 1, SymmetryMode::Off, /*exemptFailureAware=*/true);
   const auto on =
@@ -170,28 +177,77 @@ TEST(SymmetryEquivalence, RelayWitnessLiftsToConcreteExecution) {
   expectWitnessIsConcrete(*sys, on);
 }
 
-TEST(SymmetryEquivalence, FloodingWitnessLiftsToConcreteExecution) {
-  auto sys = floodingFixture(3, 0);
-  const auto on = runWith(*sys, 1, SymmetryMode::On);
-  ASSERT_TRUE(on.symmetryReduced) << on.symmetryNote;
-  expectWitnessIsConcrete(*sys, on);
-}
-
-TEST(SymmetryEquivalence, AutoEnablesForDeclaredSymmetryOnly) {
+TEST(SymmetryEquivalence, OnEnablesForDeclaredSymmetryOnly) {
   {
     auto sys = relayFixture(3, 0);
-    const auto r = runWith(*sys, 1, SymmetryMode::Auto);
-    EXPECT_TRUE(r.symmetryReduced);
+    const auto r = runWith(*sys, 1, SymmetryMode::On);
+    EXPECT_TRUE(r.symmetryReduced) << r.symmetryNote;
   }
   {
-    processes::TOBConsensusSpec spec;
-    spec.processCount = 3;
-    spec.serviceResilience = 0;
-    spec.policy = services::DummyPolicy::PreferDummy;
-    auto sys = processes::buildTOBConsensusSystem(spec);
-    const auto r = runWith(*sys, 1, SymmetryMode::Auto);
+    auto sys = tobFixture(3, 0);
+    const auto r = runWith(*sys, 1, SymmetryMode::On);
     EXPECT_FALSE(r.symmetryReduced);
   }
+  {
+    // Flood states name their senders: no id-free symmetry is declared.
+    auto sys = floodingFixture(3, 0);
+    const auto r = runWith(*sys, 1, SymmetryMode::On);
+    EXPECT_FALSE(r.symmetryReduced);
+  }
+}
+
+// Auto is the front ends' default and resolves to the identity group: with
+// POR at its own default, the whole report -- not just the proof shape --
+// must equal the --symmetry off report, witness text included.
+TEST(SymmetryEquivalence, AutoIsPorAlone) {
+  struct Fixture {
+    std::string name;
+    std::unique_ptr<ioa::System> sys;
+    int claim;
+  };
+  std::vector<Fixture> fixtures;
+  for (int n = 3; n <= 5; ++n) {
+    fixtures.push_back({"relay n=" + std::to_string(n), relayFixture(n, 1), 2});
+  }
+  fixtures.push_back({"flooding n=3", floodingFixture(3, 1), 2});
+  fixtures.push_back({"tob n=3", tobFixture(3, 1), 2});
+  fixtures.push_back({"bridge n=4", bridgeFixture(4, 1), 2});
+  fixtures.push_back({"single-fd n=3", singleFdFixture(3, 0), 1});
+  for (const Fixture& fx : fixtures) {
+    SCOPED_TRACE(fx.name);
+    const auto off = runWith(*fx.sys, fx.claim, SymmetryMode::Off,
+                             /*exemptFailureAware=*/true, PorMode::Auto);
+    const auto autoMode = runWith(*fx.sys, fx.claim, SymmetryMode::Auto,
+                                  /*exemptFailureAware=*/true, PorMode::Auto);
+    EXPECT_FALSE(autoMode.symmetryReduced);
+    EXPECT_EQ(autoMode.symmetryStatesRaw, 0u);
+    EXPECT_EQ(autoMode.verdict, off.verdict);
+    EXPECT_EQ(autoMode.summary(), off.summary());
+    ASSERT_EQ(autoMode.initializations.size(), off.initializations.size());
+    for (std::size_t i = 0; i < off.initializations.size(); ++i) {
+      EXPECT_EQ(autoMode.initializations[i].onesPrefix,
+                off.initializations[i].onesPrefix);
+      EXPECT_EQ(autoMode.initializations[i].valence,
+                off.initializations[i].valence);
+      EXPECT_EQ(autoMode.initializations[i].node, off.initializations[i].node);
+    }
+    ASSERT_EQ(autoMode.hook.has_value(), off.hook.has_value());
+    if (off.hook) {
+      EXPECT_EQ(autoMode.hook->alpha, off.hook->alpha);
+      EXPECT_EQ(autoMode.hook->e, off.hook->e);
+      EXPECT_EQ(autoMode.hook->ePrime, off.hook->ePrime);
+    }
+    EXPECT_EQ(autoMode.porReduced, off.porReduced);
+    EXPECT_EQ(autoMode.statesExplored, off.statesExplored);
+    EXPECT_EQ(sim::renderExecution(autoMode.witness),
+              sim::renderExecution(off.witness));
+  }
+  // Flooding declares no process symmetry, so even On declines and says so.
+  auto flooding = floodingFixture(3, 1);
+  const auto floodingOn = runWith(*flooding, 2, SymmetryMode::On,
+                                  /*exemptFailureAware=*/true, PorMode::Auto);
+  EXPECT_FALSE(floodingOn.symmetryReduced);
+  EXPECT_EQ(floodingOn.symmetryNote, "candidate declares no process symmetry");
 }
 
 TEST(SymmetryEquivalence, OffIsTheLibraryDefault) {

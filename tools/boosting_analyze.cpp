@@ -8,22 +8,23 @@
 //
 // Usage:
 //   boosting_analyze --candidate relay --n 3 --f 1 [--claim 2]
+//                    [--symmetry auto|on|off] [--por auto|on|off]
 //                    [--brute] [--witness trace.txt]
 //                    [--dot graph.dot] [--metrics-json FILE]
 //                    [--trace FILE] [--progress] [--replay FILE]
 //
 // --symmetry auto|on|off controls orbit canonicalization (symmetry
-// reduction, see analysis/symmetry.h): candidates whose processes are
-// interchangeable (relay, flooding) are explored up to process
-// permutation, shrinking G(C) by up to n!. `auto` (the default) enables it
-// exactly when the candidate declares a usable symmetry; `on` additionally
-// reports why reduction stayed off when it could not be applied; `off`
-// forces the exact legacy graph. The verdict is the same either way; state
-// counts and witness process names may differ (quotient witnesses are
-// lifted back to concrete executions).
+// reduction, see analysis/symmetry.h). `auto` (the default) and `off`
+// explore the exact graph: POR alone is faster on every measured
+// candidate. `on` is an opt-in memory mode: candidates whose processes are
+// interchangeable and id-free (relay) are explored up to process
+// permutation, shrinking G(C) by up to n!, and the run reports why
+// reduction stayed off when it could not be applied. The verdict is the
+// same either way; state counts and witness process names may differ
+// (quotient witnesses are lifted back to concrete executions).
 //
 // --por auto|on|off controls ample-set partial-order reduction (see
-// analysis/por.h), stacked on top of the symmetry quotient: at each
+// analysis/por.h), stacked on top of any symmetry quotient: at each
 // expanded configuration only an ample subset of the enabled tasks is
 // followed, collapsing commuting diamonds of independent steps. `auto`
 // (the default) enables it exactly when every component declares a
@@ -385,8 +386,12 @@ int main(int argc, char** argv) {
     std::printf("witness written to %s\n", opt.witnessPath.c_str());
   }
   if (!opt.dotPath.empty() && report.bivalentInit) {
+    // The view re-derives the hook on its own graph under the run's
+    // reduction policies. Node ids are that graph's, so the line names the
+    // hook the file highlights.
     analysis::StateGraph g(
-        *sys, analysis::SymmetryPolicy::forSystem(*sys, opt.symmetry));
+        *sys, analysis::SymmetryPolicy::forSystem(*sys, opt.symmetry),
+        analysis::PorPolicy::forSystem(*sys, opt.por));
     analysis::ValenceAnalyzer va(g);
     analysis::NodeId init = g.intern(analysis::canonicalInitialization(
         *sys, report.bivalentInit->onesPrefix));
@@ -395,7 +400,12 @@ int main(int argc, char** argv) {
     dotOpts.maxNodes = 250;
     dotOpts.highlightHook = outcome.hook;
     std::ofstream(opt.dotPath) << analysis::exportDot(g, va, init, dotOpts);
-    std::printf("graph written to %s\n", opt.dotPath.c_str());
+    if (outcome.hook) {
+      std::printf("graph written to %s (hook alpha=n%u)\n",
+                  opt.dotPath.c_str(), outcome.hook->alpha);
+    } else {
+      std::printf("graph written to %s\n", opt.dotPath.c_str());
+    }
   }
   return report.verdict == analysis::AdversaryReport::Verdict::Inconclusive
              ? 1
