@@ -1,5 +1,10 @@
 #include "serve/candidates.h"
 
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+
 #include "processes/flooding_consensus.h"
 #include "processes/relay_consensus.h"
 #include "processes/rotating_consensus.h"
@@ -55,6 +60,22 @@ std::unique_ptr<ioa::System> buildCandidateSystem(const std::string& candidate,
   }
   if (error) *error = "unknown candidate '" + candidate + "'";
   return nullptr;
+}
+
+long parseIntOrDie(const char* flag, const char* text, long lo, long hi) {
+  long value = 0;
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || text == end) {
+    std::fprintf(stderr, "%s: not an integer: '%s'\n", flag, text);
+    std::exit(2);
+  }
+  if (value < lo || value > hi) {
+    std::fprintf(stderr, "%s: value %ld out of range [%ld, %ld]\n", flag,
+                 value, lo, hi);
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace boosting::serve

@@ -1,7 +1,13 @@
 #include "serve/scheduler.h"
 
+#include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <cerrno>
+#include <system_error>
+#include <vector>
 
 namespace boosting::serve {
 
@@ -55,30 +61,52 @@ const char* jobStateName(JobState s) {
 
 TickScheduler::TickScheduler(Config cfg) : cfg_(cfg) {
   if (cfg_.maxConcurrent == 0) cfg_.maxConcurrent = 1;
+  int fds[2];
+  if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw std::system_error(errno, std::generic_category(), "wake pipe");
+  }
+  wakeRead_ = fds[0];
+  wakeWrite_ = fds[1];
 }
 
 TickScheduler::~TickScheduler() {
+  // drain() reaps, and so joins, every worker.
   cancelAll();
   drain();
-  std::lock_guard<std::mutex> lock(m_);
-  for (auto& [id, job] : jobs_) {
-    if (job.worker.joinable()) job.worker.join();
+  ::close(wakeRead_);
+  ::close(wakeWrite_);
+}
+
+void TickScheduler::wake() const {
+  // A full pipe (EAGAIN) already holds a pending wakeup, so a failed write
+  // loses nothing.
+  const char byte = 1;
+  while (::write(wakeWrite_, &byte, 1) < 0 && errno == EINTR) {
   }
 }
 
-std::uint64_t TickScheduler::submit(std::string name, int priority, Body body,
+void TickScheduler::clearWake() const {
+  char buf[256];
+  while (::read(wakeRead_, buf, sizeof buf) > 0) {
+  }
+}
+
+void TickScheduler::awaitWake() const {
+  pollfd pfd{wakeRead_, POLLIN, 0};
+  while (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
+  }
+  clearWake();
+}
+
+std::uint64_t TickScheduler::submit(int priority, Body body,
                                     OnFinish onFinish) {
   std::lock_guard<std::mutex> lock(m_);
   const std::uint64_t id = nextId_++;
   Job& job = jobs_[id];
-  job.id = id;
-  job.name = std::move(name);
   job.priority = priority;
-  job.seq = nextSeq_++;
   job.control = std::make_shared<JobControl>();
   job.body = std::move(body);
   job.onFinish = std::move(onFinish);
-  job.finished = std::make_shared<std::atomic<bool>>(false);
   return id;
 }
 
@@ -86,11 +114,7 @@ bool TickScheduler::cancel(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(m_);
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
-  Job& job = it->second;
-  if (job.state != JobState::Queued && job.state != JobState::Running) {
-    return false;
-  }
-  job.control->requestCancel();
+  it->second.control->requestCancel();
   return true;
 }
 
@@ -99,17 +123,12 @@ bool TickScheduler::pause(std::uint64_t id) {
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
   Job& job = it->second;
-  if (job.state == JobState::Queued) {
-    if (job.control->cancelRequested()) return false;
-    job.paused = true;
-    return true;
+  if (job.state == JobState::Queued && job.control->cancelRequested()) {
+    return false;
   }
-  if (job.state == JobState::Running) {
-    job.paused = true;
-    job.control->requestPause();
-    return true;
-  }
-  return false;
+  job.paused = true;
+  if (job.state == JobState::Running) job.control->requestPause();
+  return true;
 }
 
 bool TickScheduler::resume(std::uint64_t id) {
@@ -117,12 +136,9 @@ bool TickScheduler::resume(std::uint64_t id) {
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
   Job& job = it->second;
-  if (job.state == JobState::Queued || job.state == JobState::Running) {
-    job.paused = false;
-    job.control->requestResume();
-    return true;
-  }
-  return false;
+  job.paused = false;
+  job.control->requestResume();
+  return true;
 }
 
 void TickScheduler::dispatchLocked(Job& job) {
@@ -130,9 +146,10 @@ void TickScheduler::dispatchLocked(Job& job) {
   ++running_;
   // The worker only touches its own Job fields (outcome, error) and
   // releases them through `finished`; everything else stays owned by the
-  // tick thread. std::map nodes never relocate, so the pointer is stable.
+  // tick thread. std::map nodes never relocate, and the entry is erased
+  // only after tick() joins the worker, so the pointer is stable.
   Job* j = &job;
-  job.worker = std::thread([j] {
+  job.worker = std::thread([this, j] {
     JobState outcome = JobState::Done;
     std::string error;
     try {
@@ -148,7 +165,8 @@ void TickScheduler::dispatchLocked(Job& job) {
     }
     j->outcome = outcome;
     j->error = std::move(error);
-    j->finished->store(true, std::memory_order_release);
+    j->finished.store(true, std::memory_order_release);
+    wake();
   });
 }
 
@@ -166,25 +184,32 @@ std::size_t TickScheduler::tick() {
   {
     std::lock_guard<std::mutex> lock(m_);
     // (1) Reap workers whose body returned.
-    for (auto& [id, job] : jobs_) {
-      if (job.state != JobState::Running) continue;
-      if (!job.finished->load(std::memory_order_acquire)) continue;
+    for (auto it = jobs_.begin(); it != jobs_.end();) {
+      Job& job = it->second;
+      if (job.state != JobState::Running ||
+          !job.finished.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
       job.worker.join();
-      job.state = job.outcome;
-      job.paused = false;
       --running_;
-      fired.push_back({std::move(job.onFinish), id, job.state, job.error});
-      job.body = nullptr;  // free captures; the entry stays for snapshots
+      fired.push_back(
+          {std::move(job.onFinish), it->first, job.outcome, job.error});
+      it = jobs_.erase(it);
     }
     // (2) Finalize queued jobs that were cancelled before ever running.
-    for (auto& [id, job] : jobs_) {
-      if (job.state != JobState::Queued) continue;
-      if (!job.control->cancelRequested()) continue;
-      job.state = JobState::Cancelled;
-      fired.push_back({std::move(job.onFinish), id, job.state, {}});
-      job.body = nullptr;
+    for (auto it = jobs_.begin(); it != jobs_.end();) {
+      Job& job = it->second;
+      if (job.state != JobState::Queued || !job.control->cancelRequested()) {
+        ++it;
+        continue;
+      }
+      fired.push_back(
+          {std::move(job.onFinish), it->first, JobState::Cancelled, {}});
+      it = jobs_.erase(it);
     }
-    // (3) Dispatch: highest priority first, FIFO within a priority.
+    // (3) Dispatch: highest priority first, FIFO within a priority (jobs_
+    // iterates in submission order, which the stable sort keeps).
     if (running_ < cfg_.maxConcurrent) {
       std::vector<Job*> runnable;
       for (auto& [id, job] : jobs_) {
@@ -192,20 +217,15 @@ std::size_t TickScheduler::tick() {
           runnable.push_back(&job);
         }
       }
-      std::sort(runnable.begin(), runnable.end(), [](Job* a, Job* b) {
-        if (a->priority != b->priority) return a->priority > b->priority;
-        return a->seq < b->seq;
+      std::stable_sort(runnable.begin(), runnable.end(), [](Job* a, Job* b) {
+        return a->priority > b->priority;
       });
       for (Job* job : runnable) {
         if (running_ >= cfg_.maxConcurrent) break;
         dispatchLocked(*job);
       }
     }
-    for (const auto& [id, job] : jobs_) {
-      if (job.state == JobState::Queued || job.state == JobState::Running) {
-        ++live;
-      }
-    }
+    live = jobs_.size();
   }
   for (Finished& f : fired) {
     if (f.cb) f.cb(f.id, f.state, f.error);
@@ -214,18 +234,12 @@ std::size_t TickScheduler::tick() {
 }
 
 void TickScheduler::drain() {
-  while (tick() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  while (tick() != 0) awaitWake();
 }
 
 void TickScheduler::cancelAll() {
   std::lock_guard<std::mutex> lock(m_);
-  for (auto& [id, job] : jobs_) {
-    if (job.state == JobState::Queued || job.state == JobState::Running) {
-      job.control->requestCancel();
-    }
-  }
+  for (auto& [id, job] : jobs_) job.control->requestCancel();
 }
 
 std::size_t TickScheduler::queuedCount() const {
@@ -247,19 +261,8 @@ bool TickScheduler::snapshot(std::uint64_t id, JobSnapshot* out) const {
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
   const Job& job = it->second;
-  *out = JobSnapshot{job.id, job.name, job.priority, job.state, job.paused};
+  *out = JobSnapshot{job.state, job.paused};
   return true;
-}
-
-std::vector<JobSnapshot> TickScheduler::snapshots() const {
-  std::lock_guard<std::mutex> lock(m_);
-  std::vector<JobSnapshot> out;
-  out.reserve(jobs_.size());
-  for (const auto& [id, job] : jobs_) {
-    out.push_back(
-        JobSnapshot{job.id, job.name, job.priority, job.state, job.paused});
-  }
-  return out;
 }
 
 }  // namespace boosting::serve

@@ -5,6 +5,11 @@
 // transitions -- happen inside tick() on the calling thread, never on a
 // worker.
 //
+// There is no timer. A worker writes a byte to the wake channel (a
+// self-pipe, wakeFd()) after it publishes its outcome; the driving thread
+// polls wakeFd(), calls clearWake() and then tick(). Clearing before the
+// tick means an event that lands during a tick wakes the next one.
+//
 // Lifecycle (the entt states mapped onto exploration jobs):
 //
 //                 pause                resume
@@ -31,9 +36,9 @@
 // pause/resume storms and concurrency changes are observationally inert
 // (asserted by tests/serve/serve_scheduler_test.cpp).
 //
-// Thread-safety: submit/cancel/pause/resume/tick/snapshots may be called
-// from ONE driving thread (the server loop); JobControl is shared with the
-// worker and is internally synchronized.
+// Thread-safety: submit/cancel/pause/resume/tick/drain may be called from
+// ONE driving thread (the server loop); wake() from any thread. JobControl
+// is shared with the worker and is internally synchronized.
 #pragma once
 
 #include <atomic>
@@ -46,7 +51,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace boosting::serve {
 
@@ -91,9 +95,6 @@ enum class JobState : std::uint8_t {
 const char* jobStateName(JobState s);
 
 struct JobSnapshot {
-  std::uint64_t id = 0;
-  std::string name;
-  int priority = 0;
   JobState state = JobState::Queued;
   bool paused = false;  // held in queue, or pause requested while running
 };
@@ -117,8 +118,7 @@ class TickScheduler {
   TickScheduler& operator=(const TickScheduler&) = delete;
 
   // Enqueue a job. Returns its scheduler id. Nothing runs until tick().
-  std::uint64_t submit(std::string name, int priority, Body body,
-                       OnFinish onFinish = nullptr);
+  std::uint64_t submit(int priority, Body body, OnFinish onFinish = nullptr);
 
   // Request cancellation: a queued job finalizes Cancelled at the next
   // tick without ever running; a running job is cancelled at its next
@@ -132,12 +132,21 @@ class TickScheduler {
   // One cooperative tick: (1) reap workers whose body returned -- join and
   // fire their OnFinish here; (2) finalize queued-and-cancelled jobs;
   // (3) dispatch runnable queued jobs in (priority desc, submission order)
-  // while running < maxConcurrent. Returns the number of still-live
-  // (queued or running) jobs.
+  // while running < maxConcurrent. Reaped and finalized jobs are
+  // forgotten. Returns the number of still-live (queued or running) jobs.
   std::size_t tick();
 
-  // tick() until no job is live, sleeping between ticks.
+  // tick() until no job is live, blocking on wakeFd() between ticks.
   void drain();
+
+  // Readable while a finished worker or a wake() is not yet cleared.
+  int wakeFd() const { return wakeRead_; }
+  // Make wakeFd() readable. Safe from any thread; never blocks.
+  void wake() const;
+  // Consume every pending wakeup without blocking.
+  void clearWake() const;
+  // Block until wakeFd() is readable, then clearWake().
+  void awaitWake() const;
 
   // Request cancellation of every live job (finalization still happens in
   // tick()).
@@ -145,16 +154,12 @@ class TickScheduler {
 
   std::size_t queuedCount() const;
   std::size_t runningCount() const;
-  // Snapshot of one job (unknown id => nullopt-like: returns false).
+  // Snapshot of one live job; false when the id is unknown or finished.
   bool snapshot(std::uint64_t id, JobSnapshot* out) const;
-  std::vector<JobSnapshot> snapshots() const;
 
  private:
   struct Job {
-    std::uint64_t id = 0;
-    std::string name;
     int priority = 0;
-    std::uint64_t seq = 0;  // submission order, the FIFO tie-break
     JobState state = JobState::Queued;
     bool paused = false;
     std::shared_ptr<JobControl> control;
@@ -163,7 +168,7 @@ class TickScheduler {
     std::thread worker;
     // Worker -> tick handoff: outcome/error are written by the worker
     // before `finished` is released; tick() reads them after acquiring it.
-    std::shared_ptr<std::atomic<bool>> finished;
+    std::atomic<bool> finished{false};
     JobState outcome = JobState::Done;
     std::string error;
   };
@@ -172,13 +177,12 @@ class TickScheduler {
 
   Config cfg_;
   mutable std::mutex m_;
-  std::uint64_t nextId_ = 1;
-  std::uint64_t nextSeq_ = 1;
+  std::uint64_t nextId_ = 1;  // ids count submissions: the FIFO order
   std::size_t running_ = 0;
-  // Live and finished jobs, by id (finished entries stay for snapshots
-  // until the scheduler dies; the service layer owns retention policy for
-  // its own maps).
+  // Queued and running jobs, by id.
   std::map<std::uint64_t, Job> jobs_;
+  int wakeRead_ = -1;
+  int wakeWrite_ = -1;
 };
 
 }  // namespace boosting::serve

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 
+#include "serve/candidates.h"
 #include "serve/service.h"
 #include "serve/wire.h"
 
@@ -270,9 +271,10 @@ class Server {
 
   void loop() {
     while (true) {
-      std::vector<pollfd> pfds;
-      std::vector<int> listenerIdx;   // pfds index -> listenerFds_ index
-      std::vector<std::size_t> connIdx;  // pfds index -> conns_ index
+      // pfds[0] is the service's wake channel, so no timeout is needed.
+      std::vector<pollfd> pfds{pollfd{service_.wakeFd(), POLLIN, 0}};
+      std::vector<int> listenerIdx{-1};  // pfds index -> listenerFds_ index
+      std::vector<std::size_t> connIdx{SIZE_MAX};  // pfds index -> conns_
       for (std::size_t i = 0; i < listenerFds_.size(); ++i) {
         pfds.push_back(pollfd{listenerFds_[i], POLLIN, 0});
         listenerIdx.push_back(static_cast<int>(i));
@@ -284,8 +286,9 @@ class Server {
         listenerIdx.push_back(-1);
         connIdx.push_back(i);
       }
-      ::poll(pfds.data(), pfds.size(), cfg_.tickMs);
-      for (std::size_t p = 0; p < pfds.size(); ++p) {
+      ::poll(pfds.data(), pfds.size(), -1);
+      if (pfds[0].revents & POLLIN) service_.clearWake();
+      for (std::size_t p = 1; p < pfds.size(); ++p) {
         if (!(pfds[p].revents & (POLLIN | POLLHUP | POLLERR))) continue;
         if (listenerIdx[p] >= 0) {
           const int nfd = ::accept(pfds[p].fd, nullptr, nullptr);
@@ -299,6 +302,7 @@ class Server {
         }
         readConn(conns_[connIdx[p]]);
       }
+      // After all input: a cancel in its submit's burst finalizes it unrun.
       const std::size_t live = service_.tick();
       // Reap sockets that are done: read side closed AND nothing left to
       // deliver (either the pending results drained or the write side died
@@ -463,20 +467,8 @@ class Server {
               extractStr(req, "por", &por, &err) &&
               extractBool(req, "witness", &spec.wantWitness, &err) &&
               extractBool(req, "progress", &spec.progress, &err);
-    auto parseMode = [&](const std::string& v, const char* key, auto* out,
-                         auto autoV, auto onV, auto offV) {
-      if (v == "auto") { *out = autoV; return true; }
-      if (v == "on") { *out = onV; return true; }
-      if (v == "off") { *out = offV; return true; }
-      err = std::string(key) + ": expected auto|on|off, got '" + v + "'";
-      return false;
-    };
-    ok = ok &&
-         parseMode(symmetry, "symmetry", &spec.symmetry,
-                   analysis::SymmetryMode::Auto, analysis::SymmetryMode::On,
-                   analysis::SymmetryMode::Off) &&
-         parseMode(por, "por", &spec.por, analysis::PorMode::Auto,
-                   analysis::PorMode::On, analysis::PorMode::Off);
+    ok = ok && parseMode("symmetry", symmetry, &spec.symmetry, &err) &&
+         parseMode("por", por, &spec.por, &err);
     if (!ok) {
       writeLine(*c, errorEvent(err, id));
       return;

@@ -1,8 +1,10 @@
 // The transport layer of boosting_served: a single-threaded poll() event
 // loop speaking the line-delimited flat-JSON protocol (serve/wire.h) over
 // any mix of stdio, local TCP and unix-domain listeners, driving one
-// AnalysisService between poll timeouts (each loop iteration is one
-// scheduler tick).
+// AnalysisService. The loop polls its listeners, its connections and the
+// service's wake channel with no timeout, so it sleeps until a client
+// writes or a job finishes or reports progress; each wakeup handles all
+// readable input and then runs one scheduler tick.
 //
 // Protocol (one request object per line; every reply is one event object
 // per line, discriminated by "ev"):
@@ -61,7 +63,6 @@ struct ServerConfig {
   // Accepted-submit cap (0 = unlimited). Once reached, further submits are
   // rejected; the server exits after the last accepted job finishes.
   std::uint64_t maxJobs = 0;
-  int tickMs = 10;  // poll timeout == scheduler tick interval
   obs::Registry* metrics = nullptr;
   std::string metricsJsonPath;  // written on exit when non-empty
 };

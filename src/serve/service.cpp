@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "analysis/adversary.h"
 #include "obs/trace.h"
@@ -15,8 +14,8 @@ namespace boosting::serve {
 namespace {
 
 // Progress cadence: one queued event / trace line per this many expansions.
-// Coarse enough to be free next to an expansion, fine enough that even an
-// n=3 job reports a few times.
+// Coarse enough to be free next to an expansion, fine enough that a relay
+// n=5 job reports twice.
 constexpr std::uint64_t kProgressStride = 2048;
 
 std::string fmt(const char* f, auto... args) {
@@ -90,7 +89,7 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
   rec->onProgress = std::move(onProgress);
   JobRecord* raw = rec.get();
   const std::uint64_t schedId = sched_.submit(
-      spec.id, spec.priority,
+      spec.priority,
       [this, raw](JobControl& ctl) { runJob(*raw, ctl); },
       [this](std::uint64_t id, JobState final, const std::string& error) {
         finishJob(id, final, error);
@@ -177,6 +176,7 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
         std::lock_guard<std::mutex> lock(progressM_);
         progressQ_.emplace_back(schedId, c);
       }
+      sched_.wake();
       if (tw) {
         tw->event("serve.job.progress", {{"id", spec.id}, {"expansions", c}});
       }
@@ -269,9 +269,7 @@ std::size_t AnalysisService::tick() {
 }
 
 void AnalysisService::drain() {
-  while (tick() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  while (tick() != 0) sched_.awaitWake();
 }
 
 void AnalysisService::cancelAll() { sched_.cancelAll(); }
@@ -280,10 +278,7 @@ std::vector<AnalysisService::JobStatus> AnalysisService::liveJobs() const {
   std::vector<JobStatus> out;
   for (const auto& [schedId, rec] : records_) {
     JobSnapshot snap;
-    if (!sched_.snapshot(schedId, &snap)) continue;
-    if (snap.state != JobState::Queued && snap.state != JobState::Running) {
-      continue;  // reaped at the next tick
-    }
+    if (!sched_.snapshot(schedId, &snap)) continue;  // reaped this tick
     out.push_back(JobStatus{rec->spec.id, rec->spec.candidate, snap.state,
                             snap.paused, rec->spec.priority});
   }

@@ -8,7 +8,8 @@
 // (serve/candidates.h); only the wrapping differs.
 //
 // Threading model: all public methods plus every client callback run on
-// ONE driving thread (the server loop calls tick() between poll()s). Job
+// ONE driving thread (the server loop calls tick() whenever its poll()
+// returns, and wakeFd() makes it return when a job has news). Job
 // bodies run on scheduler workers; everything they touch is either private
 // to the job, an exclusively-leased ServiceContext, or an internally
 // synchronized sink (obs::Registry counters, obs::TraceWriter events, the
@@ -108,8 +109,11 @@ class AnalysisService {
 
   // One scheduler tick + progress/result delivery. Returns live job count.
   std::size_t tick();
-  // tick() until idle.
+  // tick() until idle, blocking on wakeFd() between ticks.
   void drain();
+  // Readable when a job finished or queued progress: clearWake(), tick().
+  int wakeFd() const { return sched_.wakeFd(); }
+  void clearWake() const { sched_.clearWake(); }
   void cancelAll();
 
   struct JobStatus {

@@ -1,10 +1,12 @@
 // TickScheduler tests: dispatch order (priority desc, FIFO within), the
 // concurrency bound, queued-job cancellation, cancellation of a RUNNING
 // exploration draining through the engines' abort path (graph stays
-// checkConsistent), and pause/resume being observationally inert.
+// checkConsistent), pause/resume being observationally inert, the wake
+// channel, and finished jobs being forgotten.
 #include "serve/scheduler.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -20,12 +22,12 @@
 namespace boosting::serve {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+// Hang check, not a latency bound: how long a test waits for a wakeup.
+constexpr int kWakeDeadlineMs = 10000;
 
-void drainFast(TickScheduler& s) {
-  while (s.tick() != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+bool wakeReadable(const TickScheduler& s, int timeoutMs) {
+  pollfd pfd{s.wakeFd(), POLLIN, 0};
+  return ::poll(&pfd, 1, timeoutMs) == 1 && (pfd.revents & POLLIN);
 }
 
 TEST(ServeScheduler, DispatchesByPriorityThenSubmissionOrder) {
@@ -39,11 +41,11 @@ TEST(ServeScheduler, DispatchesByPriorityThenSubmissionOrder) {
     };
   };
   // Submitted low, high, high, mid -- must run high1, high2, mid, low.
-  sched.submit("low", -1, body("low"));
-  sched.submit("high1", 5, body("high1"));
-  sched.submit("high2", 5, body("high2"));
-  sched.submit("mid", 0, body("mid"));
-  drainFast(sched);
+  sched.submit(-1, body("low"));
+  sched.submit(5, body("high1"));
+  sched.submit(5, body("high2"));
+  sched.submit(0, body("mid"));
+  sched.drain();
   EXPECT_EQ(order,
             (std::vector<std::string>{"high1", "high2", "mid", "low"}));
 }
@@ -54,7 +56,7 @@ TEST(ServeScheduler, BoundsConcurrency) {
   std::atomic<int> peak{0};
   std::atomic<bool> release{false};
   for (int i = 0; i < 6; ++i) {
-    sched.submit("j", 0, [&](JobControl&) {
+    sched.submit(0, [&](JobControl&) {
       const int now = ++inside;
       int seen = peak.load();
       while (now > seen && !peak.compare_exchange_weak(seen, now)) {
@@ -73,7 +75,7 @@ TEST(ServeScheduler, BoundsConcurrency) {
   EXPECT_EQ(sched.runningCount(), 2u);
   EXPECT_EQ(sched.queuedCount(), 4u);
   release = true;
-  drainFast(sched);
+  sched.drain();
   EXPECT_LE(peak.load(), 2);
   EXPECT_EQ(sched.runningCount(), 0u);
 }
@@ -83,10 +85,10 @@ TEST(ServeScheduler, CancelsQueuedJobWithoutRunningIt) {
   std::atomic<bool> ran{false};
   JobState finalState = JobState::Done;
   const auto id = sched.submit(
-      "doomed", 0, [&](JobControl&) { ran = true; },
+      0, [&](JobControl&) { ran = true; },
       [&](std::uint64_t, JobState s, const std::string&) { finalState = s; });
   EXPECT_TRUE(sched.cancel(id));
-  drainFast(sched);
+  sched.drain();
   EXPECT_FALSE(ran.load());
   EXPECT_EQ(finalState, JobState::Cancelled);
   // A finished job cannot be cancelled/paused/resumed again.
@@ -107,7 +109,7 @@ TEST(ServeScheduler, CancelDrainsRunningExplorationThroughAbortPath) {
   TickScheduler sched(TickScheduler::Config{1});
   JobState finalState = JobState::Done;
   const auto id = sched.submit(
-      "explore", 0,
+      0,
       [&](JobControl& ctl) {
         while (!go.load()) {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -125,7 +127,7 @@ TEST(ServeScheduler, CancelDrainsRunningExplorationThroughAbortPath) {
   EXPECT_EQ(sched.runningCount(), 1u);
   EXPECT_TRUE(sched.cancel(id));
   go = true;
-  drainFast(sched);
+  sched.drain();
   EXPECT_EQ(finalState, JobState::Cancelled);
   std::string why;
   EXPECT_TRUE(g.checkConsistent(&why)) << why;
@@ -150,7 +152,7 @@ TEST(ServeScheduler, PauseResumeIsObservationallyInert) {
   std::atomic<bool> go{false};
   JobState finalState = JobState::Failed;
   const auto id = sched.submit(
-      "explore", 0,
+      0,
       [&](JobControl& ctl) {
         while (!go.load()) {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -181,7 +183,7 @@ TEST(ServeScheduler, PauseResumeIsObservationallyInert) {
     sched.resume(id);
     sched.tick();
   }
-  drainFast(sched);
+  sched.drain();
   EXPECT_EQ(finalState, JobState::Done);
   EXPECT_EQ(g.size(), refStates);
   EXPECT_GT(expansions.load(), 0u);
@@ -211,18 +213,75 @@ TEST(ServeScheduler, CancelWinsOverPause) {
   EXPECT_TRUE(ctl.cancelRequested());
 }
 
+TEST(ServeScheduler, WakeFdBecomesReadableWhenABodyReturns) {
+  TickScheduler sched(TickScheduler::Config{1});
+  std::atomic<bool> release{false};
+  JobState finalState = JobState::Failed;
+  sched.submit(
+      0,
+      [&](JobControl&) {
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      },
+      [&](std::uint64_t, JobState s, const std::string&) { finalState = s; });
+  // Submitting and dispatching wake nobody: only a finished body does.
+  EXPECT_EQ(sched.tick(), 1u);
+  EXPECT_FALSE(wakeReadable(sched, 0));
+  release = true;
+  ASSERT_TRUE(wakeReadable(sched, kWakeDeadlineMs));
+  // Readable with no tick in between: the job is not reaped yet.
+  EXPECT_EQ(sched.runningCount(), 1u);
+  sched.clearWake();
+  EXPECT_FALSE(wakeReadable(sched, 0));
+  EXPECT_EQ(sched.tick(), 0u);
+  EXPECT_EQ(finalState, JobState::Done);
+}
+
+TEST(ServeScheduler, WakeFromAnotherThreadIsSeen) {
+  TickScheduler sched(TickScheduler::Config{1});
+  std::thread producer([&] { sched.wake(); });
+  EXPECT_TRUE(wakeReadable(sched, kWakeDeadlineMs));
+  producer.join();
+  // Repeated wakes collapse into one pending wakeup.
+  sched.wake();
+  sched.wake();
+  sched.clearWake();
+  EXPECT_FALSE(wakeReadable(sched, 0));
+}
+
+TEST(ServeScheduler, ReapedJobsAreForgotten) {
+  TickScheduler sched(TickScheduler::Config{4});
+  std::atomic<int> ran{0};
+  int finished = 0;
+  std::uint64_t first = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const auto id = sched.submit(
+        0, [&](JobControl&) { ++ran; },
+        [&](std::uint64_t, JobState, const std::string&) { ++finished; });
+    if (i == 0) first = id;
+  }
+  sched.drain();
+  EXPECT_EQ(ran.load(), 1000);
+  EXPECT_EQ(finished, 1000);
+  EXPECT_EQ(sched.queuedCount() + sched.runningCount(), 0u);
+  JobSnapshot snap;
+  EXPECT_FALSE(sched.snapshot(first, &snap));
+  EXPECT_FALSE(sched.cancel(first));
+}
+
 TEST(ServeScheduler, FailedBodySurfacesItsError) {
   TickScheduler sched(TickScheduler::Config{1});
   JobState finalState = JobState::Done;
   std::string error;
   sched.submit(
-      "boom", 0,
+      0,
       [](JobControl&) { throw std::runtime_error("engine exploded"); },
       [&](std::uint64_t, JobState s, const std::string& e) {
         finalState = s;
         error = e;
       });
-  drainFast(sched);
+  sched.drain();
   EXPECT_EQ(finalState, JobState::Failed);
   EXPECT_EQ(error, "engine exploded");
 }

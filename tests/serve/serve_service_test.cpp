@@ -1,9 +1,11 @@
 // AnalysisService tests: submit-time validation (mirroring the CLI flag
 // diagnostics), end-to-end verdict equality with warm-cache reuse,
-// priority-ordered completion, and pre-dispatch cancellation.
+// priority-ordered completion, pre-dispatch cancellation, and progress
+// reports waking the driving thread.
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <string>
 #include <vector>
@@ -164,6 +166,38 @@ TEST(ServeService, CancelBeforeFirstTickYieldsCancelledResult) {
   // The id is live no more: it is reusable and un-cancellable.
   EXPECT_FALSE(svc.cancel("doomed"));
   EXPECT_TRUE(svc.liveJobs().empty());
+}
+
+TEST(ServeService, QueuedProgressWakesTheDrivingThread) {
+  // relay n=5 expands past the progress stride twice, with thousands of
+  // expansions still to go after the first report.
+  AnalysisService svc(AnalysisService::Config{});
+  JobSpec spec = relaySpec("chatty");
+  spec.n = 5;
+  spec.progress = true;
+  std::vector<std::uint64_t> progress;
+  bool done = false;
+  ASSERT_FALSE(svc.submit(
+                      spec, [&](const JobResult&) { done = true; },
+                      [&](const std::string&, std::uint64_t expansions) {
+                        progress.push_back(expansions);
+                      })
+                   .has_value());
+  EXPECT_EQ(svc.tick(), 1u);  // dispatch
+  pollfd pfd{svc.wakeFd(), POLLIN, 0};
+  // Hang check, not a latency bound.
+  ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+  // Hold the job at its next checkpoint so the wakeup that just arrived
+  // can only be its progress report, not its finish.
+  EXPECT_TRUE(svc.pause("chatty"));
+  svc.clearWake();
+  svc.tick();
+  ASSERT_EQ(progress.size(), 1u);
+  EXPECT_FALSE(done);
+  EXPECT_TRUE(svc.resume("chatty"));
+  svc.drain();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(progress.size(), 2u);
 }
 
 TEST(ServeService, LiveJobsReportsQueuedState) {

@@ -49,7 +49,6 @@
 //   flooding   message-passing flooding consensus over an f-resilient fabric
 //   single-fd  rotating coordinator over ONE f-resilient all-process
 //              perfect failure detector (the Theorem-10 setting)
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -66,6 +65,7 @@
 #include "sim/trace_io.h"
 
 using namespace boosting;
+using serve::parseIntOrDie;
 
 namespace {
 
@@ -97,24 +97,13 @@ struct Options {
   std::exit(2);
 }
 
-// Strict integer option parsing: the full token must be a decimal integer
-// within [lo, hi]. Anything else -- "banana", "2x", empty, out of range --
-// names the offending flag and value on stderr and exits non-zero, instead
-// of the old atoi behaviour of silently reading 0.
-long parseIntOrDie(const char* flag, const char* text, long lo, long hi) {
-  long value = 0;
-  const char* end = text + std::strlen(text);
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || text == end) {
-    std::fprintf(stderr, "%s: not an integer: '%s'\n", flag, text);
+template <class Mode>
+void parseModeOrDie(const char* flag, const char* text, Mode* out) {
+  std::string error;
+  if (!serve::parseMode(flag, text, out, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     std::exit(2);
   }
-  if (value < lo || value > hi) {
-    std::fprintf(stderr, "%s: value %ld out of range [%ld, %ld]\n", flag,
-                 value, lo, hi);
-    std::exit(2);
-  }
-  return value;
 }
 
 // Construction itself lives in serve/candidates.cpp, shared with
@@ -207,30 +196,9 @@ int main(int argc, char** argv) {
       opt.claim = static_cast<int>(
           parseIntOrDie("--claim", needArg("--claim"), 1, 19));
     } else if (std::strcmp(argv[i], "--symmetry") == 0) {
-      const char* v = needArg("--symmetry");
-      if (std::strcmp(v, "auto") == 0) {
-        opt.symmetry = analysis::SymmetryMode::Auto;
-      } else if (std::strcmp(v, "on") == 0) {
-        opt.symmetry = analysis::SymmetryMode::On;
-      } else if (std::strcmp(v, "off") == 0) {
-        opt.symmetry = analysis::SymmetryMode::Off;
-      } else {
-        std::fprintf(stderr, "--symmetry: expected auto|on|off, got '%s'\n",
-                     v);
-        std::exit(2);
-      }
+      parseModeOrDie("--symmetry", needArg("--symmetry"), &opt.symmetry);
     } else if (std::strcmp(argv[i], "--por") == 0) {
-      const char* v = needArg("--por");
-      if (std::strcmp(v, "auto") == 0) {
-        opt.por = analysis::PorMode::Auto;
-      } else if (std::strcmp(v, "on") == 0) {
-        opt.por = analysis::PorMode::On;
-      } else if (std::strcmp(v, "off") == 0) {
-        opt.por = analysis::PorMode::Off;
-      } else {
-        std::fprintf(stderr, "--por: expected auto|on|off, got '%s'\n", v);
-        std::exit(2);
-      }
+      parseModeOrDie("--por", needArg("--por"), &opt.por);
     } else if (std::strcmp(argv[i], "--brute") == 0) {
       opt.brute = true;
     } else if (std::strcmp(argv[i], "--progress") == 0) {

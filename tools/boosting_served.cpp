@@ -5,6 +5,8 @@
 // them on a cooperative tick scheduler with bounded concurrency, and
 // caches per-service-type substructure (built system, action pool, slot
 // canon table, transition memo) across jobs so repeat analyses start warm.
+// There is no timer: the server sleeps until a client writes or a job
+// finishes or reports progress.
 // Verdict text is byte-identical to boosting_analyze for the same
 // parameters. Protocol grammar and examples: src/serve/server.h and
 // DESIGN.md "Analysis service".
@@ -12,8 +14,7 @@
 // Usage:
 //   boosting_served [--listen stdio|tcp:[HOST:]PORT|unix:PATH]...
 //                   [--max-concurrent N] [--cache-contexts N]
-//                   [--max-jobs N] [--tick-ms MS]
-//                   [--metrics-json FILE] [--trace FILE]
+//                   [--max-jobs N] [--metrics-json FILE] [--trace FILE]
 //
 // Defaults: one stdio listener, one worker, 8 cached contexts. A session
 // is as simple as
@@ -22,13 +23,14 @@
 // (implicit drain-shutdown).
 #include <cstdio>
 #include <cstring>
-#include <charconv>
 
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "serve/candidates.h"
 #include "serve/server.h"
 
 using namespace boosting;
+using serve::parseIntOrDie;
 
 namespace {
 
@@ -36,25 +38,9 @@ namespace {
   std::fprintf(stderr,
                "usage: %s [--listen stdio|tcp:[HOST:]PORT|unix:PATH]... "
                "[--max-concurrent N] [--cache-contexts N] [--max-jobs N] "
-               "[--tick-ms MS] [--metrics-json FILE] [--trace FILE]\n",
+               "[--metrics-json FILE] [--trace FILE]\n",
                argv0);
   std::exit(2);
-}
-
-long parseIntOrDie(const char* flag, const char* text, long lo, long hi) {
-  long value = 0;
-  const char* end = text + std::strlen(text);
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || text == end) {
-    std::fprintf(stderr, "%s: not an integer: '%s'\n", flag, text);
-    std::exit(2);
-  }
-  if (value < lo || value > hi) {
-    std::fprintf(stderr, "%s: value %ld out of range [%ld, %ld]\n", flag,
-                 value, lo, hi);
-    std::exit(2);
-  }
-  return value;
 }
 
 }  // namespace
@@ -91,9 +77,6 @@ int main(int argc, char** argv) {
       // omit the flag for an unlimited server.
       cfg.maxJobs = static_cast<std::uint64_t>(parseIntOrDie(
           "--max-jobs", needArg("--max-jobs"), 1, 1000000000L));
-    } else if (std::strcmp(argv[i], "--tick-ms") == 0) {
-      cfg.tickMs = static_cast<int>(
-          parseIntOrDie("--tick-ms", needArg("--tick-ms"), 1, 1000));
     } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
       cfg.metricsJsonPath = needArg("--metrics-json");
     } else if (std::strcmp(argv[i], "--trace") == 0) {

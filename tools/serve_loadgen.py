@@ -48,10 +48,10 @@ def wire(obj):
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def run_server(server, lines, extra_args=()):
+def run_server(server, lines):
     """One stdio session: feed request lines, EOF, collect event objects."""
     proc = subprocess.run(
-        [server, "--tick-ms", "1", *extra_args],
+        [server],
         input="".join(lines), capture_output=True, text=True, timeout=600)
     events = []
     for line in proc.stdout.splitlines():
@@ -67,7 +67,7 @@ def run_server_tcp(server, lines):
     still reading"), so pending results must be delivered over the
     surviving write side before drain shutdown."""
     proc = subprocess.Popen(
-        [server, "--tick-ms", "1", "--listen", "tcp:127.0.0.1:0"],
+        [server, "--listen", "tcp:127.0.0.1:0"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
         port = None
