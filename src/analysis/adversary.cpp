@@ -28,16 +28,16 @@ std::vector<Action> initActionsOf(const ioa::System& sys,
   return out;
 }
 
-}  // namespace
-
 // One pass over the process slots with no allocation: the safety scan runs
 // this on every reachable node. Only a decided process rescans the slots,
-// for an input equal to its decision.
-std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
-                                               const ioa::SystemState& s) {
+// for an input equal to its decision. `partOf(slot)` is the component
+// state at a slot.
+template <typename PartOf>
+std::optional<std::string> safetyViolation(const ioa::System& sys,
+                                           PartOf&& partOf) {
   const int n = sys.processCount();
   const auto stateOf = [&](int i) -> const processes::ProcessStateBase& {
-    return ProcessBase::stateOf(s.part(sys.slotForProcess(i)));
+    return ProcessBase::stateOf(partOf(sys.slotForProcess(i)));
   };
   const Value* first = nullptr;
   int firstWho = -1;
@@ -60,6 +60,24 @@ std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
     }
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
+                                               const ioa::SystemState& s) {
+  return safetyViolation(
+      sys, [&s](std::size_t slot) -> const ioa::AutomatonState& {
+        return s.part(slot);
+      });
+}
+
+std::optional<std::string> nodeSafetyViolation(const StateGraph& g,
+                                               NodeId id) {
+  return safetyViolation(
+      g.system(), [&g, id](std::size_t slot) -> const ioa::AutomatonState& {
+        return g.slotState(id, slot);
+      });
 }
 
 namespace {
@@ -257,7 +275,7 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
     obs::ScopedTimer safetyTimer(reg, "phase.safety_scan");
     for (NodeId node = 0; node < g.size(); ++node) {
       if (reg) reg->progress("safety_scan.nodes", node);
-      if (auto violation = nodeSafetyViolation(sys, g.state(node))) {
+      if (auto violation = nodeSafetyViolation(g, node)) {
         report.verdict = AdversaryReport::Verdict::SafetyViolation;
         report.narrative = *violation;
         report.witness = witnessToNode(g, node);

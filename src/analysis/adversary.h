@@ -136,6 +136,11 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
 // when `s` is safe.
 std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
                                                const ioa::SystemState& s);
+// The same check on node `id` of `g`, reading the process slots' states
+// through the graph's slot ids (no state is materialized): the form the
+// exhaustive safety scan runs on every node.
+std::optional<std::string> nodeSafetyViolation(const StateGraph& g,
+                                               NodeId id);
 
 // Brute-force complement to the proof-guided engine: enumerate every
 // failure set of size 1..maxFailures and every canonical initialization,

@@ -3,8 +3,8 @@
 // slot representatives (SlotCanonTable), the memoized component
 // transitions over them (TransitionCache), and the interned action pool.
 //
-// A StateGraph constructed without a memo creates a private one, which is
-// the exact legacy behaviour: nothing outlives the graph. The analysis
+// A StateGraph constructed without a memo creates a private one: nothing
+// outlives the graph. The analysis
 // service (src/serve/) instead keeps one memo per service type and hands
 // it to every job's StateGraph, so a warm job starts with the slot
 // representatives, transition memos and action pool of its predecessors
@@ -17,10 +17,10 @@
 //     constructed for. A warm entry can make a probe cheaper, never
 //     different: TransitionCache keys its rows on the dense slot ids of
 //     this memo's SlotCanonTable, which never reuses an id and owns every
-//     representative (shared_ptr) while the memo lives. An id a state
-//     carries is only trusted when the cache's own id -> representative
-//     map sends it back to the slot's pointer, so ids issued by another
-//     memo's table can never select a wrong row.
+//     representative (shared_ptr) while the memo lives. Every id row a
+//     graph stores is written through this table (StateGraph::intern
+//     looks a foreign SystemState up slot by slot, by content), so an id
+//     issued by another memo's table can never select a wrong row.
 //   - A memoized transition caches its action's index in this memo's
 //     pool; cache and pool live and die together, so the index cannot go
 //     stale across the graphs that share the memo.

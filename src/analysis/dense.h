@@ -1,14 +1,14 @@
 // Dense epoch-stamped scratch sets and maps over small integer keys.
 //
-// The analysis passes (valence propagation, the Fig. 3 hook scans, the
-// serial BFS, dot export) all need per-iteration visited/preds/seen
-// structures keyed by NodeId -- dense integers handed out consecutively by
-// StateGraph::intern. Hash sets pay for hashing, pointer-chasing and
-// rehash-time allocation on every probe, and a fresh unordered_map per BFS
-// round pays its whole setup cost again; a dense stamp array pays one byte
-// comparison per probe and resets in O(1) by bumping an epoch counter, so
-// the backing storage is reused across iterations without ever being
-// cleared (membership means stamp[key] == current epoch).
+// The analysis passes (the Fig. 3 hook scans, the serial BFS, dot export)
+// all need per-iteration visited/parent/seen structures keyed by NodeId --
+// dense integers handed out consecutively by StateGraph::intern. Hash sets
+// pay for hashing, pointer-chasing and rehash-time allocation on every
+// probe, and a fresh unordered_map per BFS round pays its whole setup cost
+// again; a dense stamp array pays one byte comparison per probe and resets
+// in O(1) by bumping an epoch counter, so the backing storage is reused
+// across iterations without ever being cleared (membership means
+// stamp[key] == current epoch).
 //
 // Both containers auto-grow to the largest key inserted, so they track a
 // growing StateGraph without explicit resize calls. They are scratch
@@ -84,9 +84,8 @@ class DenseIndexSet {
 
 // Map from integer keys to T with the same epoch discipline. at() inserts a
 // default-constructed value on first touch per epoch; values are recycled
-// across epochs (vector-valued payloads keep their heap capacity, which is
-// exactly what the valence predecessor lists want). keys() lists the live
-// keys in insertion order for iteration.
+// across epochs (vector-valued payloads keep their heap capacity). keys()
+// lists the live keys in insertion order for iteration.
 template <typename T>
 class DenseIndexMap {
  public:

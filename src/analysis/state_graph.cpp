@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
+
+#include "util/hashing.h"
 
 namespace boosting::analysis {
 
@@ -13,6 +16,18 @@ namespace {
 // linear probes stay short.
 constexpr bool overloaded(std::size_t used, std::size_t cap) {
   return used * 10 >= cap * 7;
+}
+
+// Hash of an id row: ids folded in pairs through the splitmix64 finalizer.
+std::size_t hashRow(const std::uint32_t* ids, std::size_t n) {
+  std::uint64_t h = 0x51ab5e17u;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    h = util::mix64(h ^ (std::uint64_t{ids[i]} |
+                         (std::uint64_t{ids[i + 1]} << 32)));
+  }
+  if (i < n) h = util::mix64(h ^ std::uint64_t{ids[i]});
+  return static_cast<std::size_t>(h);
 }
 
 }  // namespace
@@ -39,8 +54,12 @@ StateGraph::StateGraph(const ioa::System& sys,
                        std::shared_ptr<const PorPolicy> por,
                        std::shared_ptr<AnalysisMemo> memo)
     : sys_(sys), symmetry_(std::move(symmetry)), por_(std::move(por)),
+      width_(static_cast<std::size_t>(sys.processCount()) +
+             static_cast<std::size_t>(sys.serviceCount())),
       memo_(memo ? std::move(memo) : std::make_shared<AnalysisMemo>(sys)),
-      transitionsBase_(memo_->transitions().stats()) {
+      transitionsBase_(memo_->transitions().stats()),
+      nextIds_(width_),
+      canonIds_(width_) {
   if (&memo_->system() != &sys_) {
     // The memos only make sense against the exact System object they were
     // built for (the TransitionCache snapshots its task list and keys on
@@ -65,29 +84,58 @@ void StateGraph::assertWriter() const {
 }
 
 NodeId StateGraph::intern(const ioa::SystemState& s) {
-  return internWithHash(s, s.hash()).id;
+  assertWriter();
+  if (s.partCount() != width_) {
+    throw std::invalid_argument(
+        "StateGraph::intern: state has " + std::to_string(s.partCount()) +
+        " slots, the system " + std::to_string(width_));
+  }
+  // Orbit reduction: intern the canonical representative instead.
+  std::optional<SymmetryPolicy::CanonResult> c;
+  if (symmetryActive()) c = symmetry_->canonicalize(s);
+  memo_->slotCanon().canonicalize(c ? c->state : s, canonIds_.data());
+  return internRow(canonIds_.data()).id;
 }
 
-StateGraph::InternResult StateGraph::internWithHash(const ioa::SystemState& s,
-                                                    std::size_t hash) {
-  // Copying is a refcount bump per slot under the COW representation, so
-  // the copy-then-move keeps one canonicalizing hot path.
-  ioa::SystemState copy(s);
-  return internWithHash(std::move(copy), hash);
-}
-
-StateGraph::InternResult StateGraph::internWithHash(ioa::SystemState&& s,
-                                                    std::size_t hash) {
+StateGraph::InternResult StateGraph::internSuccessor(
+    const std::uint32_t* ids) {
   if (symmetryActive()) {
-    // Orbit reduction: intern the canonical representative instead. The
-    // replacement is a fresh state, so `s` -- possibly a caller's reusable
-    // successor buffer (see transition_cache.h) -- is left untouched.
-    if (auto c = symmetry_->canonicalize(s)) {
-      const std::size_t h = c->state.hash();
-      return internPrecanonicalized(std::move(c->state), h);
+    memo_->slotCanon().materialize(ids, width_, &symScratch_);
+    if (auto c = symmetry_->canonicalize(symScratch_)) {
+      memo_->slotCanon().canonicalize(c->state, canonIds_.data());
+      return internRow(canonIds_.data());
     }
   }
-  return internPrecanonicalized(std::move(s), hash);
+  return internRow(ids);
+}
+
+const ioa::SystemState& StateGraph::state(NodeId id) const {
+  assert(static_cast<std::size_t>(id) < size());
+  auto it = materialized_.find(id);
+  if (it != materialized_.end()) return it->second;
+  assertWriter();
+  ioa::SystemState& s = materialized_[id];
+  memo_->slotCanon().materialize(row(id), width_, &s);
+  return s;
+}
+
+std::size_t StateGraph::rowChunkCapacity(std::size_t chunk) {
+  const std::size_t shift = std::clamp<std::size_t>(
+      chunk + kRowChunkMinShift - 1, kRowChunkMinShift, kRowChunkMaxShift);
+  return std::size_t{1} << shift;
+}
+
+std::uint32_t* StateGraph::appendRow() {
+  std::size_t offset = 0;
+  const std::size_t chunk =
+      rowChunkOf(static_cast<NodeId>(rowCount_), &offset);
+  if (chunk == rowChunks_.size()) {
+    const std::size_t ids = rowChunkCapacity(chunk) * width_;
+    rowChunks_.emplace_back(new std::uint32_t[ids]);
+    rowBytes_ += ids * sizeof(std::uint32_t);
+  }
+  ++rowCount_;
+  return rowChunks_[chunk].get() + offset * width_;
 }
 
 std::size_t StateGraph::findIndexSlot(std::size_t hash) const {
@@ -118,24 +166,23 @@ void StateGraph::growIndex(std::size_t newCap) {
   }
 }
 
-StateGraph::InternResult StateGraph::internPrecanonicalized(
-    ioa::SystemState&& s, std::size_t hash) {
+StateGraph::InternResult StateGraph::internRow(const std::uint32_t* ids) {
   assertWriter();
-  memo_->slotCanon().canonicalize(s);
+  const std::size_t hash = hashRow(ids, width_);
   if (index_.empty()) growIndex(1024);
   std::size_t slot = findIndexSlot(hash);
   const bool occupied = index_[slot].head != kNoNode;
   if (occupied) {
     for (NodeId id = index_[slot].head; id != kNoNode;
          id = nextSameHash_[id]) {
-      if (states_[id].equals(s)) {
+      if (std::memcmp(row(id), ids, width_ * sizeof(std::uint32_t)) == 0) {
         ++stats_.dedupHits;
         return {id, false};
       }
     }
   }
-  const NodeId id = static_cast<NodeId>(states_.size());
-  states_.push_back(std::move(s));
+  const NodeId id = static_cast<NodeId>(size());
+  std::copy(ids, ids + width_, appendRow());
   succ_.emplace_back();
   reducedSucc_.emplace_back();
   parent_.emplace_back();
@@ -180,15 +227,14 @@ EdgeList StateGraph::successors(NodeId id) {
   CompactEdge* run = reserveEdgeRun(static_cast<std::uint32_t>(tasks.size()),
                                     &base);
   std::uint32_t count = 0;
-  // states_ is a deque: references remain valid across intern() insertions.
-  const ioa::SystemState& s = states_[id];
-  ioa::SystemState next;  // reusable successor buffer (see step())
+  // Row chunks never relocate: `ids` stays valid across insertions.
+  const std::uint32_t* ids = row(id);
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-    TransitionCache::Transition* t = memo_->transitions().step(s, ti, &next);
+    TransitionCache::Transition* t =
+        memo_->transitions().step(ids, ti, nextIds_.data());
     if (!t) continue;
     const std::uint32_t ai = internAction(*t);
-    const std::size_t h = next.hash();
-    const InternResult r = internWithHash(std::move(next), h);
+    const InternResult r = internSuccessor(nextIds_.data());
     if (r.inserted) {
       // Newly discovered node: record its first-discovery parent so that
       // witness paths can be reconstructed. Externally interned roots keep
@@ -224,10 +270,10 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
   const std::size_t taskCount = sys_.allTasks().size();
   // Pass 1: the per-task enabled actions (pointers into the transition
   // memo, stable for the cache's lifetime). No successor is built yet.
-  const ioa::SystemState& s = states_[id];
+  const std::uint32_t* ids = row(id);
   porActions_.resize(taskCount);
   for (std::size_t ti = 0; ti < taskCount; ++ti) {
-    porActions_[ti] = memo_->transitions().enabledAction(s, ti);
+    porActions_[ti] = memo_->transitions().enabledAction(ids, ti);
   }
   std::uint64_t enabledMask = 0;
   const std::uint64_t ampleMask =
@@ -245,13 +291,11 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
       static_cast<std::uint32_t>(std::popcount(ampleMask)), &base);
   std::uint32_t count = 0;
   bool open = false;  // C3: some ample target not yet reduced-expanded
-  ioa::SystemState next;  // reusable successor buffer (see step())
   for (std::uint64_t m = ampleMask; m != 0; m &= m - 1) {
     const std::size_t ti = static_cast<std::size_t>(std::countr_zero(m));
     const std::uint32_t ai =
-        internAction(*memo_->transitions().step(s, ti, &next));
-    const std::size_t h = next.hash();
-    const InternResult r = internWithHash(std::move(next), h);
+        internAction(*memo_->transitions().step(ids, ti, nextIds_.data()));
+    const InternResult r = internSuccessor(nextIds_.data());
     if (r.inserted) {
       parent_[r.id] = Parent{id, ai, static_cast<std::uint16_t>(ti)};
     }
@@ -306,13 +350,32 @@ bool StateGraph::checkConsistent(std::string* why) const {
     if (why) *why = msg;
     return false;
   };
-  const std::size_t n = states_.size();
-  if (succ_.size() != n) return fail("succ_ size != states_ size");
-  if (reducedSucc_.size() != n) return fail("reducedSucc_ size != states_ size");
-  if (parent_.size() != n) return fail("parent_ size != states_ size");
+  const std::size_t n = size();
+  if (rowCount_ != n) return fail("row count != size()");
+  if (reducedSucc_.size() != n) return fail("reducedSucc_ size != size()");
+  if (parent_.size() != n) return fail("parent_ size != size()");
   if (nextSameHash_.size() != n) return fail("nextSameHash_ size mismatch");
   if (stats_.statesDiscovered != n) {
     return fail("statesDiscovered != size()");
+  }
+  // Every row id must be one the memo's table issued for that very slot:
+  // ids are trusted by the transition cache and by slotState().
+  const ioa::SlotCanonTable& canon = memo_->slotCanon();
+  for (std::size_t id = 0; id < n; ++id) {
+    const std::uint32_t* r = row(static_cast<NodeId>(id));
+    for (std::size_t k = 0; k < width_; ++k) {
+      if (r[k] >= canon.size()) {
+        return fail("row holds an id outside the memo's slot table");
+      }
+      if (canon.rep(r[k]).slot != k) {
+        return fail("row holds the id of another slot's representative");
+      }
+    }
+  }
+  for (const auto& [id, s] : materialized_) {
+    if (static_cast<std::size_t>(id) >= n) {
+      return fail("materialized state of an out-of-range node");
+    }
   }
   // The hash chains hanging off the occupied index slots must partition
   // the node set: every node reachable from exactly one slot, no cycles,
@@ -410,7 +473,7 @@ NodeId StateGraph::rootOf(NodeId id) const {
   std::size_t hops = 0;
   while (parent_[cur].from != kNoNode) {
     cur = parent_[cur].from;
-    if (++hops > states_.size()) {
+    if (++hops > size()) {
       throw std::logic_error("StateGraph::rootOf: parent cycle detected");
     }
   }
@@ -425,7 +488,7 @@ std::vector<Edge> StateGraph::pathTo(NodeId id) const {
   while (parent_[cur].from != kNoNode) {
     chain.push_back(cur);
     cur = parent_[cur].from;
-    if (chain.size() > states_.size()) {
+    if (chain.size() > size()) {
       throw std::logic_error("StateGraph::pathTo: parent cycle detected");
     }
   }
@@ -440,7 +503,12 @@ std::vector<Edge> StateGraph::pathTo(NodeId id) const {
 
 StateGraph::MemoryStats StateGraph::memoryStats() const {
   MemoryStats ms;
-  for (const ioa::SystemState& s : states_) ms.bytesStates += s.shallowBytes();
+  // Row chunks, plus the materialization side store: per entry its state
+  // and an unordered_map node (key and next pointer), plus the buckets.
+  ms.bytesStates = rowBytes_ + materialized_.bucket_count() * sizeof(void*);
+  for (const auto& [id, s] : materialized_) {
+    ms.bytesStates += sizeof(id) + sizeof(void*) + s.shallowBytes();
+  }
   ms.bytesEdges =
       static_cast<std::uint64_t>(edgeChunks_.size()) * kEdgeChunkCapacity *
           sizeof(CompactEdge) +

@@ -9,37 +9,55 @@
 // of G(C). Only FAILURE-FREE, locally controlled transitions are expanded:
 // valence (Section 3.2) is defined over failure-free extensions.
 //
-// States are interned by hash with full equality verification, so node ids
-// are canonical; successors are expanded lazily; the first-discovery parent
-// of each node is kept so that witness executions (paths from an
-// initialization to an interesting configuration) can be reconstructed.
+// Node ids are canonical: a configuration is interned once, and the
+// interning index resolves every probe to the existing node; successors
+// are expanded lazily; the first-discovery parent of each node is kept so
+// that witness executions (paths from an initialization to an interesting
+// configuration) can be reconstructed.
 //
-// MEMORY LAYOUT (flat, pooled -- see DESIGN.md "Graph memory layout"): the
-// same action payload repeats across thousands of edges, so actions are
-// deduplicated once into an intern pool and a stored edge is a 12-byte
-// CompactEdge{action idx, target, task idx}. Successor lists append into
-// large fixed-capacity arena chunks (CSR-style; a list never spans chunks,
-// so a raw pointer+count names it) instead of one heap vector per node,
-// and the interning index is a linear-probe open-addressing table of
-// (hash, chain head) replacing the node-allocating unordered_map. Chunks
-// and the action deque never relocate, so EdgeList views stay valid across
-// graph growth exactly like the old per-node vectors did.
+// MEMORY LAYOUT (flat, pooled -- see DESIGN.md "Graph memory layout"):
+//   - A configuration is stored as one fixed-stride ROW of u32 slot ids,
+//     one per slot, issued by the memo's SlotCanonTable (ids are trusted:
+//     every row is written through that table). Rows live in chunks that
+//     never relocate (64, 64, 128, 256, 512, then 1024 rows each), so a
+//     row is 4 * partCount bytes and a row pointer stays valid while the
+//     graph grows. Interning hashes the row and compares rows with memcmp;
+//     TransitionCache steps row to row. No SystemState is built on the
+//     exploration path (except under --symmetry on, which materializes
+//     each successor into a scratch state to canonicalize it).
+//   - state(id) materializes a SystemState on first request into a side
+//     store (counted in bytesStates) and returns the same object from then
+//     on. Only cold paths call it: witness roots, hook endpoints,
+//     classification, the gamma start, dot export and tests. Hot readers
+//     use row() and slotState().
+//   - The same action payload repeats across thousands of edges, so
+//     actions are deduplicated once into an intern pool and a stored edge
+//     is a 12-byte CompactEdge{action idx, target, task idx}. Successor
+//     lists append into large fixed-capacity arena chunks (CSR-style; a
+//     list never spans chunks, so a raw pointer+count names it).
+//   - The interning index is a linear-probe open-addressing table of
+//     (row hash, chain head); same-hash nodes chain intrusively.
+// Row chunks, edge chunks and the action deque never relocate, so row
+// pointers and EdgeList views stay valid across graph growth.
 //
 // CONCURRENCY CONTRACT (single writer): StateGraph is NOT thread-safe.
-// intern(), successors(), reducedSuccessors() and successorVia() mutate the
-// lazy caches and must only be called from the thread that constructed the
-// graph (debug builds assert this). Every exploration engine is serial and
-// runs on that thread; the const accessors (state(), size(),
-// cachedSuccessors(), pathTo(), rootOf()) are safe to call concurrently
-// only while no writer is active.
+// intern(), successors(), reducedSuccessors(), successorVia() and the
+// first state(id) of each node mutate the graph or its caches and must
+// only be called from the thread that constructed the graph (debug builds
+// assert this). state() is const but fills the materialization cache, so
+// it is NOT a concurrent-safe read. Every exploration engine is serial and
+// runs on the owning thread; the other const accessors (row(),
+// slotState(), size(), cachedSuccessors(), pathTo(), rootOf()) are safe to
+// call concurrently only while no writer is active.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/analysis_memo.h"
@@ -144,8 +162,9 @@ class StateGraph {
 
   // Shallow heap footprint of the graph's own structures, in bytes
   // (flushed to the obs registry as graph.bytes_*). bytesStates covers the
-  // state deque and per-state slot arrays (component states behind the COW
-  // pointers are shared and hash-consed, so they are not attributed here);
+  // row chunks plus the materialized states of state() (their slot arrays;
+  // component states are hash-consed in the memo's SlotCanonTable, so they
+  // are not attributed here);
   // bytesEdges the edge arena chunks plus the action pool and its intern
   // table; bytesIndex the open-addressing node index, hash chains, parent
   // records and per-node successor spans.
@@ -159,18 +178,17 @@ class StateGraph {
   // With a non-trivial `symmetry`, every interned state is first replaced
   // by its orbit representative, so the graph is the quotient of G(C) by
   // the process-permutation group (see analysis/symmetry.h); nullptr or a
-  // trivial policy preserves the exact legacy graph.
+  // trivial policy interns every configuration as is.
   // With a non-trivial `por`, the graph additionally maintains a REDUCED
   // successor tier (see exploreSuccessors below); the full tier and every
-  // legacy accessor are unaffected.
+  // other accessor are unaffected.
   // With a non-null `memo`, the graph shares that memo's slot canon table,
   // transition cache and action pool instead of creating private ones --
   // the analysis service's cross-job warm start (see
   // analysis/analysis_memo.h for the safety argument). The memo must have
   // been built for the SAME System object (validated) and must not be used
   // by another graph concurrently (single-writer, like the graph itself).
-  // Null preserves the legacy behaviour exactly: a private memo that dies
-  // with the graph.
+  // Null means a private memo that dies with the graph.
   explicit StateGraph(const ioa::System& sys,
                       std::shared_ptr<const SymmetryPolicy> symmetry = nullptr,
                       std::shared_ptr<const PorPolicy> por = nullptr,
@@ -222,26 +240,37 @@ class StateGraph {
   // Structural self-check, used to assert that abort paths (a throwing
   // expansion hook, a truncated exploration) never leave the graph
   // half-mutated. Verifies parallel-array sizes, stats/size agreement, the
-  // hash-chain partition, and edge-target/pool-index bounds. Returns false
-  // and (when `why` is non-null) a diagnostic on the first violation.
+  // row store (one row per node, every id issued by the memo's table for
+  // that slot), the hash-chain partition, and edge-target/pool-index
+  // bounds. Returns false and (when `why` is non-null) a diagnostic on the
+  // first violation.
   bool checkConsistent(std::string* why = nullptr) const;
 
-  // Canonical node id for `s` (inserted if new).
+  // Canonical node id for `s` (inserted if new). `s` may come from
+  // anywhere -- another graph, another memo, a simulation: every slot is
+  // looked up by content in this graph's SlotCanonTable.
   NodeId intern(const ioa::SystemState& s);
 
-  // Interning with a precomputed hash (must equal s.hash()); the rvalue
-  // overload moves the state into the graph when it is new. `inserted`
-  // distinguishes first discovery from a lookup hit, which is what decides
-  // whether a first-discovery parent may be attached.
-  struct InternResult {
-    NodeId id = kNoNode;
-    bool inserted = false;
-  };
-  InternResult internWithHash(const ioa::SystemState& s, std::size_t hash);
-  InternResult internWithHash(ioa::SystemState&& s, std::size_t hash);
+  // The configuration of node `id`, materialized from its row on first
+  // request (see the layout note above). The reference stays valid, at
+  // the same address, for the graph's lifetime.
+  const ioa::SystemState& state(NodeId id) const;
+  std::size_t size() const { return succ_.size(); }
 
-  const ioa::SystemState& state(NodeId id) const { return states_[id]; }
-  std::size_t size() const { return states_.size(); }
+  // Slots per configuration (ids per row).
+  std::size_t width() const { return width_; }
+  // Node `id`'s row: width() slot ids of memo()->slotCanon(). Stable
+  // address for the graph's lifetime.
+  const std::uint32_t* row(NodeId id) const {
+    std::size_t offset = 0;
+    const std::size_t chunk = rowChunkOf(id, &offset);
+    return rowChunks_[chunk].get() + offset * width_;
+  }
+  // The component state at `slot` of node `id`, read through the memo's
+  // representatives (no materialization).
+  const ioa::AutomatonState& slotState(NodeId id, std::size_t slot) const {
+    return *memo_->slotCanon().rep(row(id)[slot]).state;
+  }
 
   // All failure-free locally controlled transitions out of `id` (lazily
   // computed, cached). One edge per applicable task (determinism). The
@@ -329,11 +358,42 @@ class StateGraph {
   // position: runs are bounded by the chunk count.
   static constexpr std::uint32_t kAliasFull = static_cast<std::uint32_t>(-2);
 
+  // Intern result: `inserted` distinguishes first discovery from a lookup
+  // hit, which is what decides whether a first-discovery parent may be
+  // attached.
+  struct InternResult {
+    NodeId id = kNoNode;
+    bool inserted = false;
+  };
+
   void assertWriter() const;
 
-  // Interning that skips orbit canonicalization: `s` already is its orbit
-  // representative (or no symmetry policy is active).
-  InternResult internPrecanonicalized(ioa::SystemState&& s, std::size_t hash);
+  // Interning of a row of this memo's ids that already is its orbit
+  // representative (or no symmetry policy is active). `ids` must not
+  // point into the row store.
+  InternResult internRow(const std::uint32_t* ids);
+  // Interning of a successor row: under an active symmetry policy it is
+  // materialized into a scratch state and replaced by its orbit
+  // representative first.
+  InternResult internSuccessor(const std::uint32_t* ids);
+
+  // Row store: chunk c holds rowChunkCapacity(c) rows.
+  static constexpr unsigned kRowChunkMinShift = 6;
+  static constexpr unsigned kRowChunkMaxShift = 10;
+  static std::size_t rowChunkOf(NodeId id, std::size_t* offset) {
+    constexpr NodeId kMax = NodeId{1} << kRowChunkMaxShift;
+    if (id < kMax) {
+      const unsigned c = static_cast<unsigned>(
+          std::bit_width(id >> kRowChunkMinShift));
+      *offset = id - (c == 0 ? 0 : NodeId{1} << (c + kRowChunkMinShift - 1));
+      return c;
+    }
+    *offset = id & (kMax - 1);
+    return (kRowChunkMaxShift - kRowChunkMinShift) + (id >> kRowChunkMaxShift);
+  }
+  static std::size_t rowChunkCapacity(std::size_t chunk);
+  // Storage for the next node's row (allocating a chunk when needed).
+  std::uint32_t* appendRow();
 
   // Reserve a contiguous run of up to `need` edge slots in the arena
   // (starting a fresh chunk when the current tail cannot fit the run) and
@@ -364,7 +424,14 @@ class StateGraph {
   const ioa::System& sys_;
   std::shared_ptr<const SymmetryPolicy> symmetry_;
   std::shared_ptr<const PorPolicy> por_;
-  std::deque<ioa::SystemState> states_;  // stable storage
+  std::size_t width_ = 0;  // slots per configuration
+  // Row store (see the layout note): chunks of rows, never relocated.
+  std::vector<std::unique_ptr<std::uint32_t[]>> rowChunks_;
+  std::size_t rowCount_ = 0;
+  std::uint64_t rowBytes_ = 0;  // allocated chunk bytes
+  // state()'s materialized configurations. Node-based, so a returned
+  // reference survives rehashing.
+  mutable std::unordered_map<NodeId, ioa::SystemState> materialized_;
   std::vector<SuccIndex> succ_;
   // Reduced tier (parallel to succ_; only populated when porActive()):
   // begin is an arena position, kAliasFull, or kUnexpanded.
@@ -395,6 +462,11 @@ class StateGraph {
   // The shared cache's tallies at this graph's construction, so
   // transitionStats() stays per-graph on a warm memo.
   TransitionCache::Stats transitionsBase_;
+  // Successor and canonical id rows, and under symmetry the scratch state
+  // a successor row is materialized into; reused across expansions.
+  std::vector<std::uint32_t> nextIds_;
+  std::vector<std::uint32_t> canonIds_;
+  ioa::SystemState symScratch_;
   // reducedSuccessors() pass-1 scratch, reused across expansions.
   std::vector<const ioa::Action*> porActions_;
   PorPolicy::Scratch porScratch_;

@@ -39,44 +39,20 @@ TransitionCache::TransitionCache(const ioa::System& sys,
   }
 }
 
-void TransitionCache::remember(const ioa::SlotCanonTable::Rep& rep,
-                               std::size_t hash, std::size_t slot) {
-  if (rep.id >= ids_.size()) {
-    ids_.resize(std::max<std::size_t>(std::size_t{rep.id} + 1,
-                                      ids_.size() * 2));
-  }
-  IdInfo& info = ids_[rep.id];
-  if (info.rep) return;  // an id names one representative for good
-  info.rep = rep.state;
-  info.hash = hash;
-  info.slot = static_cast<std::uint32_t>(slot);
-}
-
-std::uint32_t TransitionCache::resolve(const ioa::SystemState& s,
-                                       std::size_t slot) {
-  // Verify, then trust: the hint is this table's id only if it maps back
-  // to the very pointer the slot holds, at the same slot position.
-  const std::uint32_t hint = s.slotId(slot);
-  if (hint < ids_.size()) {
-    const IdInfo& info = ids_[hint];
-    if (info.rep.get() == &s.part(slot) && info.slot == slot) return hint;
-  }
-  const std::size_t h = s.slotHashValue(slot);
-  const ioa::SlotCanonTable::Rep rep =
-      canon_.canonicalizeSlot(slot, s.slotShared(slot), h);
-  remember(rep, h, slot);
-  return rep.id;
-}
-
-std::uint32_t TransitionCache::probe(const ioa::SystemState& s,
+std::uint32_t TransitionCache::probe(const std::uint32_t* ids,
                                      std::size_t taskIndex) {
   const std::size_t slot = ownerSlot_[taskIndex];
-  const std::uint32_t id = resolve(s, slot);
-  std::uint32_t row = ids_[id].row;
+  const std::uint32_t id = ids[slot];
+  if (id >= rowOf_.size()) {
+    rowOf_.resize(std::max<std::size_t>(std::size_t{id} + 1,
+                                        rowOf_.size() * 2),
+                  kUnknown);
+  }
+  std::uint32_t row = rowOf_[id];
   if (row == kUnknown) {
     row = static_cast<std::uint32_t>(entries_.size());
     entries_.resize(entries_.size() + rowSize_[slot]);
-    ids_[id].row = row;
+    rowOf_[id] = row;
   }
   const std::uint32_t ei = row + rowOffset_[taskIndex];
   Entry& e = entries_[ei];
@@ -87,7 +63,8 @@ std::uint32_t TransitionCache::probe(const ioa::SystemState& s,
   }
   ++stats_.enabledMisses;
   ++entryCount_;
-  std::optional<ioa::Action> a = sys_.enabled(s, sys_.allTasks()[taskIndex]);
+  std::optional<ioa::Action> a = sys_.componentAtSlot(slot).enabledAction(
+      *canon_.rep(id).state, sys_.allTasks()[taskIndex]);
   if (!a) {
     e.transition = kDisabled;
     return ei;
@@ -106,32 +83,23 @@ std::uint32_t TransitionCache::probe(const ioa::SystemState& s,
   return ei;
 }
 
-const ioa::Action* TransitionCache::enabledAction(const ioa::SystemState& s,
+const ioa::Action* TransitionCache::enabledAction(const std::uint32_t* ids,
                                                   std::size_t taskIndex) {
-  const std::uint32_t t = entries_[probe(s, taskIndex)].transition;
+  const std::uint32_t t = entries_[probe(ids, taskIndex)].transition;
   return t == kDisabled ? nullptr : &transitions_[t].action;
 }
 
-std::uint32_t TransitionCache::successorId(const ioa::SystemState& s,
-                                           std::size_t slot,
+std::uint32_t TransitionCache::successorId(std::uint32_t id,
                                            const ioa::Action& a) {
-  std::unique_ptr<ioa::AutomatonState> stepped = s.part(slot).clone();
+  // Copy out of the rep: registering the successor may grow the table.
+  const std::size_t slot = canon_.rep(id).slot;
+  std::unique_ptr<ioa::AutomatonState> stepped = canon_.rep(id).state->clone();
   sys_.componentAtSlot(slot).apply(*stepped, a);
   std::shared_ptr<const ioa::AutomatonState> sp(std::move(stepped));
   const std::size_t h = sp->hash();
   ioa::statePerfNoteSlotClone();
   ioa::statePerfNoteSlotHash();
-  const ioa::SlotCanonTable::Rep rep =
-      canon_.canonicalizeSlot(slot, std::move(sp), h);
-  remember(rep, h, slot);
-  return rep.id;
-}
-
-void TransitionCache::adopt(ioa::SystemState* next, std::size_t slot,
-                            std::uint32_t id) {
-  const IdInfo& info = ids_[id];
-  next->adoptCanonicalSlot(slot, info.rep, info.hash, id);
-  lastTouched_.push_back(slot);
+  return canon_.canonicalizeSlot(slot, std::move(sp), h);
 }
 
 TransitionCache::NextSlot& TransitionCache::findNext(std::uint64_t key) {
@@ -152,55 +120,41 @@ void TransitionCache::growNext() {
   }
 }
 
-TransitionCache::Transition* TransitionCache::step(const ioa::SystemState& s,
+TransitionCache::Transition* TransitionCache::step(const std::uint32_t* ids,
                                                    std::size_t taskIndex,
-                                                   ioa::SystemState* next) {
-  const std::uint32_t ei = probe(s, taskIndex);
+                                                   std::uint32_t* next) {
+  const std::uint32_t ei = probe(ids, taskIndex);
   if (entries_[ei].transition == kDisabled) return nullptr;
   Transition& t = transitions_[entries_[ei].transition];
-
-  // Prepare the scratch buffer: a fresh (or moved-from, or foreign-source)
-  // buffer gets a full copy of s; a buffer still holding s's previous
-  // successor only has the previously touched slots reverted.
-  if (lastSource_ != &s || next->partCount() != s.partCount()) {
-    *next = s;  // refcount bumps only
-    lastSource_ = &s;
-  } else {
-    for (std::size_t slot : lastTouched_) {
-      next->adoptCanonicalSlot(slot, s.slotShared(slot), s.slotHashValue(slot),
-                               s.slotId(slot));
-    }
-  }
-  lastTouched_.clear();
+  std::copy(ids, ids + width(), next);
 
   if (entries_[ei].ownerParticipates) {
     const std::size_t owner = ownerSlot_[taskIndex];
     ++stats_.applyLookups;
     if (entries_[ei].ownerNext == ioa::kNoSlotId) {
       ++stats_.applyMisses;
-      entries_[ei].ownerNext = successorId(s, owner, t.action);
+      entries_[ei].ownerNext = successorId(ids[owner], t.action);
     } else {
       ++stats_.applyHits;
     }
-    adopt(next, owner, entries_[ei].ownerNext);
+    next[owner] = entries_[ei].ownerNext;
   }
   const Entry e = entries_[ei];
   for (std::uint32_t k = 0; k < e.othersCount; ++k) {
     const std::size_t p = others_[e.othersBegin + k];
-    const std::uint64_t key =
-        (std::uint64_t{ei} << 32) | std::uint64_t{resolve(s, p)};
+    const std::uint64_t key = (std::uint64_t{ei} << 32) | std::uint64_t{ids[p]};
     ++stats_.applyLookups;
     NextSlot& ns = findNext(key);
     std::uint32_t nid = ns.next;
     if (ns.key == kEmptyKey) {
       ++stats_.applyMisses;
-      nid = successorId(s, p, t.action);
+      nid = successorId(ids[p], t.action);
       ns = NextSlot{key, nid};  // successorId leaves nextTable_ alone
       if (overloaded(++nextUsed_, nextTable_.size())) growNext();
     } else {
       ++stats_.applyHits;
     }
-    adopt(next, p, nid);
+    next[p] = nid;
   }
   return &t;
 }

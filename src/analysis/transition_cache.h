@@ -4,9 +4,9 @@
 // enabled -- and which action it produces -- is a pure function of the
 // owning component's local state, and the effect of an action on a
 // participant is a pure function of that participant's local state and the
-// action. Because the exploration engines hash-cons slot states through a
-// SlotCanonTable, "local state" is identified by the representative's
-// dense slot id, so both functions are memoizable with integer keys:
+// action. The exploration engines store a configuration as a row of slot
+// ids issued by one SlotCanonTable (see analysis/state_graph.h), so "local
+// state" is a u32 and both functions are memoizable with integer keys:
 //
 //   (owner slot id, task)               -> enabled? + action + participants
 //                                          + the owner's successor slot id
@@ -19,19 +19,16 @@
 // of its own task's action, so its successor lives in the entry itself.
 // Only the other participant of an invoke or respond goes through one
 // open-addressing table keyed by (entry, participant id). With both memos
-// warm, expanding an edge costs a few vector loads plus, per participant,
-// a refcount bump to adopt the successor slot; no component is cloned,
-// stepped, rehashed, or canonicalized more than once per distinct (local
-// state, action) pair in the whole exploration.
+// warm, expanding an edge is a copy of the source id row plus a few
+// integer loads and stores; no component is cloned, stepped, rehashed, or
+// canonicalized more than once per distinct (local state, action) pair in
+// the whole exploration. Component states are touched only on a miss,
+// through the table's id -> representative map.
 //
-// Ids are HINTS (see SystemState::slotId): a state may carry ids issued by
-// another table (a state copied out of one graph and interned into a graph
-// with another memo keeps its old ids). The cache trusts a slot's id only
-// when its own id -> representative map sends that id to the slot's
-// pointer at the same slot position; otherwise it resolves the slot through
-// canonicalizeSlot to its own table's id. Correctness therefore never
-// depends on where a state's ids came from: a foreign or missing id only
-// costs one table lookup.
+// Ids are TRUSTED: every id row handed to the cache must hold ids of the
+// cache's own SlotCanonTable. StateGraph writes every row through that
+// table; a SystemState from anywhere else enters the id space only through
+// SlotCanonTable::canonicalize, which looks every slot up by content.
 //
 // The cache is NOT thread-safe; like its SlotCanonTable it belongs to one
 // exploration at a time (see analysis/analysis_memo.h).
@@ -40,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "ioa/system.h"
@@ -107,40 +103,27 @@ class TransitionCache {
   const Stats& stats() const { return stats_; }
   // Memoized (owner slot state, task) entries.
   std::size_t size() const { return entryCount_; }
+  // Slots per configuration: the length of every id row.
+  std::size_t width() const { return rowSize_.size(); }
 
-  // The action task #taskIndex (in sys.allTasks() order) enables in `s`,
-  // or nullptr when disabled. Builds no successor; the pointer is stable
-  // until destruction. Counts as one enabled-memo lookup.
-  const ioa::Action* enabledAction(const ioa::SystemState& s,
+  // The action task #taskIndex (in sys.allTasks() order) enables in the
+  // configuration `ids` (width() ids of this cache's table), or nullptr
+  // when disabled. Builds no successor; the pointer is stable until
+  // destruction. Counts as one enabled-memo lookup.
+  const ioa::Action* enabledAction(const std::uint32_t* ids,
                                    std::size_t taskIndex);
 
-  // If task #taskIndex is enabled in `s`, makes *next the successor state
-  // -- canonical slots, all hash caches valid -- and returns the memoized
-  // transition. Returns nullptr when disabled. `s` must only contain
-  // immutable shared slots (any state produced by the engines or by step()
-  // itself qualifies).
-  //
-  // *next is a reusable scratch buffer: pass the same object for every
-  // task expanded from the same source `s`, without mutating it in
-  // between (moving it away -- e.g. interning the successor -- is fine).
-  // When the buffer still holds the previous successor of `s`, only the
-  // slots touched by the previous step are reverted and only the new
-  // participant slots are written: the per-edge cost is a handful of
-  // pointer swaps, no slot-vector copy.
-  Transition* step(const ioa::SystemState& s, std::size_t taskIndex,
-                   ioa::SystemState* next);
+  // If task #taskIndex is enabled in `ids`, writes the successor's id row
+  // to next[0, width()) and returns the memoized transition. Returns
+  // nullptr, leaving `next` untouched, when disabled. `next` must not
+  // alias `ids`.
+  Transition* step(const std::uint32_t* ids, std::size_t taskIndex,
+                   std::uint32_t* next);
 
  private:
   static constexpr std::uint32_t kUnknown = static_cast<std::uint32_t>(-1);
   static constexpr std::uint32_t kDisabled = kUnknown - 1;
 
-  // What the cache knows about one id of its table.
-  struct IdInfo {
-    std::shared_ptr<const ioa::AutomatonState> rep;  // null: unseen id
-    std::size_t hash = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t row = kUnknown;  // first entry of the owner row
-  };
   // One (owner id, task) memo entry, 16 bytes.
   struct Entry {
     std::uint32_t transition = kUnknown;  // index into transitions_, or
@@ -157,13 +140,10 @@ class TransitionCache {
   };
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
-  std::uint32_t resolve(const ioa::SystemState& s, std::size_t slot);
-  void remember(const ioa::SlotCanonTable::Rep& rep, std::size_t hash,
-                std::size_t slot);
-  std::uint32_t probe(const ioa::SystemState& s, std::size_t taskIndex);
-  std::uint32_t successorId(const ioa::SystemState& s, std::size_t slot,
-                            const ioa::Action& a);
-  void adopt(ioa::SystemState* next, std::size_t slot, std::uint32_t id);
+  std::uint32_t probe(const std::uint32_t* ids, std::size_t taskIndex);
+  // The id of representative `id` after `a` (the miss path: clone, apply,
+  // hash, canonicalize).
+  std::uint32_t successorId(std::uint32_t id, const ioa::Action& a);
   NextSlot& findNext(std::uint64_t key);
   void growNext();
 
@@ -172,18 +152,13 @@ class TransitionCache {
   std::vector<std::uint32_t> ownerSlot_;  // per task index
   std::vector<std::uint32_t> rowOffset_;  // per task: index inside its row
   std::vector<std::uint32_t> rowSize_;    // per slot: tasks it owns
-  std::vector<IdInfo> ids_;
+  std::vector<std::uint32_t> rowOf_;      // per id: first entry of its row
   std::vector<Entry> entries_;            // rows, back to back
   std::deque<Transition> transitions_;    // stable: step() hands them out
   std::vector<std::uint32_t> others_;     // non-owner participant slots
   std::vector<NextSlot> nextTable_;
   std::size_t nextUsed_ = 0;
   std::size_t entryCount_ = 0;
-  // Scratch-buffer bookkeeping: the source state the buffer was last
-  // prepared from (address of an engine-stable state) and the slots the
-  // previous step wrote, so the next step can revert just those.
-  const ioa::SystemState* lastSource_ = nullptr;
-  std::vector<std::size_t> lastTouched_;
   Stats stats_;
 };
 

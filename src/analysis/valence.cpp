@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <span>
 #include <stdexcept>
 
 namespace boosting::analysis {
@@ -13,7 +14,9 @@ namespace boosting::analysis {
 namespace {
 constexpr std::uint8_t kReach0 = 1;
 constexpr std::uint8_t kReach1 = 2;
+constexpr std::uint8_t kInRegion = 0x40;
 constexpr std::uint8_t kExplored = 0x80;
+constexpr std::uint32_t kNoLocal = static_cast<std::uint32_t>(-1);
 }  // namespace
 
 const char* valenceName(Valence v) {
@@ -31,7 +34,10 @@ ValenceAnalyzer::ValenceAnalyzer(StateGraph& g, util::Value dec0,
     : g_(g), dec0_(std::move(dec0)), dec1_(std::move(dec1)) {}
 
 void ValenceAnalyzer::ensureSize() {
-  if (bits_.size() < g_.size()) bits_.resize(g_.size(), 0);
+  if (bits_.size() < g_.size()) {
+    bits_.resize(g_.size(), 0);
+    local_.resize(g_.size(), kNoLocal);
+  }
 }
 
 void ValenceAnalyzer::explore(NodeId root) {
@@ -41,27 +47,25 @@ void ValenceAnalyzer::explore(NodeId root) {
   obs::ScopedTimer timer(reg, "phase.valence");
   std::uint64_t frontierPeak = 0;
 
-  // Phase 1: BFS the unexplored region; collect predecessor lists and seed
-  // direct-decision bits.
+  // Phase 1: BFS the unexplored region and seed direct-decision bits.
+  // A region node's CSR index is its BFS position (FIFO: the enqueue order
+  // is the pop order).
   std::vector<NodeId> region;
-  preds_.reset();
-  preds_.reserve(g_.size());
   std::deque<NodeId> frontier;
   std::vector<NodeId> worklist;
 
+  // Only unmarked nodes are enqueued: an explored node's bits are final.
   auto enqueue = [&](NodeId id) {
-    if ((bits_[id] & kExplored) != 0) return;  // old region: bits final
-    // Use a transient mark distinct from kExplored to avoid re-enqueueing.
-    bits_[id] |= 0x40;
+    // A transient mark distinct from kExplored avoids re-enqueueing.
+    bits_[id] |= kInRegion;
+    local_[id] = static_cast<std::uint32_t>(region.size() + frontier.size());
+    frontier.push_back(id);
   };
   auto marked = [&](NodeId id) {
-    return id < bits_.size() && (bits_[id] & (0x40 | kExplored)) != 0;
+    return id < bits_.size() && (bits_[id] & (kInRegion | kExplored)) != 0;
   };
 
-  if (!marked(root)) {
-    enqueue(root);
-    frontier.push_back(root);
-  }
+  if (!marked(root)) enqueue(root);
   std::uint64_t expansions = 0;
   try {
     while (!frontier.empty()) {
@@ -91,48 +95,80 @@ void ValenceAnalyzer::explore(NodeId root) {
             std::uint8_t add = 0;
             if (*v == dec0_) add = kReach0;
             if (*v == dec1_) add = kReach1;
-            if (add != 0 && (bits_[id] & add) != add) {
-              bits_[id] |= add;
-            }
+            bits_[id] |= add;
           }
         }
-        preds_.at(e.to).push_back(id);
-        if (!marked(e.to)) {
-          enqueue(e.to);
-          frontier.push_back(e.to);
-        }
+        if (!marked(e.to)) enqueue(e.to);
       }
     }
   } catch (...) {
     assert(g_.checkConsistent() &&
            "ValenceAnalyzer::explore: StateGraph inconsistent after abort");
-    // The transient 0x40 marks stay behind, but the analyzer object is
-    // abandoned with the aborted analysis; the graph and memo are what
-    // later runs reuse.
+    // The transient kInRegion marks stay behind, but the analyzer object
+    // is abandoned with the aborted analysis; the graph and memo are what
+    // later runs reuse. The CSR indices are cleared all the same.
+    for (NodeId id : region) local_[id] = kNoLocal;
+    for (NodeId id : frontier) local_[id] = kNoLocal;
     if (reg) reg->add("explore.aborts", 1);
     throw;
   }
 
-  // Phase 2: propagate decision reachability backwards to a fixpoint.
+  // Phase 2: the region's reverse edges as one CSR, built in two passes
+  // over the (now cached) successor lists. Targets outside the region get
+  // indices after the region's; the already-explored ones among them have
+  // final bits and seed phase 3.
+  const auto regionEdges = [this](NodeId id) {
+    const EdgeList edges = g_.exploreSuccessors(id);
+    return std::span<const CompactEdge>(edges.data(), edges.size());
+  };
+  std::vector<NodeId> outside;
+  std::vector<std::uint32_t> begin(region.size() + 1, 0);
+  for (NodeId id : region) {
+    for (const CompactEdge& ce : regionEdges(id)) {
+      std::uint32_t& k = local_[ce.to];
+      if (k == kNoLocal) {
+        k = static_cast<std::uint32_t>(region.size() + outside.size());
+        outside.push_back(ce.to);
+        begin.push_back(0);
+      }
+      ++begin[k];
+    }
+  }
+  std::uint32_t sum = 0;
+  for (std::uint32_t& b : begin) {
+    const std::uint32_t c = b;
+    b = sum;
+    sum += c;
+  }
+  std::vector<NodeId> preds(sum);
+  {
+    std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+    for (NodeId id : region) {
+      for (const CompactEdge& ce : regionEdges(id)) {
+        preds[fill[local_[ce.to]]++] = id;
+      }
+    }
+  }
+
+  // Phase 3: propagate decision reachability backwards to a fixpoint.
   // Seeds: every region node with direct bits, plus every already-explored
   // node (its bits are final) that has predecessors in the new region.
   for (NodeId id : region) {
     if ((bits_[id] & (kReach0 | kReach1)) != 0) worklist.push_back(id);
   }
-  for (std::size_t to : preds_.keys()) {
+  for (NodeId to : outside) {
     if ((bits_[to] & kExplored) != 0 &&
         (bits_[to] & (kReach0 | kReach1)) != 0) {
-      worklist.push_back(static_cast<NodeId>(to));
+      worklist.push_back(to);
     }
   }
   while (!worklist.empty()) {
     const NodeId id = worklist.back();
     worklist.pop_back();
     const std::uint8_t reach = bits_[id] & (kReach0 | kReach1);
-    auto* fromList = preds_.find(id);
-    if (!fromList) continue;
-    for (NodeId p : *fromList) {
-      if ((bits_[p] & kExplored) != 0) continue;  // final already
+    const std::uint32_t k = local_[id];
+    for (std::uint32_t at = begin[k]; at < begin[k + 1]; ++at) {
+      const NodeId p = preds[at];
       if ((bits_[p] & reach) != reach) {
         bits_[p] |= reach;
         worklist.push_back(p);
@@ -141,8 +177,10 @@ void ValenceAnalyzer::explore(NodeId root) {
   }
 
   for (NodeId id : region) {
-    bits_[id] = static_cast<std::uint8_t>((bits_[id] & ~0x40) | kExplored);
+    bits_[id] = static_cast<std::uint8_t>((bits_[id] & ~kInRegion) | kExplored);
+    local_[id] = kNoLocal;
   }
+  for (NodeId id : outside) local_[id] = kNoLocal;
   exploredCount_ += region.size();
   if (reg) {
     reg->add("valence.regions", 1);

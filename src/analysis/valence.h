@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "analysis/dense.h"
 #include "analysis/parallel_explorer.h"
 #include "analysis/state_graph.h"
 #include "util/value.h"
@@ -58,12 +57,13 @@ class ValenceAnalyzer {
   util::Value dec0_, dec1_;
   ExplorationPolicy policy_;
   // Per node: bit0 = decide(0) reachable, bit1 = decide(1) reachable,
-  // bit7 = explored.
+  // bit6 = in the region explore() is walking, bit7 = explored.
   std::vector<std::uint8_t> bits_;
-  // Scratch predecessor lists for the reverse-propagation phase, epoch-
-  // reset per explore() call; a member so the inner vectors keep their
-  // heap capacity across overlapping regions.
-  DenseNodeMap<std::vector<NodeId>> preds_;
+  // Per node: its index in the reverse CSR of the explore() call in
+  // progress (region nodes first, then edge targets outside the region), or
+  // kNoLocal. Every entry is reset before explore() returns, so a call
+  // costs O(region), not O(graph).
+  std::vector<std::uint32_t> local_;
   std::size_t exploredCount_ = 0;
 
   void ensureSize();

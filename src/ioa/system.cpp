@@ -77,7 +77,6 @@ AutomatonState& SystemState::mutablePart(std::size_t slot) {
     sl.state = std::shared_ptr<const AutomatonState>(sl.state->clone());
     gSlotClones.fetch_add(1, std::memory_order_relaxed);
   }
-  sl.id = kNoSlotId;  // content is about to change
   if (sl.hashValid) {
     combined_ ^= slotMix(slot, sl.hash);  // retract the stale contribution
     sl.hashValid = false;
@@ -85,20 +84,6 @@ AutomatonState& SystemState::mutablePart(std::size_t slot) {
   // Safe: the object is uniquely owned here and was created non-const
   // (initialState()/clone() return unique_ptr<AutomatonState>).
   return const_cast<AutomatonState&>(*sl.state);
-}
-
-void SystemState::adoptCanonicalSlot(std::size_t slot,
-                                     std::shared_ptr<const AutomatonState> rep,
-                                     std::size_t repHash,
-                                     std::uint32_t repId) {
-  Slot& sl = slots_[slot];
-  sl.id = repId;
-  if (sl.state.get() == rep.get()) return;  // self-loop on this slot
-  if (sl.hashValid) combined_ ^= slotMix(slot, sl.hash);
-  sl.state = std::move(rep);
-  sl.hash = repHash;
-  sl.hashValid = true;
-  combined_ ^= slotMix(slot, repHash);
 }
 
 void SystemState::setSlot(std::size_t slot,
@@ -109,9 +94,6 @@ void SystemState::setSlot(std::size_t slot,
   sl.state = std::move(rep);
   sl.hash = repHash;
   sl.hashValid = true;
-  // Canonicality is per (slot, content): content moved in from elsewhere
-  // must be re-interned by the slot-canon table for this position.
-  sl.id = kNoSlotId;
   combined_ ^= slotMix(slot, repHash);
 }
 
@@ -180,33 +162,43 @@ SlotCanonTable::SlotCanonTable() = default;
 
 SlotCanonTable::~SlotCanonTable() = default;
 
-std::size_t SlotCanonTable::size() const {
-  std::size_t n = 0;
-  for (const auto& [key, chain] : byKey_) n += chain.size();
-  return n;
-}
-
-SlotCanonTable::Rep SlotCanonTable::canonicalizeSlot(
+std::uint32_t SlotCanonTable::canonicalizeSlot(
     std::size_t slot, std::shared_ptr<const AutomatonState> probe,
     std::size_t probeHash) {
-  auto& chain = byKey_[slotMix(slot, probeHash)];
-  for (const Rep& rep : chain) {
-    if (rep.state.get() == probe.get() || rep.state->equals(*probe)) {
-      return rep;
-    }
+  const auto [head, fresh] =
+      head_.try_emplace(slotMix(slot, probeHash), kNoSlotId);
+  for (std::uint32_t id = head->second; id != kNoSlotId;
+       id = nextSameKey_[id]) {
+    const Rep& r = reps_[id];
+    if (r.slot != slot || r.hash != probeHash) continue;  // key collision
+    if (r.state.get() == probe.get() || r.state->equals(*probe)) return id;
   }
-  chain.push_back(Rep{std::move(probe), nextId_++});
-  return chain.back();
+  const std::uint32_t id = static_cast<std::uint32_t>(reps_.size());
+  reps_.push_back(
+      Rep{std::move(probe), probeHash, static_cast<std::uint32_t>(slot)});
+  nextSameKey_.push_back(head->second);
+  head->second = id;
+  return id;
 }
 
-void SlotCanonTable::canonicalize(SystemState& s) {
+void SlotCanonTable::canonicalize(const SystemState& s, std::uint32_t* ids) {
   s.hash();  // flush per-slot caches so every slot hash is valid
   for (std::size_t i = 0; i < s.slots_.size(); ++i) {
-    SystemState::Slot& sl = s.slots_[i];
-    if (sl.id != kNoSlotId) continue;  // already a representative somewhere
-    Rep rep = canonicalizeSlot(i, sl.state, sl.hash);
-    sl.state = std::move(rep.state);
-    sl.id = rep.id;
+    ids[i] = canonicalizeSlot(i, s.slots_[i].state, s.slots_[i].hash);
+  }
+}
+
+void SlotCanonTable::materialize(const std::uint32_t* ids, std::size_t count,
+                                 SystemState* out) const {
+  if (out->slots_.size() != count) {
+    *out = SystemState();
+    out->slots_.resize(count);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const Rep& r = reps_[ids[i]];
+    const SystemState::Slot& sl = out->slots_[i];
+    if (sl.hashValid && sl.state.get() == r.state.get()) continue;
+    out->setSlot(i, r.state, r.hash);
   }
 }
 

@@ -21,13 +21,14 @@
 // action actually touches -- at most two, plus the fail fan-out. Each slot
 // carries a cached component hash, and the combined hash is maintained
 // incrementally as a position-salted XOR (Zobrist-style), so re-hashing
-// after a transition recombines only the touched slots. This drops the
-// per-edge cost of BFS over G(C) from O(total state size) to
-// O(participants).
+// after a transition recombines only the touched slots. SystemState is
+// the simulation and materialization type: the analysis graph does not
+// store SystemStates but rows of slot ids (SlotCanonTable below), and
+// hands out SystemStates materialized from them on request.
 //
 // Sharing discipline: a slot whose cached hash is stale is never shared
 // across threads. mutablePart() detaches before invalidating, and every
-// interned state has been hash()-flushed first, so readers on other
+// canonicalized state has been hash()-flushed first, so readers on other
 // threads only ever see clean, immutable slots (shared_ptr refcounts are
 // atomic).
 //
@@ -77,7 +78,7 @@ void statePerfNoteSlotHash();
 // Seed of the combined state hash (also the hash of the empty state).
 inline constexpr std::size_t kSystemStateHashSeed = 0x51ab5e17u;
 
-// Slot id of a slot no SlotCanonTable has canonicalized (see Slot::id).
+// An id no SlotCanonTable issues: "none" in tables keyed by slot ids.
 inline constexpr std::uint32_t kNoSlotId = static_cast<std::uint32_t>(-1);
 
 class SystemState final {
@@ -114,31 +115,17 @@ class SystemState final {
     return slots_[slot].state.get() == other.slots_[slot].state.get();
   }
 
-  // Replace a slot with a canonical representative of its successor
-  // content. Precondition: `rep` is immutable, shared through a
-  // SlotCanonTable that gave it id `repId`, and repHash == rep->hash().
-  // The combined hash is fixed up incrementally; no clone or component
-  // rehash happens. This is the transition-memo fast path
-  // (analysis/transition_cache.h): the slot is swapped wholesale, so
-  // sibling copies are never affected.
-  void adoptCanonicalSlot(std::size_t slot,
-                          std::shared_ptr<const AutomatonState> rep,
-                          std::size_t repHash, std::uint32_t repId);
-
-  // Replace a slot with an arbitrary immutable component state whose hash
-  // is already known (repHash == rep->hash()). Like adoptCanonicalSlot the
-  // combined hash is fixed up incrementally, but the slot is NOT marked
-  // canonical -- the content typically comes from another slot position or
-  // a fresh relabeling, so a SlotCanonTable must re-intern it for the new
-  // position. This is the orbit-relabeling path (analysis/symmetry.h).
+  // Replace a slot with an immutable component state whose hash is
+  // already known (repHash == rep->hash()). The combined hash is fixed up
+  // incrementally; no clone or component rehash happens. This is the
+  // orbit-relabeling path (analysis/symmetry.h) and the way
+  // SlotCanonTable::materialize() fills a state from representatives.
   void setSlot(std::size_t slot, std::shared_ptr<const AutomatonState> rep,
                std::size_t repHash);
 
-  // Engine hooks for the slot-swap fast path: the shared component object
-  // at `slot`, and its cached hash (only valid after a hash() flush --
-  // every state the engines expand qualifies). Together with
-  // adoptCanonicalSlot these let TransitionCache::step() rewrite only the
-  // participant slots of a reusable successor buffer.
+  // The shared component object at `slot` and its cached hash (only
+  // valid after a hash() flush). The symmetry policy relabels with them
+  // without cloning; SlotCanonTable::canonicalize() reads them.
   const std::shared_ptr<const AutomatonState>& slotShared(
       std::size_t slot) const {
     return slots_[slot].state;
@@ -147,11 +134,6 @@ class SystemState final {
     return slots_[slot].hashValid ? slots_[slot].hash
                                   : slots_[slot].state->hash();
   }
-  // The dense id the last SlotCanonTable that canonicalized this slot gave
-  // its representative, or kNoSlotId. A HINT only: the state does not
-  // record which table issued it, so a consumer keyed by ids must check
-  // that the id maps back to this slot's pointer in its own table.
-  std::uint32_t slotId(std::size_t slot) const { return slots_[slot].id; }
 
   // Shallow footprint of this state object: the slot array plus the object
   // itself, NOT the component states behind the shared_ptrs (those are
@@ -169,10 +151,6 @@ class SystemState final {
     std::shared_ptr<const AutomatonState> state;
     // Cached state->hash(); valid iff hashValid. Mutable: hash() memoizes.
     mutable std::size_t hash = 0;
-    // The representative's id once a SlotCanonTable has made this pointer
-    // canonical, kNoSlotId otherwise (reset whenever the slot is mutated).
-    // Purely an optimization hint: equality never depends on it.
-    std::uint32_t id = kNoSlotId;
     mutable bool hashValid = false;
   };
   static_assert(sizeof(Slot) <= 32, "a slot stays four words");
@@ -186,51 +164,67 @@ class SystemState final {
 };
 
 // Slot hash-consing (maximal structural sharing): maps (slot index, slot
-// hash) to the canonical representative of that component-state content.
-// Interning engines (StateGraph, through its AnalysisMemo) own one table
-// per interned-state set and canonicalize() every state before
-// probing/storing it, so that equals() between two canonicalized states
-// almost always resolves through the per-slot pointer-identity fast path
-// and the deep virtual equals runs at most once per distinct slot content.
-// Also dedupes memory: equal component states are stored once.
+// content) to one canonical representative, and gives every
+// representative a dense u32 id (0, 1, 2, ... in registration order). An
+// interning engine (StateGraph, through its AnalysisMemo) owns one table
+// and stores each configuration as a row of these ids, one per slot: two
+// configurations are equal iff their rows are, and the deep virtual
+// equals runs at most once per distinct slot content. Equal component
+// states are stored once.
 //
-// Every representative gets a dense u32 id (0, 1, 2, ... in registration
-// order) that canonicalize() stores in the slot. Ids of two tables
-// overlap, which is why consumers treat them as hints (Slot::id).
+// Ids are only meaningful for the table that issued them. A SystemState
+// carries no ids; it enters a table's id space through canonicalize()
+// (every slot is looked up by content) and leaves it through
+// materialize().
 //
 // Not thread-safe: a table belongs to one exploration at a time.
 class SlotCanonTable {
  public:
+  // What the table knows about one id.
+  struct Rep {
+    std::shared_ptr<const AutomatonState> state;  // immutable
+    std::size_t hash = 0;                         // state->hash()
+    std::uint32_t slot = 0;  // the slot position whose content it is
+  };
+
   SlotCanonTable();
   SlotCanonTable(const SlotCanonTable&) = delete;
   SlotCanonTable& operator=(const SlotCanonTable&) = delete;
   ~SlotCanonTable();
 
-  // Flushes s's slot hashes and rewrites every non-canonical slot pointer
-  // to the table's representative of equal content (registering first-seen
-  // content as the representative). Equality and hash of `s` are unchanged.
-  void canonicalize(SystemState& s);
+  // The id of the representative of `probe`'s content at `slot`,
+  // registering `probe` itself if the content is new. probeHash must
+  // equal probe->hash(); `probe` must never be mutated afterwards.
+  std::uint32_t canonicalizeSlot(std::size_t slot,
+                                 std::shared_ptr<const AutomatonState> probe,
+                                 std::size_t probeHash);
 
-  struct Rep {
-    std::shared_ptr<const AutomatonState> state;
-    std::uint32_t id = kNoSlotId;
-  };
-  // Single-slot entry point: the representative of `probe`'s content at
-  // `slot` (registering `probe` if first seen) and its id. probeHash must
-  // equal probe->hash(); the representative hashes identically.
-  Rep canonicalizeSlot(std::size_t slot,
-                       std::shared_ptr<const AutomatonState> probe,
-                       std::size_t probeHash);
+  // Writes the id of every slot of `s` to ids[0, s.partCount()), flushing
+  // s's slot hashes first. `s` itself is unchanged.
+  void canonicalize(const SystemState& s, std::uint32_t* ids);
+
+  // The representative behind `id`. The reference is invalidated by the
+  // next registration; the AutomatonState behind `state` lives as long as
+  // the table.
+  const Rep& rep(std::uint32_t id) const { return reps_[id]; }
+
+  // Rewrites *out into the state whose slots are the representatives of
+  // ids[0, count): every slot shared, every hash cache valid. Slots that
+  // already hold their representative are left alone, so refilling a
+  // scratch state with a neighbouring row touches only the differing slots.
+  void materialize(const std::uint32_t* ids, std::size_t count,
+                   SystemState* out) const;
 
   // Distinct component states held as representatives, over all slots.
-  std::size_t size() const;
+  std::size_t size() const { return reps_.size(); }
 
  private:
-  // key (mixed slot index + slot hash) -> representatives with that key.
-  // The chain is almost always a single entry; longer chains only on slot
-  // hash collisions.
-  std::unordered_map<std::size_t, std::vector<Rep>> byKey_;
-  std::uint32_t nextId_ = 0;
+  std::vector<Rep> reps_;  // by id
+  // key (mixed slot index + slot hash) -> newest id with that key; older
+  // ids with the same key chain through nextSameKey_. Chains are almost
+  // always one id long.
+  std::unordered_map<std::size_t, std::uint32_t> head_;
+  std::vector<std::uint32_t> nextSameKey_;  // by id
 };
 
 class System {

@@ -65,9 +65,9 @@ int main() {
   std::uint64_t reduced = 0;
   const auto decideAll = [&] {
     for (std::size_t id = 0; id < g.size(); ++id) {
-      const ioa::SystemState& s = g.state(static_cast<analysis::NodeId>(id));
+      const std::uint32_t* ids = g.row(static_cast<analysis::NodeId>(id));
       for (std::size_t ti = 0; ti < taskCount; ++ti) {
-        actions[ti] = cache.enabledAction(s, ti);
+        actions[ti] = cache.enabledAction(ids, ti);
       }
       std::uint64_t enabled = 0;
       if (por->ampleMask(actions, &enabled, &scratch) != enabled) ++reduced;

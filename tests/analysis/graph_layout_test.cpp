@@ -18,7 +18,9 @@
 #include "analysis/bivalence.h"
 #include "analysis/dense.h"
 #include "analysis/parallel_explorer.h"
+#include "analysis/por.h"
 #include "analysis/state_graph.h"
+#include "analysis/valence.h"
 #include "processes/relay_consensus.h"
 #include "processes/tob_consensus.h"
 
@@ -207,6 +209,25 @@ TEST(GraphLayout, MemoryStatsTrackGrowth) {
             StateGraph::kEdgeChunkCapacity * sizeof(CompactEdge) + (1u << 20));
   EXPECT_EQ(full.total(),
             full.bytesStates + full.bytesEdges + full.bytesIndex);
+}
+
+// A configuration costs one row of u32 slot ids: on relay(5,1) with POR,
+// after the Lemma-4 scan (no state materialized), the state bytes stay
+// within the row plus 16 bytes of chunk slack per state.
+TEST(GraphLayout, StateBytesAreOneIdRowPerState) {
+  RelaySystemSpec spec;
+  spec.processCount = 5;
+  spec.objectResilience = 1;
+  const auto sys = buildRelayConsensusSystem(spec);
+  StateGraph g(*sys, nullptr, PorPolicy::forSystem(*sys, PorMode::Auto));
+  ValenceAnalyzer va(g);
+  (void)findBivalentInitialization(g, va);
+  ASSERT_GT(g.size(), 1000u);
+  const std::uint64_t partCount = g.state(0).partCount();
+  EXPECT_EQ(partCount, g.width());
+  const std::uint64_t rows = g.size() * 4 * partCount;
+  EXPECT_GE(g.memoryStats().bytesStates, rows);
+  EXPECT_LE(g.memoryStats().bytesStates, g.size() * (4 * partCount + 16));
 }
 
 TEST(GraphLayout, TaskCountMustFitSixteenBits) {

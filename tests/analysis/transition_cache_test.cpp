@@ -1,18 +1,19 @@
-// Oracle test for the transition memo: over every reachable state of four
-// candidate systems, TransitionCache::enabledAction and step must agree
-// with the unmemoized System::enabled + System::apply, cold and warm.
+// Oracle test for the transition memo: over every reachable configuration
+// of four candidate systems, TransitionCache::enabledAction and step must
+// agree with the unmemoized System::enabled + System::apply, cold and warm.
 //
-// The cache keys its rows by slot ids, which are hints: a state may carry
-// ids issued by another SlotCanonTable. The last two passes feed it the
-// same states canonicalized by a second table -- every slot deep-cloned,
-// registered in another order, so an id names other content in each
-// table -- and then the original states again, to check that a foreign id
-// is never trusted and never poisons a row.
+// The cache trusts the slot ids of the rows it is given; configurations
+// from elsewhere enter a graph's id space only at StateGraph::intern,
+// which looks every slot up by content. The foreign cells check that
+// boundary: the same configurations canonicalized by a second
+// SlotCanonTable -- every slot deep-cloned, registered in another order,
+// so an id names other content in each table -- must intern to the
+// original nodes, add no transition entries, and expand like the oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,47 +59,24 @@ std::unique_ptr<ioa::System> build(const std::string& candidate, int n) {
   return processes::buildFloodingConsensusSystem(spec);
 }
 
-// `s` with every slot id cleared; with `deep`, every slot is also a fresh
-// clone (same content, new pointer).
-ioa::SystemState unhinted(const ioa::SystemState& s, bool deep) {
+// `s` with every slot a fresh deep clone (same content, new pointer).
+ioa::SystemState deepCloned(const ioa::SystemState& s) {
   ioa::SystemState c(s);
   for (std::size_t i = 0; i < s.partCount(); ++i) {
-    std::shared_ptr<const ioa::AutomatonState> p =
-        deep ? std::shared_ptr<const ioa::AutomatonState>(s.part(i).clone())
-             : s.slotShared(i);
-    c.setSlot(i, std::move(p), s.slotHashValue(i));
+    c.setSlot(i, std::shared_ptr<const ioa::AutomatonState>(s.part(i).clone()),
+              s.slotHashValue(i));
   }
   return c;
 }
 
-// Every state reachable from the canonical initializations (full
-// successor relation, no reduction), canonicalized by `table`.
-std::vector<ioa::SystemState> reachable(const ioa::System& sys,
-                                        ioa::SlotCanonTable& table) {
-  StateGraph g(sys);
-  std::deque<NodeId> frontier;
-  std::vector<char> seen;
-  const auto enqueue = [&](NodeId id) {
-    if (id >= seen.size()) seen.resize(id + 1, 0);
-    if (seen[id]) return;
-    seen[id] = 1;
-    frontier.push_back(id);
-  };
+// Expands every configuration reachable from the canonical initializations
+// (full successor relation, no reduction), in node id order.
+void exploreAll(StateGraph& g) {
+  const ioa::System& sys = g.system();
   for (int ones = 0; ones <= sys.processCount(); ++ones) {
-    enqueue(g.intern(canonicalInitialization(sys, ones)));
+    g.intern(canonicalInitialization(sys, ones));
   }
-  while (!frontier.empty()) {
-    const NodeId id = frontier.front();
-    frontier.pop_front();
-    for (const EdgeView e : g.successors(id)) enqueue(e.to);
-  }
-  std::vector<ioa::SystemState> out;
-  out.reserve(g.size());
-  for (std::size_t id = 0; id < g.size(); ++id) {
-    out.push_back(unhinted(g.state(static_cast<NodeId>(id)), false));
-    table.canonicalize(out.back());
-  }
-  return out;
+  for (NodeId id = 0; id < g.size(); ++id) (void)g.successors(id);
 }
 
 void expectInvariant(const TransitionCache::Stats& st) {
@@ -106,25 +84,35 @@ void expectInvariant(const TransitionCache::Stats& st) {
   EXPECT_EQ(st.applyHits + st.applyMisses, st.applyLookups);
 }
 
-// One pass over every (state, task): the memo against the oracle.
-void checkPass(const ioa::System& sys, TransitionCache& cache,
-               const std::vector<ioa::SystemState>& states) {
+// One pass over every (node, task) of `g`: `cache`, which must share g's
+// slot table, against the oracle.
+void checkPass(const StateGraph& g, TransitionCache& cache) {
+  const ioa::System& sys = g.system();
+  const ioa::SlotCanonTable& table = g.memo()->slotCanon();
   const std::vector<ioa::TaskId>& tasks = sys.allTasks();
-  for (const ioa::SystemState& s : states) {
-    ioa::SystemState next;  // reused across the tasks of `s`, as engines do
+  std::vector<std::uint32_t> next(cache.width());
+  ioa::SystemState got;
+  for (NodeId id = 0; id < g.size(); ++id) {
+    const ioa::SystemState& s = g.state(id);
+    const std::uint32_t* ids = g.row(id);
     for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
       const std::optional<ioa::Action> want = sys.enabled(s, tasks[ti]);
-      const ioa::Action* got = cache.enabledAction(s, ti);
-      ASSERT_EQ(got != nullptr, want.has_value()) << tasks[ti].str();
-      TransitionCache::Transition* t = cache.step(s, ti, &next);
+      const ioa::Action* action = cache.enabledAction(ids, ti);
+      ASSERT_EQ(action != nullptr, want.has_value()) << tasks[ti].str();
+      TransitionCache::Transition* t = cache.step(ids, ti, next.data());
       ASSERT_EQ(t != nullptr, want.has_value()) << tasks[ti].str();
       if (!want) continue;
-      EXPECT_EQ(*got, *want);
-      EXPECT_EQ(&t->action, got);  // one stable transition per entry
+      EXPECT_EQ(*action, *want);
+      EXPECT_EQ(&t->action, action);  // one stable transition per entry
+      for (std::size_t k = 0; k < next.size(); ++k) {
+        ASSERT_LT(next[k], table.size());
+        ASSERT_EQ(table.rep(next[k]).slot, k);  // an id of this slot
+      }
+      table.materialize(next.data(), next.size(), &got);
       const ioa::SystemState ref = sys.apply(s, *want);
-      ASSERT_TRUE(next.equals(ref)) << tasks[ti].str();
-      EXPECT_EQ(next.hash(), ref.hash());
-      EXPECT_EQ(next.hash(), next.fullRehash());
+      ASSERT_TRUE(got.equals(ref)) << tasks[ti].str();
+      EXPECT_EQ(got.hash(), ref.hash());
+      EXPECT_EQ(got.hash(), got.fullRehash());
     }
   }
 }
@@ -132,67 +120,92 @@ void checkPass(const ioa::System& sys, TransitionCache& cache,
 class TransitionCacheOracle
     : public testing::TestWithParam<std::pair<std::string, int>> {};
 
-TEST_P(TransitionCacheOracle, AgreesWithEnabledAndApplyColdWarmAndForeign) {
+TEST_P(TransitionCacheOracle, AgreesWithEnabledAndApplyColdAndWarm) {
   const auto [candidate, n] = GetParam();
   const auto sys = build(candidate, n);
-  ioa::SlotCanonTable table;
-  const std::vector<ioa::SystemState> states = reachable(*sys, table);
-  ASSERT_GT(states.size(), 1u);
-  TransitionCache cache(*sys, table);
+  StateGraph g(*sys);
+  exploreAll(g);
+  ASSERT_GT(g.size(), 1u);
+  // A second cache on the graph's table: cold, but reading the graph's ids.
+  TransitionCache cache(*sys, g.memo()->slotCanon());
 
   // Cold: every entry is computed on its first probe.
-  checkPass(*sys, cache, states);
+  checkPass(g, cache);
   const TransitionCache::Stats cold = cache.stats();
   expectInvariant(cold);
   EXPECT_GT(cold.enabledMisses, 0u);
   EXPECT_EQ(cache.size(), cold.enabledMisses);
 
-  // Warm: the same states hit every memo.
-  checkPass(*sys, cache, states);
+  // Warm: the same rows hit every memo.
+  checkPass(g, cache);
   const TransitionCache::Stats warm = cache.stats().deltaSince(cold);
   expectInvariant(warm);
   EXPECT_EQ(warm.enabledMisses, 0u);
   EXPECT_EQ(warm.applyMisses, 0u);
   EXPECT_EQ(warm.enabledLookups, cold.enabledLookups);
+}
 
-  // Foreign: a second table over deep clones hands out ids 0, 1, 2, ...
-  // too. It sees the states in reverse order, so the same id names other
-  // content there: a cache that trusted ids unchecked would read the
-  // wrong rows.
-  std::vector<std::pair<std::size_t, const ioa::AutomatonState*>> byId;
-  for (const ioa::SystemState& s : states) {
-    for (std::size_t i = 0; i < s.partCount(); ++i) {
-      if (s.slotId(i) >= byId.size()) byId.resize(s.slotId(i) + 1);
-      byId[s.slotId(i)] = {i, &s.part(i)};
-    }
-  }
+TEST_P(TransitionCacheOracle, ForeignStatesInternToTheirNodes) {
+  const auto [candidate, n] = GetParam();
+  const auto sys = build(candidate, n);
+  StateGraph g(*sys);
+  exploreAll(g);
+  const std::size_t nodes = g.size();
+  const std::size_t entries = g.memo()->transitions().size();
+  const ioa::SlotCanonTable& table = g.memo()->slotCanon();
+
+  // A second table over deep clones hands out ids 0, 1, 2, ... too. It
+  // sees the configurations in reverse order, so the same id names other
+  // content there: a graph that trusted a foreign id would pick the wrong
+  // node or transition row.
   ioa::SlotCanonTable other;
-  std::vector<ioa::SystemState> foreign(states.size());
+  std::vector<ioa::SystemState> foreign(nodes);
+  std::vector<std::uint32_t> ids(g.width());
   std::size_t misleading = 0;
-  for (std::size_t k = states.size(); k-- > 0;) {
-    foreign[k] = unhinted(states[k], true);
-    other.canonicalize(foreign[k]);
-    for (std::size_t i = 0; i < foreign[k].partCount(); ++i) {
-      const std::uint32_t id = foreign[k].slotId(i);
-      if (id >= byId.size()) continue;
-      const auto [slot, rep] = byId[id];
-      if (slot != i || !rep->equals(foreign[k].part(i))) ++misleading;
+  for (std::size_t k = nodes; k-- > 0;) {
+    other.canonicalize(deepCloned(g.state(static_cast<NodeId>(k))),
+                       ids.data());
+    other.materialize(ids.data(), ids.size(), &foreign[k]);
+    const std::uint32_t* mine = g.row(static_cast<NodeId>(k));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_NE(&foreign[k].part(i), &g.state(static_cast<NodeId>(k)).part(i));
+      if (ids[i] != mine[i]) ++misleading;
     }
   }
   ASSERT_GT(misleading, 0u);
-  const TransitionCache::Stats beforeForeign = cache.stats();
-  checkPass(*sys, cache, foreign);
-  // Equal content resolves to the rows the first table's states built.
-  EXPECT_EQ(cache.stats().deltaSince(beforeForeign).enabledMisses, 0u);
-  EXPECT_EQ(cache.size(), cold.enabledMisses);
 
-  // The rows stay unpoisoned for the original states.
-  const TransitionCache::Stats beforeAgain = cache.stats();
-  checkPass(*sys, cache, states);
-  const TransitionCache::Stats again = cache.stats().deltaSince(beforeAgain);
-  EXPECT_EQ(again.enabledMisses, 0u);
-  EXPECT_EQ(again.applyMisses, 0u);
-  expectInvariant(cache.stats());
+  // Equal content resolves to the original ids: no node, transition entry
+  // or representative is added.
+  const std::size_t reps = table.size();
+  for (std::size_t k = 0; k < nodes; ++k) {
+    ASSERT_EQ(g.intern(foreign[k]), static_cast<NodeId>(k));
+  }
+  EXPECT_EQ(g.size(), nodes);
+  EXPECT_EQ(g.memo()->transitions().size(), entries);
+  EXPECT_EQ(table.size(), reps);
+
+  // Expanding the foreign configurations, as roots of a graph on the same
+  // (warm) memo, adds no transition entry and matches the oracle.
+  StateGraph h(*sys, nullptr, nullptr, g.memo());
+  for (std::size_t k = 0; k < nodes; ++k) {
+    const NodeId id = h.intern(foreign[k]);
+    std::size_t edge = 0;
+    const EdgeList edges = h.successors(id);
+    for (const ioa::TaskId& task : sys->allTasks()) {
+      const std::optional<ioa::Action> a = sys->enabled(foreign[k], task);
+      if (!a) continue;
+      ASSERT_LT(edge, edges.size());
+      EXPECT_EQ(edges[edge].action, *a);
+      ASSERT_TRUE(h.state(edges[edge].to).equals(sys->apply(foreign[k], *a)))
+          << task.str();
+      ++edge;
+    }
+    EXPECT_EQ(edge, edges.size());
+  }
+  EXPECT_EQ(g.memo()->transitions().size(), entries);
+  std::string why;
+  EXPECT_TRUE(h.checkConsistent(&why)) << why;
+  expectInvariant(g.memo()->transitions().stats());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "analysis/bivalence.h"
 #include "processes/relay_consensus.h"
@@ -143,6 +144,39 @@ TEST(Valence, OverlappingRegionsConsistent) {
   va.explore(after);
   EXPECT_EQ(va.valence(mixed), Valence::Bivalent);
   EXPECT_TRUE(va.explored(after));
+}
+
+TEST(Valence, ExploredSuccessorsSeedTheirPredecessors) {
+  // Explore each successor of a node first: the node's own region is then
+  // the node alone, and its valence must come entirely from the final bits
+  // of the already-explored targets its edges reach.
+  auto sys = relay(2, 0);
+  StateGraph ref(*sys);
+  ValenceAnalyzer refVa(ref);
+  const NodeId refRoot = ref.intern(canonicalInitialization(*sys, 1));
+  refVa.explore(refRoot);
+
+  StateGraph g(*sys);
+  ValenceAnalyzer va(g);
+  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
+  std::vector<NodeId> children;
+  for (const EdgeView e : g.successors(root)) children.push_back(e.to);
+  ASSERT_FALSE(children.empty());
+  for (NodeId c : children) va.explore(c);
+  const std::size_t before = va.exploredCount();
+  va.explore(root);
+  EXPECT_EQ(va.exploredCount(), before + 1);
+  EXPECT_EQ(va.valence(root), refVa.valence(refRoot));
+  EXPECT_EQ(va.valence(root), Valence::Bivalent);
+  // Every node of the child-first graph agrees with the same configuration
+  // in the reference graph (which holds all of them already).
+  const std::size_t refSize = ref.size();
+  for (NodeId id = 0; id < g.size(); ++id) {
+    ASSERT_TRUE(va.explored(id));
+    const NodeId same = ref.intern(g.state(id));
+    ASSERT_LT(same, refSize);
+    EXPECT_EQ(va.valence(id), refVa.valence(same)) << "node " << id;
+  }
 }
 
 TEST(Valence, UnexploredNodeThrows) {
