@@ -94,19 +94,13 @@ namespace {
 // root by Pi = pi_T and the action taken at canonical state r_t by
 // Pi o pi_t^{-1} (that state's concrete counterpart in the lifted
 // execution is relabel_{Pi o pi_t^{-1}}(r_t)). By equivariance the lifted
-// execution is genuine and ends exactly in state(node).
+// execution is genuine and ends exactly in state(node). Without the
+// quotient canonicalize() always answers nullopt, every permutation is the
+// identity, and the witness is the recorded path verbatim.
 ioa::Execution witnessToNode(StateGraph& g, NodeId node) {
   const ioa::System& sys = g.system();
   const NodeId root = g.rootOf(node);
   const std::vector<Edge> path = g.pathTo(node);
-  if (!g.symmetryActive()) {
-    ioa::Execution exec;
-    for (Action& a : initActionsOf(sys, g.state(root))) {
-      exec.append(std::move(a));
-    }
-    for (const Edge& e : path) exec.append(e.action);
-    return exec;
-  }
   const SymmetryPolicy& pol = *g.symmetryPolicy();
   std::vector<std::vector<int>> pis;
   pis.reserve(path.size() + 1);
@@ -319,10 +313,10 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
     for (const InitializationOutcome* init : {&a, &b}) {
       // The differing process P_d is meaningful in the CONCRETE frame of
       // the canonical initializations; under symmetry the graph node only
-      // holds the orbit representative, so rebuild alpha_j itself.
+      // holds the orbit representative, so rebuild alpha_j itself (without
+      // the quotient the node is a root holding exactly this state).
       const ioa::SystemState start =
-          g.symmetryActive() ? canonicalInitialization(sys, init->onesPrefix)
-                             : g.state(init->node);
+          canonicalInitialization(sys, init->onesPrefix);
       sim::RunResult rr = runGamma(sys, start, {d}, cfg.gammaMaxSteps, reg);
       if (rr.livelocked() || rr.reason == sim::RunResult::Reason::StepLimit) {
         report.verdict = AdversaryReport::Verdict::TerminationViolation;
@@ -332,16 +326,12 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
             std::to_string(init->onesPrefix) +
             "-ones initialization yields a fair execution in which no "
             "correct process decides";
-        if (g.symmetryActive()) {
-          ioa::Execution exec;
-          for (Action& ia : initActionsOf(sys, start)) {
-            exec.append(std::move(ia));
-          }
-          for (const Action& ra : rr.exec.actions()) exec.append(ra);
-          report.witness = std::move(exec);
-        } else {
-          report.witness = witnessFromRun(g, init->node, rr);
+        ioa::Execution exec;
+        for (Action& ia : initActionsOf(sys, start)) {
+          exec.append(std::move(ia));
         }
+        for (const Action& ra : rr.exec.actions()) exec.append(ra);
+        report.witness = std::move(exec);
         report.witnessFailures = {d};
         return;
       }

@@ -2,30 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <utility>
 
 namespace boosting::analysis {
 
 namespace {
-
-// Deterministic total order over states with equal slot layout: per-slot
-// cached hash first, serialized content on hash ties. Consistent with
-// equals() as long as every component's str() is faithful (injective on
-// distinct contents) -- a documented obligation of relabelable components.
-int compareStates(const ioa::SystemState& a, const ioa::SystemState& b) {
-  const std::size_t k = a.partCount();
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t ha = a.slotHashValue(i);
-    const std::size_t hb = b.slotHashValue(i);
-    if (ha != hb) return ha < hb ? -1 : 1;
-    if (a.slotShared(i).get() == b.slotShared(i).get()) continue;
-    const std::string sa = a.part(i).str();
-    const std::string sb = b.part(i).str();
-    if (sa != sb) return sa < sb ? -1 : 1;
-  }
-  return 0;
-}
 
 bool endpointsAreAllProcesses(const std::vector<int>& endpoints, int n) {
   if (static_cast<int>(endpoints.size()) != n) return false;
@@ -82,8 +63,8 @@ std::shared_ptr<const SymmetryPolicy> SymmetryPolicy::forSystem(
   if (mode == SymmetryMode::Off) return disabled("disabled (--symmetry off)");
   if (mode == SymmetryMode::Auto) {
     return disabled(
-        "off by default: POR alone is faster on every measured candidate; "
-        "--symmetry on enables the orbit quotient");
+        "off by default until a gated benchmark workload measures the "
+        "quotient; --symmetry on enables it");
   }
   if (!sys.processSymmetric()) {
     return disabled("candidate declares no process symmetry");
@@ -139,102 +120,45 @@ ioa::Action SymmetryPolicy::relabelAction(const ioa::Action& a,
   return out;
 }
 
-std::vector<std::vector<int>> SymmetryPolicy::candidatePerms(
-    const ioa::SystemState& s) const {
-  const int n = n_;
-  std::vector<std::vector<int>> out;
-  // Process contents are permutation-invariant, so any minimizing
-  // permutation must sort the process slots by content. Order the slots by
-  // (cached hash, serialized content) and enumerate only the assignments
-  // within tied blocks; the candidate set is orbit-invariant because the
-  // keys are content-determined.
-  std::vector<std::size_t> h(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    h[static_cast<std::size_t>(i)] = s.slotHashValue(sys_->slotForProcess(i));
-  }
-  std::vector<std::string> strCache(static_cast<std::size_t>(n));
-  std::vector<bool> strReady(static_cast<std::size_t>(n), false);
-  const auto strOf = [&](int i) -> const std::string& {
-    const auto ui = static_cast<std::size_t>(i);
-    if (!strReady[ui]) {
-      strCache[ui] = s.part(sys_->slotForProcess(i)).str();
-      strReady[ui] = true;
-    }
-    return strCache[ui];
-  };
-  std::vector<int> order = identityPerm(n);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    const auto ha = h[static_cast<std::size_t>(a)];
-    const auto hb = h[static_cast<std::size_t>(b)];
-    if (ha != hb) return ha < hb;
-    return strOf(a) < strOf(b);
-  });
-  const auto tied = [&](int a, int b) {
-    return h[static_cast<std::size_t>(a)] == h[static_cast<std::size_t>(b)] &&
-           strOf(a) == strOf(b);
-  };
-  // Blocks of content-equal slots, each owning a contiguous position range.
-  struct Block {
-    std::vector<int> procs;  // ascending process indices
-    int basePos = 0;
-  };
-  std::vector<Block> blocks;
-  for (int p = 0; p < n;) {
-    Block b;
-    b.basePos = p;
-    int q = p;
-    while (q < n && tied(order[static_cast<std::size_t>(p)],
-                         order[static_cast<std::size_t>(q)])) {
-      b.procs.push_back(order[static_cast<std::size_t>(q)]);
-      ++q;
-    }
-    std::sort(b.procs.begin(), b.procs.end());
-    blocks.push_back(std::move(b));
-    p = q;
-  }
-  std::vector<int> perm(static_cast<std::size_t>(n));
-  std::function<void(std::size_t)> rec = [&](std::size_t bi) {
-    if (bi == blocks.size()) {
-      out.push_back(perm);
-      return;
-    }
-    std::vector<int> procs = blocks[bi].procs;
-    const int basePos = blocks[bi].basePos;
-    do {
-      for (std::size_t k = 0; k < procs.size(); ++k) {
-        perm[static_cast<std::size_t>(procs[k])] =
-            basePos + static_cast<int>(k);
-      }
-      rec(bi + 1);
-    } while (std::next_permutation(procs.begin(), procs.end()));
-  };
-  rec(0);
-  return out;
-}
-
 std::optional<SymmetryPolicy::CanonResult> SymmetryPolicy::canonicalize(
     const ioa::SystemState& s) const {
   if (trivial_) return std::nullopt;
   ++statesRaw_;
-  s.hash();  // flush the per-slot caches the candidate keys reuse
+  s.hash();  // flush the per-slot caches the colour order reads
 
-  const std::vector<std::vector<int>> perms = candidatePerms(s);
-  assert(!perms.empty());
-  if (perms.size() == 1 && isIdentity(perms[0])) return std::nullopt;
-
-  std::optional<ioa::SystemState> best;
-  std::size_t bestIdx = 0;
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    ioa::SystemState cand = relabeled(s, perms[i]);
-    if (!best || compareStates(cand, *best) < 0) {
-      best = std::move(cand);
-      bestIdx = i;
+  // Sort the endpoints by colour: the process slot content (cached hash,
+  // then equality, then str() for unequal contents with equal hashes;
+  // str() must be injective on process states of symmetric candidates),
+  // then every service's view of the endpoint, in slot order.
+  const auto colourLess = [&](int i, int j) {
+    const std::size_t si = sys_->slotForProcess(i);
+    const std::size_t sj = sys_->slotForProcess(j);
+    const std::size_t hi = s.slotHashValue(si);
+    const std::size_t hj = s.slotHashValue(sj);
+    if (hi != hj) return hi < hj;
+    if (s.slotShared(si).get() != s.slotShared(sj).get() &&
+        !s.part(si).equals(s.part(sj))) {
+      return s.part(si).str() < s.part(sj).str();
     }
-  }
-  if (best->equals(s)) return std::nullopt;
+    for (std::size_t k = static_cast<std::size_t>(n_); k < s.partCount();
+         ++k) {
+      const int c =
+          sys_->componentAtSlot(k).compareEndpointViews(s.part(k), i, j);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  };
+  std::vector<int> order = identityPerm(n_);
+  std::stable_sort(order.begin(), order.end(), colourLess);
+  // A stable sort moves an endpoint only when the colours are out of
+  // order, so a non-identity order always yields a different state.
+  if (isIdentity(order)) return std::nullopt;
+
   ++orbitsCollapsed_;
-  best->hash();  // publishable: every slot cache valid
-  return CanonResult{std::move(*best), perms[bestIdx]};
+  std::vector<int> perm = invertPerm(order);  // order[pos] moves to pos
+  ioa::SystemState rep = relabeled(s, perm);
+  rep.hash();  // publishable: every slot cache valid
+  return CanonResult{std::move(rep), std::move(perm)};
 }
 
 }  // namespace boosting::analysis

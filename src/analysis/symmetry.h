@@ -14,18 +14,27 @@
 // may therefore intern a single canonical representative per orbit,
 // shrinking the reachable graph by up to n!.
 //
-// Canonical form: the minimum, over the group, of the relabeled state
-// under a deterministic per-slot order (cached slot hash first, serialized
-// slot content as the tie-break -- reusing the COW representation's
-// per-slot hash caches, see DESIGN.md "State representation"). Only
-// id-free candidates are supported: process states never mention process
-// identities (declared via System::declareProcessSymmetry), so the
-// minimization sorts the process slots by content key and only enumerates
-// permutations within tied blocks.
+// Canonical form: the state with its endpoints sorted by colour (the
+// counter abstraction of John et al.). Endpoint i's colour is its process
+// slot content -- cached slot hash first, serialized content only to order
+// unequal contents with equal hashes -- followed by every service's view
+// of i (Automaton::compareEndpointViews), in slot order. One stable sort
+// and one relabeling per probe. Only id-free candidates are supported:
+// process states never mention process identities (declared via
+// System::declareProcessSymmetry).
 //
-// The quotient is an opt-in memory mode (SymmetryMode::On): POR alone is
-// faster on every measured candidate, so SymmetryMode::Auto resolves to
-// the trivial group (DESIGN.md "Symmetry reduction").
+// Why this is canonical: a service state is an endpoint-independent value
+// plus one view per endpoint, so two endpoints of equal colour are swapped
+// by their transposition without changing the state, and every sorting
+// permutation yields the same representative; colours move with
+// relabeling, so every member of an orbit sorts to that representative. A
+// relabelable component that keeps the default compareEndpointViews (0)
+// stays sound -- the representative is in the input's orbit -- but an
+// orbit may then keep several representatives.
+//
+// The quotient is opt-in (SymmetryMode::On): SymmetryMode::Auto resolves
+// to the trivial group until a gated benchmark workload measures it
+// (DESIGN.md "Symmetry reduction").
 //
 // Soundness hinges on equivariance of the composed transition function:
 //   relabel_pi(apply(s, a)) == apply(relabel_pi(s), relabel_pi(a))
@@ -112,12 +121,6 @@ class SymmetryPolicy {
 
  private:
   SymmetryPolicy() = default;
-
-  // Candidate permutations whose relabelings are minimized over: the
-  // (orbit-invariant) set of permutations sorting the process slots by
-  // content key.
-  std::vector<std::vector<int>> candidatePerms(
-      const ioa::SystemState& s) const;
 
   const ioa::System* sys_ = nullptr;
   bool trivial_ = true;

@@ -82,6 +82,28 @@ class Automaton {
     return nullptr;
   }
 
+  // Three-way order (<0, 0, >0) of what `s` holds for endpoint i against
+  // what it holds for endpoint j; the symmetry layer sorts endpoints by it
+  // to pick an orbit representative. Declared together with relabeledState
+  // as one separability contract: `s` is an endpoint-independent part plus
+  // one view per endpoint, so
+  //   (1) a 0 answer means relabeling by the transposition (i j) leaves
+  //       `s` unchanged, and
+  //   (2) the order moves with relabeling:
+  //       compareEndpointViews(relabeledState(s, perm), perm[i], perm[j])
+  //         == compareEndpointViews(s, i, j).
+  // The default 0 stays sound for a relabelable component that does not
+  // override it: the representative is still in the input's orbit, but
+  // the quotient is no longer canonical (one orbit may keep several
+  // representatives).
+  virtual int compareEndpointViews(const AutomatonState& s, int i,
+                                   int j) const {
+    (void)s;
+    (void)i;
+    (void)j;
+    return 0;
+  }
+
   // -- Task-structure declaration (analysis/por.h) -------------------------
   //
   // Partial-order reduction needs to know which shared resources a task

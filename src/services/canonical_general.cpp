@@ -359,6 +359,24 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::relabeledState(
   return out;
 }
 
+int CanonicalGeneralService::compareEndpointViews(
+    const ioa::AutomatonState& state, int i, int j) const {
+  const ServiceState& s = stateOf(state);
+  const auto compareQueues = [](const EndpointQueues::Queue& a,
+                                const EndpointQueues::Queue& b) {
+    if (std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end())) {
+      return -1;
+    }
+    return std::lexicographical_compare(b.begin(), b.end(), a.begin(), a.end())
+               ? 1
+               : 0;
+  };
+  if (int c = compareQueues(s.invBuf.at(i), s.invBuf.at(j))) return c;
+  if (int c = compareQueues(s.respBuf.at(i), s.respBuf.at(j))) return c;
+  return static_cast<int>(s.failed.count(i)) -
+         static_cast<int>(s.failed.count(j));
+}
+
 ioa::Automaton::TaskStructure CanonicalGeneralService::taskStructure() const {
   ioa::Automaton::TaskStructure ts;
   // The engine IS the canonical Fig. 1/4/8 shape: per-endpoint FIFO inv/resp

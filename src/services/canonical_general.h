@@ -126,6 +126,10 @@ class CanonicalGeneralService : public ioa::Automaton {
   std::unique_ptr<ioa::AutomatonState> relabeledState(
       const ioa::AutomatonState& s,
       const std::vector<int>& perm) const override;
+  // Endpoint i's view is (invBuf[i], respBuf[i], i in failed); queues
+  // compare lexicographically by util::Value::operator<.
+  int compareEndpointViews(const ioa::AutomatonState& s, int i,
+                           int j) const override;
   ioa::Automaton::TaskStructure taskStructure() const override;
 
   // -- Metadata ------------------------------------------------------------

@@ -139,6 +139,23 @@ TEST(SymmetryEquivalence, RelayN3FOne) {
   EXPECT_EQ(off.witnessFailures.size(), on.witnessFailures.size());
 }
 
+TEST(SymmetryEquivalence, RelayN6FOneMatchesPorAlone) {
+  // The largest cell: the colour-sort quotient at n=6 against the default
+  // POR-alone run, down to the Lemma-8 classification of the hook.
+  auto sys = relayFixture(6, 1);
+  const auto off = runWith(*sys, 2, SymmetryMode::Off,
+                           /*exemptFailureAware=*/false, PorMode::Auto);
+  const auto on = runWith(*sys, 2, SymmetryMode::On,
+                          /*exemptFailureAware=*/false, PorMode::Auto);
+  expectSameProofShape(off, on);
+  EXPECT_TRUE(on.symmetryReduced) << on.symmetryNote;
+  EXPECT_LT(on.statesExplored, off.statesExplored);
+  EXPECT_EQ(off.classification.kind, on.classification.kind);
+  EXPECT_EQ(off.classification.index, on.classification.index);
+  EXPECT_EQ(off.classification.viaEPrime, on.classification.viaEPrime);
+  expectWitnessIsConcrete(*sys, on);
+}
+
 TEST(SymmetryEquivalence, TOBN3DeclinesWithoutDeclaredSymmetry) {
   auto sys = tobFixture(3, 0);
   const auto off = runWith(*sys, 1, SymmetryMode::Off);

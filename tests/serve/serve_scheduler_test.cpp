@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -102,9 +103,11 @@ TEST(ServeScheduler, CancelDrainsRunningExplorationThroughAbortPath) {
   // wired into the engines' hook; cancellation must surface as a
   // Cancelled outcome AND leave the StateGraph checked-consistent (the
   // property that makes a cached context reusable after a cancel).
+  // The graph is built inside the job body: a StateGraph's writer is the
+  // thread that constructed it.
   auto sys = buildCandidateSystem("relay", 3, 1, nullptr);
   ASSERT_NE(sys, nullptr);
-  analysis::StateGraph g(*sys);
+  std::optional<analysis::StateGraph> g;
   std::atomic<bool> go{false};
   TickScheduler sched(TickScheduler::Config{1});
   JobState finalState = JobState::Done;
@@ -114,11 +117,12 @@ TEST(ServeScheduler, CancelDrainsRunningExplorationThroughAbortPath) {
         while (!go.load()) {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
+        g.emplace(*sys);
         analysis::ExplorationPolicy policy;
         policy.expansionHook = [&ctl](std::size_t) { ctl.checkpoint(); };
         const auto root =
-            g.intern(analysis::canonicalInitialization(*sys, 1));
-        analysis::exploreReachable(g, root, policy);
+            g->intern(analysis::canonicalInitialization(*sys, 1));
+        analysis::exploreReachable(*g, root, policy);
       },
       [&](std::uint64_t, JobState s, const std::string&) { finalState = s; });
   // Dispatch, cancel while the worker is gated, then release: the very
@@ -129,8 +133,9 @@ TEST(ServeScheduler, CancelDrainsRunningExplorationThroughAbortPath) {
   go = true;
   sched.drain();
   EXPECT_EQ(finalState, JobState::Cancelled);
+  ASSERT_TRUE(g.has_value());
   std::string why;
-  EXPECT_TRUE(g.checkConsistent(&why)) << why;
+  EXPECT_TRUE(g->checkConsistent(&why)) << why;
 }
 
 TEST(ServeScheduler, PauseResumeIsObservationallyInert) {
@@ -146,7 +151,7 @@ TEST(ServeScheduler, PauseResumeIsObservationallyInert) {
     refStates = ref.size();
   }
 
-  analysis::StateGraph g(*sys);
+  std::optional<analysis::StateGraph> g;  // built by the job body
   TickScheduler sched(TickScheduler::Config{1});
   std::atomic<std::uint64_t> expansions{0};
   std::atomic<bool> go{false};
@@ -157,14 +162,15 @@ TEST(ServeScheduler, PauseResumeIsObservationallyInert) {
         while (!go.load()) {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
+        g.emplace(*sys);
         analysis::ExplorationPolicy policy;
         policy.expansionHook = [&](std::size_t) {
           ctl.checkpoint();
           ++expansions;
         };
         const auto root =
-            g.intern(analysis::canonicalInitialization(*sys, 1));
-        analysis::exploreReachable(g, root, policy);
+            g->intern(analysis::canonicalInitialization(*sys, 1));
+        analysis::exploreReachable(*g, root, policy);
       },
       [&](std::uint64_t, JobState s, const std::string&) { finalState = s; });
   sched.tick();
@@ -185,10 +191,11 @@ TEST(ServeScheduler, PauseResumeIsObservationallyInert) {
   }
   sched.drain();
   EXPECT_EQ(finalState, JobState::Done);
-  EXPECT_EQ(g.size(), refStates);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->size(), refStates);
   EXPECT_GT(expansions.load(), 0u);
   std::string why;
-  EXPECT_TRUE(g.checkConsistent(&why)) << why;
+  EXPECT_TRUE(g->checkConsistent(&why)) << why;
 }
 
 TEST(ServeScheduler, PausedJobObservesCancellation) {

@@ -15,11 +15,12 @@
 //
 // --symmetry auto|on|off controls orbit canonicalization (symmetry
 // reduction, see analysis/symmetry.h). `auto` (the default) and `off`
-// explore the exact graph: POR alone is faster on every measured
-// candidate. `on` is an opt-in memory mode: candidates whose processes are
+// explore the exact graph. `on` is opt-in: candidates whose processes are
 // interchangeable and id-free (relay) are explored up to process
-// permutation, shrinking G(C) by up to n!, and the run reports why
-// reduction stayed off when it could not be applied. The verdict is the
+// permutation, one representative per orbit (the processes sorted by
+// colour: process state, then every service's view of that process),
+// shrinking G(C) by up to n!; the run reports why reduction stayed off
+// when it could not be applied. The verdict is the
 // same either way; state counts and witness process names may differ
 // (quotient witnesses are lifted back to concrete executions).
 //
