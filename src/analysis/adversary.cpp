@@ -1,5 +1,6 @@
 #include "analysis/adversary.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "analysis/metrics.h"
@@ -78,6 +79,55 @@ std::optional<std::string> nodeSafetyViolation(const StateGraph& g,
       g.system(), [&g, id](std::size_t slot) -> const ioa::AutomatonState& {
         return g.slotState(id, slot);
       });
+}
+
+NodeId firstUnsafeNode(const StateGraph& g, obs::Registry* reg) {
+  const ioa::System& sys = g.system();
+  const int n = sys.processCount();
+  std::vector<std::size_t> procSlots(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) procSlots[i] = sys.slotForProcess(i);
+  // Per process slot id: its (decision, input), each interned to a small
+  // int (0 = nil; equal ints iff equal values), filled on first sight.
+  struct Recorded {
+    std::uint32_t decision = 0;
+    std::uint32_t input = 0;
+    bool known = false;
+  };
+  std::vector<Recorded> recorded;
+  std::vector<const Value*> values;  // int k + 1 -> its value
+  const auto intern = [&values](const Value& v) -> std::uint32_t {
+    if (v.isNil()) return 0;
+    for (std::size_t k = 0; k < values.size(); ++k)
+      if (*values[k] == v) return static_cast<std::uint32_t>(k + 1);
+    values.push_back(&v);
+    return static_cast<std::uint32_t>(values.size());
+  };
+  std::vector<Recorded> procs(static_cast<std::size_t>(n));
+  for (NodeId node = 0; node < g.size(); ++node) {
+    if (reg) reg->progress("safety_scan.nodes", node);
+    const std::uint32_t* ids = g.row(node);
+    for (int i = 0; i < n; ++i) {
+      const std::uint32_t id = ids[procSlots[i]];
+      if (id >= recorded.size()) recorded.resize(std::size_t{id} + 1);
+      Recorded& r = recorded[id];
+      if (!r.known) {
+        const auto& ps = ProcessBase::stateOf(g.slotState(node, procSlots[i]));
+        r = Recorded{intern(ps.decision), intern(ps.input), true};
+      }
+      procs[i] = r;
+    }
+    // The same predicate as nodeSafetyViolation, on the interned ints.
+    std::uint32_t first = 0;
+    for (int i = 0; i < n; ++i) {
+      const std::uint32_t d = procs[i].decision;
+      if (d == 0) continue;
+      bool valid = false;
+      for (int j = 0; j < n && !valid; ++j) valid = procs[j].input == d;
+      if (!valid || (first != 0 && first != d)) return node;
+      if (first == 0) first = d;
+    }
+  }
+  return kNoNode;
 }
 
 namespace {
@@ -192,6 +242,27 @@ sim::RunResult runGamma(const ioa::System& sys, const ioa::SystemState& start,
   return sim::run(sys, cfg);
 }
 
+// The failure sets the Lemma-4 branch tries for differing process P_d:
+// {d} first, then every set of `claimed` processes containing d, in
+// lexicographic order.
+std::vector<std::set<int>> lemma4FailureSets(int n, int d, int claimed) {
+  std::vector<std::set<int>> out = {{d}};
+  if (claimed <= 1) return out;
+  std::vector<int> pick(static_cast<std::size_t>(claimed));
+  for (int k = 0; k < claimed; ++k) pick[k] = k;  // first combination
+  while (true) {
+    if (std::find(pick.begin(), pick.end(), d) != pick.end()) {
+      out.emplace_back(pick.begin(), pick.end());
+    }
+    // Next combination in lexicographic order.
+    int k = claimed - 1;
+    while (k >= 0 && pick[k] == n - claimed + k) --k;
+    if (k < 0) return out;
+    ++pick[k];
+    for (int j = k + 1; j < claimed; ++j) pick[j] = pick[j - 1] + 1;
+  }
+}
+
 }  // namespace
 
 std::string AdversaryReport::summary() const {
@@ -267,14 +338,12 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
 
   {
     obs::ScopedTimer safetyTimer(reg, "phase.safety_scan");
-    for (NodeId node = 0; node < g.size(); ++node) {
-      if (reg) reg->progress("safety_scan.nodes", node);
-      if (auto violation = nodeSafetyViolation(g, node)) {
-        report.verdict = AdversaryReport::Verdict::SafetyViolation;
-        report.narrative = *violation;
-        report.witness = witnessToNode(g, node);
-        return;
-      }
+    const NodeId unsafe = firstUnsafeNode(g, reg);
+    if (unsafe != kNoNode) {
+      report.verdict = AdversaryReport::Verdict::SafetyViolation;
+      report.narrative = *nodeSafetyViolation(g, unsafe);
+      report.witness = witnessToNode(g, unsafe);
+      return;
     }
     if (reg) reg->add("safety_scan.nodes", g.size());
   }
@@ -301,7 +370,11 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
 
   if (!biv.bivalent) {
     // Lemma 4's contradiction, made concrete: fail the single process the
-    // adjacent opposite-valent initializations differ in.
+    // adjacent opposite-valent initializations differ in. An f-resilient
+    // service may keep answering that one failure (the single failure
+    // detector does), so when both runs decide, fail the differing process
+    // together with f others: each set J of claimedFailures processes that
+    // contains it, in lexicographic order.
     if (!biv.adjacentOppositePair) {
       report.narrative =
           "no bivalent initialization and no adjacent opposite-valent pair: "
@@ -310,20 +383,32 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
     }
     const auto& [a, b] = *biv.adjacentOppositePair;
     const int d = a.onesPrefix;  // alpha_j vs alpha_{j+1} differ at P_j
-    for (const InitializationOutcome* init : {&a, &b}) {
-      // The differing process P_d is meaningful in the CONCRETE frame of
-      // the canonical initializations; under symmetry the graph node only
-      // holds the orbit representative, so rebuild alpha_j itself (without
-      // the quotient the node is a root holding exactly this state).
-      const ioa::SystemState start =
-          canonicalInitialization(sys, init->onesPrefix);
-      sim::RunResult rr = runGamma(sys, start, {d}, cfg.gammaMaxSteps, reg);
-      if (rr.livelocked() || rr.reason == sim::RunResult::Reason::StepLimit) {
+    for (const std::set<int>& J : lemma4FailureSets(sys.processCount(), d,
+                                                    cfg.claimedFailures)) {
+      for (const InitializationOutcome* init : {&a, &b}) {
+        // The differing process P_d is meaningful in the CONCRETE frame of
+        // the canonical initializations; under symmetry the graph node only
+        // holds the orbit representative, so rebuild alpha_j itself
+        // (without the quotient the node is a root holding exactly this
+        // state).
+        const ioa::SystemState start =
+            canonicalInitialization(sys, init->onesPrefix);
+        sim::RunResult rr = runGamma(sys, start, J, cfg.gammaMaxSteps, reg);
+        if (!rr.livelocked() &&
+            rr.reason != sim::RunResult::Reason::StepLimit) {
+          continue;
+        }
+        std::string others;
+        for (int i : J) {
+          if (i == d) continue;
+          others += (others.empty() ? "P" : ", P") + std::to_string(i);
+        }
         report.verdict = AdversaryReport::Verdict::TerminationViolation;
         report.narrative =
             "Lemma 4 construction: failing the differing process P" +
-            std::to_string(d) + " after the " +
-            std::to_string(init->onesPrefix) +
+            std::to_string(d) +
+            (others.empty() ? "" : " together with " + others) +
+            " after the " + std::to_string(init->onesPrefix) +
             "-ones initialization yields a fair execution in which no "
             "correct process decides";
         ioa::Execution exec;
@@ -332,7 +417,7 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
         }
         for (const Action& ra : rr.exec.actions()) exec.append(ra);
         report.witness = std::move(exec);
-        report.witnessFailures = {d};
+        report.witnessFailures = J;
         return;
       }
     }

@@ -141,6 +141,13 @@ std::optional<std::string> nodeSafetyViolation(const ioa::System& sys,
 // exhaustive safety scan runs on every node.
 std::optional<std::string> nodeSafetyViolation(const StateGraph& g,
                                                NodeId id);
+// Step 1's exhaustive scan: the first node of `g`, in id order, for which
+// nodeSafetyViolation(g, id) reports a violation, or kNoNode. Each process
+// slot id's (decision, input) is read once and interned to small ints, so
+// a node costs a few integer compares per process; only the flagged node
+// goes back to nodeSafetyViolation for the narrative. Reports progress to
+// `reg` when non-null.
+NodeId firstUnsafeNode(const StateGraph& g, obs::Registry* reg = nullptr);
 
 // Brute-force complement to the proof-guided engine: enumerate every
 // failure set of size 1..maxFailures and every canonical initialization,

@@ -23,20 +23,6 @@ inline int codeServiceIndex(std::uint32_t code) {
 
 }  // namespace
 
-std::size_t PorPolicy::SignatureHash::operator()(const Signature& s) const {
-  // One multiply per pair of codes, one avalanche at the end: signatures
-  // are short arrays of small codes, so the per-element mix64 rounds of
-  // util::hashValue bought nothing but latency.
-  std::uint64_t h = 0x90e4c2b7u ^ s.size();
-  std::size_t i = 0;
-  for (; i + 2 <= s.size(); i += 2) {
-    const std::uint64_t pair = (std::uint64_t{s[i]} << 32) | s[i + 1];
-    h = (h ^ pair) * 0x9e3779b97f4a7c15ULL;
-  }
-  if (i < s.size()) h = (h ^ s[i]) * 0x9e3779b97f4a7c15ULL;
-  return static_cast<std::size_t>(util::mix64(h));
-}
-
 std::shared_ptr<const PorPolicy> PorPolicy::forSystem(const ioa::System& sys,
                                                       PorMode mode) {
   std::shared_ptr<PorPolicy> pol(new PorPolicy());
@@ -264,7 +250,8 @@ std::shared_ptr<const PorPolicy> PorPolicy::forSystem(const ioa::System& sys,
 }
 
 std::uint32_t PorPolicy::codeFor(std::size_t ti, const ioa::Action* a,
-                                 bool* analyzable) const {
+                                 bool* analyzable,
+                                 std::uint32_t* violations) const {
   if (a == nullptr) return 0;
   const TaskInfo& info = tasks_[ti];
   const auto pack = [](ioa::ActionKind k, int svcIdxPlus1 = 0) {
@@ -285,7 +272,7 @@ std::uint32_t PorPolicy::codeFor(std::size_t ti, const ioa::Action* a,
           for (std::size_t q = 0; q < info.depInvoke.size(); ++q)
             if (serviceIds_[q] == a->component) s = static_cast<int>(q);
           if (s < 0 || info.depInvoke[s] == 0) {
-            ++declarationViolations_;
+            ++*violations;
             *analyzable = false;
             return pack(a->kind);
           }
@@ -411,43 +398,102 @@ std::uint64_t PorPolicy::computeAmple(const Signature& sig,
   return best;
 }
 
-std::uint64_t PorPolicy::ampleMask(
-    const std::vector<const ioa::Action*>& actions,
-    std::uint64_t* enabledOut) const {
-  Scratch scratch;
-  return ampleMask(actions, enabledOut, &scratch);
+PorPolicy::Decision PorPolicy::decide(
+    const std::vector<const ioa::Action*>& actions, Signature* sig) const {
+  Decision d;
+  sig->resize(taskCount_);
+  bool analyzable = true;
+  for (std::size_t ti = 0; ti < taskCount_; ++ti) {
+    (*sig)[ti] = codeFor(ti, actions[ti], &analyzable, &d.violations);
+    if (codeEnabled((*sig)[ti])) d.enabled |= bit(ti);
+  }
+  d.ample = analyzable ? computeAmple(*sig, d.enabled) : d.enabled;
+  return d;
+}
+
+std::uint64_t PorPolicy::record(const Decision& d,
+                                std::uint64_t* enabledOut) const {
+  *enabledOut = d.enabled;
+  ++nodesEvaluated_;
+  enabledSum_ += static_cast<std::uint64_t>(popcount(d.enabled));
+  ampleSum_ += static_cast<std::uint64_t>(popcount(d.ample));
+  declarationViolations_ += d.violations;
+  return d.ample;
 }
 
 std::uint64_t PorPolicy::ampleMask(
-    const std::vector<const ioa::Action*>& actions, std::uint64_t* enabledOut,
-    Scratch* scratch) const {
-  std::uint64_t enabledMask = 0;
+    const std::vector<const ioa::Action*>& actions,
+    std::uint64_t* enabledOut) const {
   if (trivial_) {
+    std::uint64_t enabledMask = 0;
     for (std::size_t ti = 0; ti < actions.size(); ++ti)
       if (actions[ti] != nullptr) enabledMask |= bit(ti);
     *enabledOut = enabledMask;
     return enabledMask;
   }
-  Signature& sig = scratch->signature;
-  sig.resize(taskCount_);
-  bool analyzable = true;
-  for (std::size_t ti = 0; ti < taskCount_; ++ti) {
-    sig[ti] = codeFor(ti, actions[ti], &analyzable);
-    if (codeEnabled(sig[ti])) enabledMask |= bit(ti);
-  }
-  *enabledOut = enabledMask;
-  ++nodesEvaluated_;
-  enabledSum_ += static_cast<std::uint64_t>(popcount(enabledMask));
-  std::uint64_t result = enabledMask;
-  if (analyzable) {
-    auto it = memo_.find(sig);
-    if (it == memo_.end()) {
-      it = memo_.emplace(sig, computeAmple(sig, enabledMask)).first;
+  Signature sig;
+  return record(decide(actions, &sig), enabledOut);
+}
+
+const PorPolicy::Decision& PorPolicy::lookup(const std::uint32_t* classes,
+                                             const std::uint32_t* ids,
+                                             TransitionCache& cache,
+                                             Scratch* scratch) const {
+  DecisionMemo& m = memo_;
+  const std::size_t width = m.width;
+  const auto hash =
+      static_cast<std::uint32_t>(util::hashIdRow(classes, width));
+  std::size_t mask = m.table.size() - 1;
+  std::size_t i = hash & mask;
+  for (; m.table[i].entryPlus1 != 0; i = (i + 1) & mask) {
+    const std::uint32_t e = m.table[i].entryPlus1 - 1;
+    if (m.table[i].hash == hash &&
+        std::equal(classes, classes + width, &m.keys[e * width])) {
+      return m.decisions[e];
     }
-    result = it->second;
   }
-  ampleSum_ += static_cast<std::uint64_t>(popcount(result));
-  return result;
+  // Miss: decide from the per-task actions, then insert.
+  std::vector<const ioa::Action*>& actions = scratch->actions;
+  actions.resize(taskCount_);
+  for (std::size_t ti = 0; ti < taskCount_; ++ti) {
+    actions[ti] = cache.enabledAction(ids, ti);
+  }
+  const auto entry = static_cast<std::uint32_t>(m.decisions.size());
+  m.decisions.push_back(decide(actions, &scratch->signature));
+  m.keys.insert(m.keys.end(), classes, classes + width);
+  m.table[i] = MemoSlot{hash, entry + 1};
+  if (std::size_t{entry + 1} * 10 >= m.table.size() * 7) {
+    // Grow at 70% load: every slot moves to the home of its stored hash.
+    std::vector<MemoSlot> old = std::move(m.table);
+    m.table.assign(old.size() * 2, MemoSlot{});
+    mask = m.table.size() - 1;
+    for (const MemoSlot& slot : old) {
+      if (slot.entryPlus1 == 0) continue;
+      std::size_t j = slot.hash & mask;
+      while (m.table[j].entryPlus1 != 0) j = (j + 1) & mask;
+      m.table[j] = slot;
+    }
+  }
+  return m.decisions[entry];
+}
+
+std::uint64_t PorPolicy::ampleMask(const std::uint32_t* ids,
+                                   TransitionCache& cache,
+                                   std::uint64_t* enabledOut,
+                                   Scratch* scratch) const {
+  if (memo_.cacheSerial != cache.serial()) {
+    // Class ids are the cache's own: start the memo afresh for this one.
+    memo_ = DecisionMemo{};
+    memo_.cacheSerial = cache.serial();
+    memo_.width = cache.width();
+    memo_.table.assign(1024, MemoSlot{});
+  }
+  std::vector<std::uint32_t>& classes = scratch->classes;
+  classes.resize(memo_.width);
+  for (std::size_t k = 0; k < memo_.width; ++k) {
+    classes[k] = cache.enabledClass(ids, k);
+  }
+  return record(lookup(classes.data(), ids, cache, scratch), enabledOut);
 }
 
 }  // namespace boosting::analysis

@@ -60,8 +60,16 @@
 // shapes, undeclared invocations, or a disabled always-enabled task make
 // the policy fall back to full expansion for that configuration.
 //
+// The decision reads only, per task, "disabled" or the enabled action's
+// kind (and, for an invocation, its service). The transition memo interns
+// that tuple per slot id as the id's ENABLED CLASS
+// (TransitionCache::enabledClass), so a configuration's decision is a
+// function of its row of class ids, and the policy memoizes it on that
+// row in a flat open-addressing table: a warm decision costs one class
+// load per slot and one probe, with no per-task lookup.
+//
 // Thread safety: none. ampleMask() and the note*() callbacks update the
-// signature memo and the statistics through plain mutable members, so a
+// decision memo and the statistics through plain mutable members, so a
 // policy belongs to one exploration thread. Every run builds its own
 // policies (the adversary per analysis, the analysis service per job).
 #pragma once
@@ -69,9 +77,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/transition_cache.h"
 #include "ioa/system.h"
 
 namespace boosting::analysis {
@@ -100,27 +108,31 @@ class PorPolicy {
   bool trivial() const { return trivial_; }
   const std::string& disabledReason() const { return disabledReason_; }
 
-  // The ample decision for a configuration, presented as the per-task
-  // enabled actions: actions[ti] is the action task #ti (in
-  // sys.allTasks() order) enables, or nullptr when disabled. Returns the
-  // ample task mask and stores the enabled mask in *enabledOut; the
-  // result equals the enabled mask when no proper ample set is valid (or
-  // the configuration is unanalyzable). Memoized on the signature (per-
-  // task enabled kind + invoke target), so the decision is a pure
+  // The ample decision for the configuration `ids` (a row of `cache`'s
+  // slot ids); the policy must not be trivial(). Returns the ample task
+  // mask (over sys.allTasks() indices) and stores the enabled mask in
+  // *enabledOut; the result equals the enabled mask when no proper ample
+  // set is valid (or the configuration is unanalyzable). Memoized on the
+  // row of the slots' enabled classes, which determines the per-task
+  // signature the decision is computed from, so the decision is a pure
   // function of the configuration, whatever order the engine expands
-  // nodes in.
-  std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
-                          std::uint64_t* enabledOut) const;
-
-  // Caller-owned scratch for the decision (the per-task signature). The
-  // graph keeps one across expansions, so a warm decision (signature
-  // already memoized) makes no heap allocation. Never shared between
-  // threads.
+  // nodes in. The memo belongs to one cache's class ids: a call with
+  // another cache starts it afresh. Caller-owned scratch (the graph keeps
+  // one across expansions), so a warm decision makes no heap allocation;
+  // never shared between threads.
   struct Scratch {
+    std::vector<std::uint32_t> classes;
+    std::vector<const ioa::Action*> actions;
     std::vector<std::uint32_t> signature;
   };
-  std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
+  std::uint64_t ampleMask(const std::uint32_t* ids, TransitionCache& cache,
                           std::uint64_t* enabledOut, Scratch* scratch) const;
+
+  // The same decision, presented as the per-task enabled actions:
+  // actions[ti] is the action task #ti enables, or nullptr when disabled.
+  // Not memoized: computed afresh on every call.
+  std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
+                          std::uint64_t* enabledOut) const;
 
   // True when `a` is a strict no-op self-loop (a waiting process's dummy
   // step). Used by the engines' C3 check: a self-loop target never counts
@@ -163,18 +175,48 @@ class PorPolicy {
   // Per-task signature code: 0 = disabled; otherwise 1 | kind<<1 |
   // (serviceIndex+1)<<6 (serviceIndex only for process invocations).
   using Signature = std::vector<std::uint32_t>;
-  struct SignatureHash {
-    std::size_t operator()(const Signature& s) const;
+
+  // One evaluated configuration: its masks and how many of its enabled
+  // actions contradicted the declared task structure.
+  struct Decision {
+    std::uint64_t ample = 0;
+    std::uint64_t enabled = 0;
+    std::uint32_t violations = 0;
   };
 
+  Decision decide(const std::vector<const ioa::Action*>& actions,
+                  Signature* sig) const;
+  // Counts one evaluation of `d` in the statistics and returns its ample
+  // mask (storing the enabled one).
+  std::uint64_t record(const Decision& d, std::uint64_t* enabledOut) const;
   std::uint32_t codeFor(std::size_t ti, const ioa::Action* a,
-                        bool* analyzable) const;
+                        bool* analyzable, std::uint32_t* violations) const;
   std::uint64_t computeAmple(const Signature& sig,
                              std::uint64_t enabledMask) const;
   std::uint64_t closureFor(std::size_t seed, const Signature& sig,
                            std::uint64_t enabledMask, std::uint64_t deadMask,
                            bool* valid) const;
   std::uint64_t deadTasks(std::uint64_t enabledMask) const;
+
+  // The decision memo: class rows of `width` ids back to back in `keys`,
+  // their decisions in `decisions`, and a linear-probe table of
+  // (hash, entry + 1) slots (entry + 1 == 0 marks an empty slot).
+  struct MemoSlot {
+    std::uint32_t hash = 0;
+    std::uint32_t entryPlus1 = 0;
+  };
+  struct DecisionMemo {
+    std::uint64_t cacheSerial = 0;  // TransitionCache::serial() of the keys
+    std::size_t width = 0;
+    std::vector<std::uint32_t> keys;
+    std::vector<Decision> decisions;
+    std::vector<MemoSlot> table;
+  };
+  // The memoized decision of the class row `classes`, computing it from
+  // the per-task actions of `ids` on a miss.
+  const Decision& lookup(const std::uint32_t* classes,
+                         const std::uint32_t* ids, TransitionCache& cache,
+                         Scratch* scratch) const;
 
   const ioa::System* sys_ = nullptr;
   std::vector<int> serviceIds_;  // sorted, densely indexed
@@ -197,7 +239,7 @@ class PorPolicy {
   };
   std::vector<TaskInfo> tasks_;
 
-  mutable std::unordered_map<Signature, std::uint64_t, SignatureHash> memo_;
+  mutable DecisionMemo memo_;
 
   mutable std::uint64_t nodesEvaluated_ = 0;
   mutable std::uint64_t nodesReduced_ = 0;

@@ -18,18 +18,6 @@ constexpr bool overloaded(std::size_t used, std::size_t cap) {
   return used * 10 >= cap * 7;
 }
 
-// Hash of an id row: ids folded in pairs through the splitmix64 finalizer.
-std::size_t hashRow(const std::uint32_t* ids, std::size_t n) {
-  std::uint64_t h = 0x51ab5e17u;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    h = util::mix64(h ^ (std::uint64_t{ids[i]} |
-                         (std::uint64_t{ids[i + 1]} << 32)));
-  }
-  if (i < n) h = util::mix64(h ^ std::uint64_t{ids[i]});
-  return static_cast<std::size_t>(h);
-}
-
 }  // namespace
 
 void StateGraph::validateTaskCapacity(std::size_t taskCount,
@@ -168,7 +156,7 @@ void StateGraph::growIndex(std::size_t newCap) {
 
 StateGraph::InternResult StateGraph::internRow(const std::uint32_t* ids) {
   assertWriter();
-  const std::size_t hash = hashRow(ids, width_);
+  const auto hash = static_cast<std::size_t>(util::hashIdRow(ids, width_));
   if (index_.empty()) growIndex(1024);
   std::size_t slot = findIndexSlot(hash);
   const bool occupied = index_[slot].head != kNoNode;
@@ -267,17 +255,12 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
     reducedSucc_[id].begin = kAliasFull;
     return full;
   }
-  const std::size_t taskCount = sys_.allTasks().size();
-  // Pass 1: the per-task enabled actions (pointers into the transition
-  // memo, stable for the cache's lifetime). No successor is built yet.
+  // Pass 1: the ample decision, from the row's enabled classes. No
+  // successor is built yet.
   const std::uint32_t* ids = row(id);
-  porActions_.resize(taskCount);
-  for (std::size_t ti = 0; ti < taskCount; ++ti) {
-    porActions_[ti] = memo_->transitions().enabledAction(ids, ti);
-  }
   std::uint64_t enabledMask = 0;
-  const std::uint64_t ampleMask =
-      por_->ampleMask(porActions_, &enabledMask, &porScratch_);
+  const std::uint64_t ampleMask = por_->ampleMask(
+      ids, memo_->transitions(), &enabledMask, &porScratch_);
   if (ampleMask == enabledMask) {
     // No proper ample set: the full list IS the reduced list.
     const EdgeList full = successors(id);

@@ -468,7 +468,6 @@ class StateGraph {
   std::vector<std::uint32_t> canonIds_;
   ioa::SystemState symScratch_;
   // reducedSuccessors() pass-1 scratch, reused across expansions.
-  std::vector<const ioa::Action*> porActions_;
   PorPolicy::Scratch porScratch_;
   Stats stats_;
 #ifndef NDEBUG

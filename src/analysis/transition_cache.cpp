@@ -1,6 +1,7 @@
 #include "analysis/transition_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <optional>
 
@@ -21,11 +22,24 @@ inline std::size_t homeSlot(std::uint64_t key, std::size_t cap) {
                                   (64 - bits));
 }
 
+std::atomic<std::uint64_t> nextSerial{1};
+
+// Enabled-class code of one task: 0 = disabled; otherwise
+// 1 | kind<<1 | (invoked service + 1)<<6, the service only for an Invoke.
+std::uint32_t classCode(const ioa::Action* a) {
+  if (a == nullptr) return 0;
+  const std::uint32_t svc =
+      a->kind == ioa::ActionKind::Invoke
+          ? static_cast<std::uint32_t>(a->component + 1)
+          : 0;
+  return 1u | (static_cast<std::uint32_t>(a->kind) << 1) | (svc << 6);
+}
+
 }  // namespace
 
 TransitionCache::TransitionCache(const ioa::System& sys,
                                  ioa::SlotCanonTable& canon)
-    : sys_(sys), canon_(canon) {
+    : sys_(sys), canon_(canon), serial_(nextSerial.fetch_add(1)) {
   const auto& tasks = sys.allTasks();
   rowSize_.assign(static_cast<std::size_t>(sys.processCount()) +
                       static_cast<std::size_t>(sys.serviceCount()),
@@ -39,20 +53,17 @@ TransitionCache::TransitionCache(const ioa::System& sys,
   }
 }
 
-std::uint32_t TransitionCache::probe(const std::uint32_t* ids,
-                                     std::size_t taskIndex) {
+std::uint32_t TransitionCache::probe(std::uint32_t id, std::size_t taskIndex) {
   const std::size_t slot = ownerSlot_[taskIndex];
-  const std::uint32_t id = ids[slot];
-  if (id >= rowOf_.size()) {
-    rowOf_.resize(std::max<std::size_t>(std::size_t{id} + 1,
-                                        rowOf_.size() * 2),
-                  kUnknown);
+  if (id >= idInfo_.size()) {
+    idInfo_.resize(std::max<std::size_t>(std::size_t{id} + 1,
+                                         idInfo_.size() * 2));
   }
-  std::uint32_t row = rowOf_[id];
+  std::uint32_t row = idInfo_[id].row;
   if (row == kUnknown) {
     row = static_cast<std::uint32_t>(entries_.size());
     entries_.resize(entries_.size() + rowSize_[slot]);
-    rowOf_[id] = row;
+    idInfo_[id].row = row;
   }
   const std::uint32_t ei = row + rowOffset_[taskIndex];
   Entry& e = entries_[ei];
@@ -85,8 +96,33 @@ std::uint32_t TransitionCache::probe(const std::uint32_t* ids,
 
 const ioa::Action* TransitionCache::enabledAction(const std::uint32_t* ids,
                                                   std::size_t taskIndex) {
-  const std::uint32_t t = entries_[probe(ids, taskIndex)].transition;
+  const std::uint32_t t =
+      entries_[probe(ids[ownerSlot_[taskIndex]], taskIndex)].transition;
   return t == kDisabled ? nullptr : &transitions_[t].action;
+}
+
+std::uint32_t TransitionCache::enabledClass(const std::uint32_t* ids,
+                                            std::size_t slot) {
+  const std::uint32_t id = ids[slot];
+  if (id < idInfo_.size() && idInfo_[id].enabledClass != kUnknown) {
+    return idInfo_[id].enabledClass;
+  }
+  std::vector<std::uint32_t> tuple;
+  tuple.reserve(rowSize_[slot]);
+  for (std::size_t ti = 0; ti < ownerSlot_.size(); ++ti) {
+    if (ownerSlot_[ti] != slot) continue;
+    const std::uint32_t t = entries_[probe(id, ti)].transition;
+    tuple.push_back(classCode(t == kDisabled ? nullptr
+                                             : &transitions_[t].action));
+  }
+  const auto it =
+      classes_.emplace(std::move(tuple),
+                       static_cast<std::uint32_t>(classes_.size()))
+          .first;
+  // probe() sized idInfo_ past `id`, unless the slot owns no task.
+  if (id >= idInfo_.size()) idInfo_.resize(std::size_t{id} + 1);
+  idInfo_[id].enabledClass = it->second;
+  return it->second;
 }
 
 std::uint32_t TransitionCache::successorId(std::uint32_t id,
@@ -123,7 +159,7 @@ void TransitionCache::growNext() {
 TransitionCache::Transition* TransitionCache::step(const std::uint32_t* ids,
                                                    std::size_t taskIndex,
                                                    std::uint32_t* next) {
-  const std::uint32_t ei = probe(ids, taskIndex);
+  const std::uint32_t ei = probe(ids[ownerSlot_[taskIndex]], taskIndex);
   if (entries_[ei].transition == kDisabled) return nullptr;
   Transition& t = transitions_[entries_[ei].transition];
   std::copy(ids, ids + width(), next);

@@ -25,6 +25,10 @@
 // the whole exploration. Component states are touched only on a miss,
 // through the table's id -> representative map.
 //
+// Beside each id's row sits its ENABLED CLASS: an interned id for what the
+// id's tasks enable, by kind (enabledClass). A configuration's row of
+// classes is what the POR policy keys its ample decisions on.
+//
 // Ids are TRUSTED: every id row handed to the cache must hold ids of the
 // cache's own SlotCanonTable. StateGraph writes every row through that
 // table; a SystemState from anywhere else enters the id space only through
@@ -37,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "ioa/system.h"
@@ -113,6 +118,19 @@ class TransitionCache {
   const ioa::Action* enabledAction(const std::uint32_t* ids,
                                    std::size_t taskIndex);
 
+  // The ENABLED CLASS of the slot-`slot` id in `ids`: an interned id for
+  // the tuple, over the tasks that slot owns (in allTasks() order), of
+  // "disabled" or (ActionKind, invoked service for an Invoke) -- exactly
+  // what the POR policy reads from an enabled action. Equal classes mean
+  // equal tuples, so a row of classes determines every task's kind.
+  // Computed on the id's first request (one enabled-memo lookup per task
+  // the slot owns) and stored next to the id's entry row; a pure function
+  // of the System, so it is safe in a shared memo.
+  std::uint32_t enabledClass(const std::uint32_t* ids, std::size_t slot);
+  // Identity of this cache for memos keyed on its class ids: unique per
+  // constructed cache within the process, never reused.
+  std::uint64_t serial() const { return serial_; }
+
   // If task #taskIndex is enabled in `ids`, writes the successor's id row
   // to next[0, width()) and returns the memoized transition. Returns
   // nullptr, leaving `next` untouched, when disabled. `next` must not
@@ -140,7 +158,14 @@ class TransitionCache {
   };
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
-  std::uint32_t probe(const std::uint32_t* ids, std::size_t taskIndex);
+  // Per slot id: the first entry of its row, and its enabled class.
+  struct IdInfo {
+    std::uint32_t row = kUnknown;
+    std::uint32_t enabledClass = kUnknown;
+  };
+
+  // The entry of (owner id `id`, task), filled on a miss.
+  std::uint32_t probe(std::uint32_t id, std::size_t taskIndex);
   // The id of representative `id` after `a` (the miss path: clone, apply,
   // hash, canonicalize).
   std::uint32_t successorId(std::uint32_t id, const ioa::Action& a);
@@ -152,13 +177,16 @@ class TransitionCache {
   std::vector<std::uint32_t> ownerSlot_;  // per task index
   std::vector<std::uint32_t> rowOffset_;  // per task: index inside its row
   std::vector<std::uint32_t> rowSize_;    // per slot: tasks it owns
-  std::vector<std::uint32_t> rowOf_;      // per id: first entry of its row
+  std::vector<IdInfo> idInfo_;            // per id
   std::vector<Entry> entries_;            // rows, back to back
   std::deque<Transition> transitions_;    // stable: step() hands them out
   std::vector<std::uint32_t> others_;     // non-owner participant slots
   std::vector<NextSlot> nextTable_;
   std::size_t nextUsed_ = 0;
   std::size_t entryCount_ = 0;
+  // Enabled classes: tuple -> class id (filled on an id's first request).
+  std::map<std::vector<std::uint32_t>, std::uint32_t> classes_;
+  std::uint64_t serial_;
   Stats stats_;
 };
 

@@ -28,6 +28,12 @@ class TOBConsensusProcess : public ProcessBase {
 
   std::string name() const override;
   std::unique_ptr<ioa::AutomatonState> initialState() const override;
+  ioa::Automaton::TaskStructure taskStructure() const override {
+    ioa::Automaton::TaskStructure ts;
+    ts.conformant = true;
+    ts.mayInvoke = {serviceId_};
+    return ts;
+  }
 
  protected:
   ioa::Action chooseAction(const ProcessStateBase& s) const override;

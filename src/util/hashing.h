@@ -20,6 +20,20 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+// Hash of a row of u32 ids (a configuration's slot ids, or any other
+// fixed-width id row): ids folded in pairs through the splitmix64
+// finalizer.
+inline std::uint64_t hashIdRow(const std::uint32_t* ids,
+                               std::size_t n) noexcept {
+  std::uint64_t h = 0x51ab5e17u;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    h = mix64(h ^ (std::uint64_t{ids[i]} | (std::uint64_t{ids[i + 1]} << 32)));
+  }
+  if (i < n) h = mix64(h ^ std::uint64_t{ids[i]});
+  return h;
+}
+
 // Fold `v` into the running hash `seed`.
 constexpr void hashCombine(std::size_t& seed, std::size_t v) noexcept {
   seed = static_cast<std::size_t>(

@@ -4,7 +4,9 @@
 //     violation caught by the exhaustive safety scan (step 1);
 //   * a protocol that decides a constant    -> VALIDITY violation;
 //   * a protocol that never decides         -> Null-valent initialization,
-//     certified failure-free termination violation (step 2).
+//     certified failure-free termination violation (step 2);
+//   * the memoized scan (firstUnsafeNode) flags the node a brute
+//     nodeSafetyViolation loop flags first.
 #include <gtest/gtest.h>
 
 #include "analysis/adversary.h"
@@ -189,6 +191,33 @@ TEST(AdversaryPaths, SilentCandidateInitializationsAllNull) {
     EXPECT_EQ(init.valence, Valence::Null);
   }
   EXPECT_FALSE(biv.bivalent.has_value());
+}
+
+// The first node of `g` nodeSafetyViolation flags, node by node.
+NodeId bruteFirstUnsafe(const StateGraph& g) {
+  for (NodeId id = 0; id < g.size(); ++id) {
+    if (nodeSafetyViolation(g, id)) return id;
+  }
+  return kNoNode;
+}
+
+template <typename P>
+void expectScanMatchesBrute(int n, bool expectUnsafe) {
+  auto sys = makeSystem<P>(n);
+  StateGraph g(*sys);
+  ValenceAnalyzer va(g);
+  (void)findBivalentInitialization(g, va);
+  const NodeId brute = bruteFirstUnsafe(g);
+  EXPECT_EQ(brute != kNoNode, expectUnsafe) << "n=" << n;
+  EXPECT_EQ(firstUnsafeNode(g), brute) << "n=" << n;
+}
+
+TEST(AdversaryPaths, MemoizedScanFlagsTheBruteFirstNode) {
+  for (int n = 2; n <= 4; ++n) {
+    expectScanMatchesBrute<DecideOwnInputProcess>(n, true);
+    expectScanMatchesBrute<DecideConstantProcess>(n, true);
+    expectScanMatchesBrute<SilentProcess>(n, false);
+  }
 }
 
 }  // namespace

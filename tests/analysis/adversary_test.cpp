@@ -9,6 +9,7 @@
 #include "analysis/bivalence.h"
 #include "processes/process.h"
 #include "processes/relay_consensus.h"
+#include "processes/rotating_consensus.h"
 #include "processes/tob_consensus.h"
 
 namespace boosting::analysis {
@@ -211,6 +212,36 @@ TEST(Adversary, FailedSetSizeMatchesClaim) {
     EXPECT_EQ(static_cast<int>(report.witnessFailures.size()),
               cfg.claimedFailures);
   }
+}
+
+TEST(Adversary, SingleFDRefutedWithFPlusOneFailures) {
+  // No initialization of the single-detector candidate is bivalent, so the
+  // Lemma-4 branch refutes it. At f = 1 the detector keeps answering when
+  // only the differing process fails; failing f+1 processes silences it.
+  processes::SingleFDConsensusSpec spec;
+  spec.processCount = 3;
+  spec.fdResilience = 1;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  auto sys = processes::buildSingleFDRotatingConsensusSystem(spec);
+  AdversaryConfig cfg;
+  cfg.claimedFailures = 2;
+  cfg.exemptFailureAware = true;
+  auto report = analyzeConsensusCandidate(*sys, cfg);
+  ASSERT_EQ(report.verdict, AdversaryReport::Verdict::TerminationViolation)
+      << report.summary();
+  EXPECT_FALSE(report.bivalentInit.has_value());
+  EXPECT_EQ(report.witnessFailures, (std::set<int>{0, 1}));
+  EXPECT_NE(report.narrative.find("P0 together with P1"), std::string::npos)
+      << report.narrative;
+  ioa::SystemState s = sys->initialState();
+  for (const ioa::Action& a : report.witness.actions()) {
+    ASSERT_NO_THROW(sys->applyInPlace(s, a)) << a.str();
+    if (a.kind == ioa::ActionKind::EnvDecide) {
+      EXPECT_TRUE(report.witnessFailures.count(a.endpoint))
+          << "correct process decided in the witness: " << a.str();
+    }
+  }
+  EXPECT_EQ(report.witness.failedEndpoints(), report.witnessFailures);
 }
 
 TEST(Adversary, RejectsOutOfRangeClaims) {

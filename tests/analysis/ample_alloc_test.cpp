@@ -1,9 +1,10 @@
 // Heap allocations made by a warm ample decision: zero. Pass 1 of every
-// reduced expansion asks the transition memo for each task's enabled
-// action and the POR policy for the ample set; once the memo entries and
-// the signature are known, neither may touch the heap (the pass runs once
-// per explored node). Standalone (no test framework): the counting global
-// operator new must see only the allocations of the decisions under test.
+// reduced expansion asks the POR policy for the ample set, which reads the
+// row's enabled classes from the transition memo and looks the class row
+// up in its decision memo; once the classes and the decision are known,
+// neither may touch the heap (the pass runs once per explored node).
+// Standalone (no test framework): the counting global operator new must
+// see only the allocations of the decisions under test.
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -59,21 +60,18 @@ int main() {
   }
 
   analysis::TransitionCache& cache = g.memo()->transitions();
-  const std::size_t taskCount = sys->allTasks().size();
-  std::vector<const ioa::Action*> actions(taskCount);
   analysis::PorPolicy::Scratch scratch;
   std::uint64_t reduced = 0;
   const auto decideAll = [&] {
     for (std::size_t id = 0; id < g.size(); ++id) {
       const std::uint32_t* ids = g.row(static_cast<analysis::NodeId>(id));
-      for (std::size_t ti = 0; ti < taskCount; ++ti) {
-        actions[ti] = cache.enabledAction(ids, ti);
-      }
       std::uint64_t enabled = 0;
-      if (por->ampleMask(actions, &enabled, &scratch) != enabled) ++reduced;
+      if (por->ampleMask(ids, cache, &enabled, &scratch) != enabled) {
+        ++reduced;
+      }
     }
   };
-  decideAll();  // cold: fills the memo entries, signatures and scratch
+  decideAll();  // cold: fills the classes, the decision memo and scratch
   const std::size_t before = g_allocations;
   decideAll();
   const std::size_t made = g_allocations - before;

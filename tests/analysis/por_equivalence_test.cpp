@@ -3,7 +3,8 @@
 // valences and a genuinely replayable witness across the full 2x2 matrix
 // {symmetry off/on} x {por off/on}, on every n=3/4 fixture -- including
 // the candidates where one reduction applies and the other must REFUSE
-// (bridge declines symmetry but accepts POR; TOB declines both). The
+// (bridge and TOB decline symmetry but accept POR; the single-FD
+// candidate declines both). The
 // soundness argument (stubborn-set preservation of stable-predicate
 // reachability plus the BFS cycle proviso, DESIGN.md "Partial-order
 // reduction") is executable here.
@@ -177,20 +178,36 @@ TEST(PorEquivalence, BridgeN3PorWithoutSymmetry) {
   runMatrix(*sys, 1, /*expectPor=*/true, /*expectSym=*/false);
 }
 
-TEST(PorEquivalence, TOBN3DeclinesWithoutTaskStructure) {
+std::unique_ptr<ioa::System> tobFixture(int n) {
   processes::TOBConsensusSpec spec;
-  spec.processCount = 3;
+  spec.processCount = n;
   spec.serviceResilience = 0;
   spec.policy = services::DummyPolicy::PreferDummy;
-  auto sys = processes::buildTOBConsensusSystem(spec);
-  const auto off = runWith(*sys, 1, SymmetryMode::Off, PorMode::Off);
-  const auto on = runWith(*sys, 1, SymmetryMode::Off, PorMode::On);
-  // No declared task structure: On must fall back to full expansion, say
-  // why, and reproduce the legacy run bit-for-bit.
-  EXPECT_FALSE(on.porReduced);
-  EXPECT_FALSE(on.porNote.empty());
-  expectSameProofShape(off, on, "por-on (declined) vs full");
-  EXPECT_EQ(off.statesExplored, on.statesExplored);
+  return processes::buildTOBConsensusSystem(spec);
+}
+
+TEST(PorEquivalence, TOBN3PorWithoutSymmetry) {
+  // TOB's processes declare the relay shape (one task, invoking only the
+  // broadcast service), so POR engages; the broadcast's global compute
+  // task is what the footprint model must get right here.
+  auto sys = tobFixture(3);
+  runMatrix(*sys, 1, /*expectPor=*/true, /*expectSym=*/false);
+}
+
+TEST(PorEquivalence, TOBN3ReducedMatchesFull) {
+  // Reduced against full: the verdict, valences and Lemma-8 case match,
+  // the failure set is the same, and the reduced witness replays.
+  auto sys = tobFixture(3);
+  const auto full = runWith(*sys, 1, SymmetryMode::Off, PorMode::Off);
+  const auto reduced = runWith(*sys, 1, SymmetryMode::Off, PorMode::Auto);
+  ASSERT_TRUE(reduced.porReduced) << reduced.porNote;
+  EXPECT_LT(reduced.statesExplored, full.statesExplored);
+  expectSameProofShape(full, reduced, "tob por vs full");
+  EXPECT_EQ(full.classification.kind, reduced.classification.kind);
+  EXPECT_EQ(full.classification.index, reduced.classification.index);
+  EXPECT_EQ(full.classification.viaEPrime, reduced.classification.viaEPrime);
+  EXPECT_EQ(full.witnessFailures, reduced.witnessFailures);
+  expectWitnessIsConcrete(*sys, reduced);
 }
 
 TEST(PorEquivalence, SingleFDN3Theorem10ModeDeclines) {
@@ -215,13 +232,21 @@ TEST(PorEquivalence, AutoEnablesForDeclaredTaskStructureOnly) {
     EXPECT_TRUE(r.porReduced) << r.porNote;
   }
   {
-    processes::TOBConsensusSpec spec;
-    spec.processCount = 3;
-    spec.serviceResilience = 0;
-    spec.policy = services::DummyPolicy::PreferDummy;
-    auto sys = processes::buildTOBConsensusSystem(spec);
+    auto sys = tobFixture(3);
     const auto r = runWith(*sys, 1, SymmetryMode::Off, PorMode::Auto);
+    EXPECT_TRUE(r.porReduced) << r.porNote;
+  }
+  {
+    // The rotating-coordinator processes declare no task structure.
+    processes::SingleFDConsensusSpec spec;
+    spec.processCount = 3;
+    spec.fdResilience = 0;
+    spec.policy = services::DummyPolicy::PreferDummy;
+    auto sys = processes::buildSingleFDRotatingConsensusSystem(spec);
+    const auto r = runWith(*sys, 1, SymmetryMode::Off, PorMode::Auto,
+                           /*exemptFailureAware=*/true);
     EXPECT_FALSE(r.porReduced);
+    EXPECT_FALSE(r.porNote.empty());
   }
 }
 

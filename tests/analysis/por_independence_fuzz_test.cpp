@@ -24,6 +24,7 @@
 #include "analysis/state_graph.h"
 #include "processes/flooding_consensus.h"
 #include "processes/relay_consensus.h"
+#include "processes/tob_consensus.h"
 
 namespace boosting::analysis {
 namespace {
@@ -49,6 +50,13 @@ std::unique_ptr<ioa::System> makeFixture(const std::string& name) {
     spec.processCount = 3;
     spec.policy = policy;
     return processes::buildBridgeConsensusSystem(spec);
+  }
+  if (name == "tob3") {
+    processes::TOBConsensusSpec spec;
+    spec.processCount = 3;
+    spec.serviceResilience = 0;
+    spec.policy = policy;
+    return processes::buildTOBConsensusSystem(spec);
   }
   processes::FloodingConsensusSpec spec;  // "flooding3"
   spec.processCount = 3;
@@ -137,7 +145,7 @@ void checkIndependenceAt(const ioa::System& sys, const PorPolicy& por,
 
 TEST(PorIndependenceFuzz, SampledReachableStatesCommute) {
   const std::vector<std::string> fixtures = {"relay3", "relay4", "bridge3",
-                                             "flooding3"};
+                                             "flooding3", "tob3"};
   for (const std::string& name : fixtures) {
     auto sys = makeFixture(name);
     const auto por = PorPolicy::forSystem(*sys, PorMode::On);
