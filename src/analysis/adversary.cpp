@@ -315,12 +315,14 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
   struct Flusher {
     obs::Registry* reg;
     const StateGraph& g;
-    // VmRSS sampled at construction: the flush reports the pipeline's RSS
-    // DELTA, which -- unlike the monotone process-lifetime VmHWM behind
-    // process.peak_rss_bytes -- isolates this pipeline from whatever the
-    // process held before it. Clamped at zero (the kernel may reclaim
-    // pages mid-phase, driving VmRSS below the starting sample).
-    std::uint64_t rssBefore = currentRssBytes();
+    // VmRSS sampled at construction when a registry is attached (reading
+    // /proc costs a file parse; disabled observability stays free): the
+    // flush reports the pipeline's RSS DELTA, which -- unlike the monotone
+    // process-lifetime VmHWM behind process.peak_rss_bytes -- isolates
+    // this pipeline from whatever the process held before it. Clamped at
+    // zero (the kernel may reclaim pages mid-phase, driving VmRSS below
+    // the starting sample).
+    std::uint64_t rssBefore = reg ? currentRssBytes() : 0;
     ~Flusher() {
       flushGraphMetrics(reg, g);
       if (reg) {

@@ -1,8 +1,11 @@
 #include "analysis/hook.h"
 
+#include <algorithm>
+#include <bit>
 #include <deque>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/dense.h"
 #include "obs/registry.h"
@@ -12,30 +15,106 @@ namespace boosting::analysis {
 
 namespace {
 
-// BFS discovery tree over dense node ids: parent[x] = (previous node, task
-// index into allTasks()); roots absent. Epoch-reset per BFS round so the
-// stamp arrays are reused across the many Fig. 3 inner scans.
-struct BfsTree {
-  DenseNodeMap<std::pair<NodeId, std::uint16_t>> parent;
+// The visited set and discovery tree of one Fig. 3 scan, in one
+// open-addressing table keyed by node: slot = (node, previous node, task
+// index into allTasks()), the root with no previous node. The table is
+// sized to the nodes the scan visits (grown at 50% load), not to the
+// graph: the scans run while the graph is at its largest and reach a small
+// corner of it. reset() keeps the capacity for the next scan.
+class ScanTree {
+ public:
+  // Forget the previous scan; `root` is the only visited node.
+  void reset(NodeId root) {
+    if (slots_.empty()) slots_.resize(kMinCapacity);
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    used_ = 0;
+    visit(root, kNoNode, 0);
+  }
 
-  void reset() { parent.reset(); }
+  // Marks `x` visited, reached from `from` by task #task; false (and no
+  // change) when `x` was already visited.
+  bool visit(NodeId x, NodeId from, std::uint16_t task) {
+    Slot& slot = slots_[slotOf(x)];
+    if (slot.node != kNoNode) return false;
+    slot = Slot{x, from, task};
+    if (2 * ++used_ > slots_.size()) grow();
+    return true;
+  }
 
-  std::vector<std::pair<NodeId, ioa::TaskId>> pathFrom(
-      const StateGraph& g, NodeId root, NodeId target) const {
+  // (node, task applied at node) from the root to `target`, ending just
+  // before target.
+  std::vector<std::pair<NodeId, ioa::TaskId>> pathTo(const StateGraph& g,
+                                                     NodeId target) const {
     std::vector<std::pair<NodeId, ioa::TaskId>> rev;
-    NodeId cur = target;
-    while (cur != root) {
-      const auto* p = parent.find(cur);
-      if (!p) {
+    for (const Slot* s = &slots_[slotOf(target)];;
+         s = &slots_[slotOf(s->from)]) {
+      if (s->node == kNoNode) {
         throw std::logic_error("hook BFS: broken parent chain");
       }
-      rev.emplace_back(p->first, g.taskAt(p->second));
-      cur = p->first;
+      if (s->from == kNoNode) break;  // the root
+      rev.emplace_back(s->from, g.taskAt(s->task));
     }
-    std::vector<std::pair<NodeId, ioa::TaskId>> out(rev.rbegin(), rev.rend());
-    return out;  // (node, task applied at node), ending just before target
+    return {rev.rbegin(), rev.rend()};
   }
+
+ private:
+  struct Slot {
+    NodeId node = kNoNode;
+    NodeId from = kNoNode;
+    std::uint16_t task = 0;
+  };
+  static constexpr std::size_t kMinCapacity = 256;
+
+  // The slot holding `x`, or the empty slot where it belongs.
+  std::size_t slotOf(NodeId x) const {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of x * 2^64/phi spread consecutive
+    // ids across the table.
+    std::size_t i = static_cast<std::size_t>(
+        (std::uint64_t{x} * 0x9e3779b97f4a7c15ULL) >>
+        (64 - std::countr_zero(slots_.size())));
+    while (slots_[i].node != kNoNode && slots_[i].node != x) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.node != kNoNode) slots_[slotOf(s.node)] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
 };
+
+// Fig. 3's inner search: BFS over the e-free edges from `alpha` (e is
+// task #eIdx) for the first node x whose e-successor has valence `want`;
+// kNoNode when there is none. `tree` holds the scan's discovery tree.
+NodeId scanEFree(StateGraph& g, ValenceAnalyzer& va, NodeId alpha,
+                 const ioa::TaskId& e, std::uint16_t eIdx, Valence want,
+                 ScanTree& tree) {
+  tree.reset(alpha);
+  std::deque<NodeId> frontier{alpha};
+  while (!frontier.empty()) {
+    const NodeId x = frontier.front();
+    frontier.pop_front();
+    if (auto edgeE = g.successorVia(x, e)) {
+      va.explore(edgeE->to);
+      if (va.valence(edgeE->to) == want) return x;
+    }
+    const EdgeList edges = g.successors(x);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const CompactEdge& edge = edges.data()[k];
+      if (edge.task == eIdx) continue;
+      if (tree.visit(edge.to, x, edge.task)) frontier.push_back(edge.to);
+    }
+  }
+  return kNoNode;
+}
 
 Valence oppositeOf(Valence v) {
   return v == Valence::Zero ? Valence::One : Valence::Zero;
@@ -66,9 +145,8 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
   std::unordered_map<std::size_t, std::size_t> seen;
   std::vector<std::vector<ioa::TaskId>> appliedPerIteration;
 
-  // Scratch for the two inner BFS scans, epoch-reset per scan.
-  DenseNodeSet visited(g.size());
-  BfsTree tree;
+  // Scratch for the two inner BFS scans, reset per scan.
+  ScanTree tree;
 
   for (std::size_t iter = 0; iter < maxIterations; ++iter) {
     outcome.iterations = iter;
@@ -134,45 +212,19 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
 
     // Search the e-free-reachable descendants of alpha for alpha' with
     // e(alpha') bivalent (Fig. 3's inner search).
-    std::optional<NodeId> alphaPrimeNode;
-    visited.reset();
-    tree.reset();
-    {
-      std::deque<NodeId> frontier{alpha};
-      visited.insert(alpha);
-      while (!frontier.empty() && !alphaPrimeNode) {
-        const NodeId x = frontier.front();
-        frontier.pop_front();
-        if (auto edgeE = g.successorVia(x, e)) {
-          va.explore(edgeE->to);
-          if (va.valence(edgeE->to) == Valence::Bivalent) {
-            alphaPrimeNode = x;
-            break;
-          }
-        }
-        const EdgeList edges = g.successors(x);
-        for (std::size_t k = 0; k < edges.size(); ++k) {
-          const CompactEdge& edge = edges.data()[k];
-          if (edge.task == eIdx) continue;
-          if (visited.insert(edge.to)) {
-            tree.parent.at(edge.to) = {x, edge.task};
-            frontier.push_back(edge.to);
-          }
-        }
-      }
-    }
+    const NodeId alphaPrimeNode =
+        scanEFree(g, va, alpha, e, eIdx, Valence::Bivalent, tree);
 
-    if (alphaPrimeNode) {
+    if (alphaPrimeNode != kNoNode) {
       // Move to e(alpha') and continue with the next round-robin task.
       std::vector<ioa::TaskId> applied;
-      for (const auto& [node, task] :
-           tree.pathFrom(g, alpha, *alphaPrimeNode)) {
+      for (const auto& [node, task] : tree.pathTo(g, alphaPrimeNode)) {
         (void)node;
         applied.push_back(task);
       }
       applied.push_back(e);
       appliedPerIteration.push_back(std::move(applied));
-      alpha = g.successorVia(*alphaPrimeNode, e)->to;
+      alpha = g.successorVia(alphaPrimeNode, e)->to;
       cursor = newCursor;
       continue;
     }
@@ -191,34 +243,8 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
 
     // BFS over e-free edges for the first sigma* with e(sigma*) of the
     // opposite valence; guaranteed to exist because alpha is bivalent.
-    std::optional<NodeId> sigmaStar;
-    visited.reset();
-    tree.reset();
-    {
-      std::deque<NodeId> frontier{alpha};
-      visited.insert(alpha);
-      while (!frontier.empty() && !sigmaStar) {
-        const NodeId x = frontier.front();
-        frontier.pop_front();
-        if (auto edgeE = g.successorVia(x, e)) {
-          va.explore(edgeE->to);
-          if (va.valence(edgeE->to) == target) {
-            sigmaStar = x;
-            break;
-          }
-        }
-        const EdgeList edges = g.successors(x);
-        for (std::size_t k = 0; k < edges.size(); ++k) {
-          const CompactEdge& edge = edges.data()[k];
-          if (edge.task == eIdx) continue;
-          if (visited.insert(edge.to)) {
-            tree.parent.at(edge.to) = {x, edge.task};
-            frontier.push_back(edge.to);
-          }
-        }
-      }
-    }
-    if (!sigmaStar) {
+    const NodeId sigmaStar = scanEFree(g, va, alpha, e, eIdx, target, tree);
+    if (sigmaStar == kNoNode) {
       throw std::logic_error(
           "findHook: no opposite-valent e-successor found from a bivalent "
           "terminal vertex (contradicts Lemma 5)");
@@ -226,7 +252,7 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
 
     // Walk sigma_0 .. sigma_m and find the flip.
     std::vector<std::pair<NodeId, ioa::TaskId>> path =
-        tree.pathFrom(g, alpha, *sigmaStar);
+        tree.pathTo(g, sigmaStar);
     std::vector<NodeId> sigmas{alpha};
     std::vector<ioa::TaskId> stepTasks;
     for (const auto& [node, task] : path) {

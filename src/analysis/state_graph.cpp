@@ -12,7 +12,7 @@ namespace boosting::analysis {
 
 namespace {
 
-// Open-addressing growth policy shared by both tables: grow at 70% load so
+// Open-addressing growth policy of the node index: grow at 70% load so
 // linear probes stay short.
 constexpr bool overloaded(std::size_t used, std::size_t cap) {
   return used * 10 >= cap * 7;
@@ -126,47 +126,35 @@ std::uint32_t* StateGraph::appendRow() {
   return rowChunks_[chunk].get() + offset * width_;
 }
 
-std::size_t StateGraph::findIndexSlot(std::size_t hash) const {
-  // Linear probe to the first empty slot or the (unique) slot already
-  // holding this hash. No deletions, so probes never cross tombstones.
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash & mask;
-  while (index_[i].head != kNoNode && index_[i].hash != hash) {
-    i = (i + 1) & mask;
-    // On a collision run the next probe target is predictable: pull the
-    // following slot while the current one is compared.
-    __builtin_prefetch(&index_[(i + 1) & mask]);
-  }
-  return i;
-}
-
 void StateGraph::growIndex(std::size_t newCap) {
   std::vector<IndexSlot> old = std::move(index_);
   index_.assign(newCap, IndexSlot{});
   const std::size_t mask = newCap - 1;
   for (const IndexSlot& slot : old) {
-    if (slot.head == kNoNode) continue;
-    // Each hash occupies exactly one slot, so reinsertion only needs the
-    // first empty position of its probe sequence.
+    if (slot.node == kNoNode) continue;
+    // Rows are distinct, so reinsertion only needs the first empty
+    // position of the probe sequence from the stored hash.
     std::size_t i = slot.hash & mask;
-    while (index_[i].head != kNoNode) i = (i + 1) & mask;
+    while (index_[i].node != kNoNode) i = (i + 1) & mask;
     index_[i] = slot;
   }
 }
 
 StateGraph::InternResult StateGraph::internRow(const std::uint32_t* ids) {
   assertWriter();
-  const auto hash = static_cast<std::size_t>(util::hashIdRow(ids, width_));
+  const auto hash = static_cast<std::uint32_t>(util::hashIdRow(ids, width_));
   if (index_.empty()) growIndex(1024);
-  std::size_t slot = findIndexSlot(hash);
-  const bool occupied = index_[slot].head != kNoNode;
-  if (occupied) {
-    for (NodeId id = index_[slot].head; id != kNoNode;
-         id = nextSameHash_[id]) {
-      if (std::memcmp(row(id), ids, width_ * sizeof(std::uint32_t)) == 0) {
-        ++stats_.dedupHits;
-        return {id, false};
-      }
+  // Linear probe to the slot holding this row or the first empty one. No
+  // deletions, so probes never cross tombstones.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  for (; index_[i].node != kNoNode; i = (i + 1) & mask) {
+    const IndexSlot slot = index_[i];
+    if (slot.hash == hash &&
+        std::memcmp(row(slot.node), ids, width_ * sizeof(std::uint32_t)) ==
+            0) {
+      ++stats_.dedupHits;
+      return {slot.node, false};
     }
   }
   const NodeId id = static_cast<NodeId>(size());
@@ -174,18 +162,8 @@ StateGraph::InternResult StateGraph::internRow(const std::uint32_t* ids) {
   succ_.emplace_back();
   reducedSucc_.emplace_back();
   parent_.emplace_back();
-  if (occupied) {
-    // Same-hash sibling: push onto the intrusive chain; the table slot
-    // stays put.
-    nextSameHash_.push_back(index_[slot].head);
-    index_[slot].head = id;
-  } else {
-    nextSameHash_.push_back(kNoNode);
-    index_[slot] = IndexSlot{hash, id};
-    if (overloaded(++indexUsed_, index_.size())) {
-      growIndex(index_.size() * 2);
-    }
-  }
+  index_[i] = IndexSlot{hash, id};
+  if (overloaded(size(), index_.size())) growIndex(index_.size() * 2);
   ++stats_.statesDiscovered;
   return {id, true};
 }
@@ -196,7 +174,8 @@ CompactEdge* StateGraph::reserveEdgeRun(std::uint32_t need,
     if (!edgeChunks_.empty()) {
       edgeSlackSlots_ += kEdgeChunkCapacity - edgeUsed_;
     }
-    edgeChunks_.push_back(std::make_unique<CompactEdge[]>(kEdgeChunkCapacity));
+    edgeChunks_.push_back(
+        std::make_unique_for_overwrite<CompactEdge[]>(kEdgeChunkCapacity));
     edgeUsed_ = 0;
   }
   *base = static_cast<std::uint32_t>(
@@ -218,10 +197,9 @@ EdgeList StateGraph::successors(NodeId id) {
   // Row chunks never relocate: `ids` stays valid across insertions.
   const std::uint32_t* ids = row(id);
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-    TransitionCache::Transition* t =
+    const std::uint32_t ai =
         memo_->transitions().step(ids, ti, nextIds_.data());
-    if (!t) continue;
-    const std::uint32_t ai = internAction(*t);
+    if (ai == TransitionCache::kDisabled) continue;
     const InternResult r = internSuccessor(nextIds_.data());
     if (r.inserted) {
       // Newly discovered node: record its first-discovery parent so that
@@ -277,7 +255,7 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
   for (std::uint64_t m = ampleMask; m != 0; m &= m - 1) {
     const std::size_t ti = static_cast<std::size_t>(std::countr_zero(m));
     const std::uint32_t ai =
-        internAction(*memo_->transitions().step(ids, ti, nextIds_.data()));
+        memo_->transitions().step(ids, ti, nextIds_.data());
     const InternResult r = internSuccessor(nextIds_.data());
     if (r.inserted) {
       parent_[r.id] = Parent{id, ai, static_cast<std::uint16_t>(ti)};
@@ -337,7 +315,6 @@ bool StateGraph::checkConsistent(std::string* why) const {
   if (rowCount_ != n) return fail("row count != size()");
   if (reducedSucc_.size() != n) return fail("reducedSucc_ size != size()");
   if (parent_.size() != n) return fail("parent_ size != size()");
-  if (nextSameHash_.size() != n) return fail("nextSameHash_ size mismatch");
   if (stats_.statesDiscovered != n) {
     return fail("statesDiscovered != size()");
   }
@@ -360,26 +337,31 @@ bool StateGraph::checkConsistent(std::string* why) const {
       return fail("materialized state of an out-of-range node");
     }
   }
-  // The hash chains hanging off the occupied index slots must partition
-  // the node set: every node reachable from exactly one slot, no cycles,
-  // total length == size().
+  // Every node sits in exactly one index slot, under its row's hash, with
+  // no empty slot between its home slot and that slot (a probe finds it).
   std::vector<char> seen(n, 0);
-  std::size_t chained = 0;
   std::size_t occupied = 0;
-  for (const IndexSlot& slot : index_) {
-    if (slot.head == kNoNode) continue;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    const IndexSlot& slot = index_[i];
+    if (slot.node == kNoNode) continue;
     ++occupied;
-    for (NodeId id = slot.head; id != kNoNode; id = nextSameHash_[id]) {
-      if (static_cast<std::size_t>(id) >= n) {
-        return fail("hash chain references out-of-range node");
+    if (static_cast<std::size_t>(slot.node) >= n) {
+      return fail("index slot references out-of-range node");
+    }
+    if (seen[slot.node]) return fail("node in two index slots");
+    seen[slot.node] = 1;
+    if (slot.hash != static_cast<std::uint32_t>(
+                         util::hashIdRow(row(slot.node), width_))) {
+      return fail("index slot hash differs from its row's hash");
+    }
+    for (std::size_t j = slot.hash & mask; j != i; j = (j + 1) & mask) {
+      if (index_[j].node == kNoNode) {
+        return fail("index slot unreachable from its home slot");
       }
-      if (seen[id]) return fail("node on two hash chains (or chain cycle)");
-      seen[id] = 1;
-      ++chained;
     }
   }
-  if (chained != n) return fail("hash chains do not cover all nodes");
-  if (occupied != indexUsed_) return fail("indexUsed_ != occupied slots");
+  if (occupied != n) return fail("occupied index slots != size()");
   // On a shared memo the pool may hold actions no edge of THIS graph
   // references; the bound check below (index < poolSize) is still exact.
   const std::size_t poolSize = memo_->actionPoolSize();
@@ -497,7 +479,6 @@ StateGraph::MemoryStats StateGraph::memoryStats() const {
           sizeof(CompactEdge) +
       memo_->actionBytes();
   ms.bytesIndex = index_.capacity() * sizeof(IndexSlot) +
-                  nextSameHash_.capacity() * sizeof(NodeId) +
                   parent_.capacity() * sizeof(Parent) +
                   succ_.capacity() * sizeof(SuccIndex) +
                   reducedSucc_.capacity() * sizeof(SuccIndex);

@@ -31,12 +31,16 @@
 //     classification, the gamma start, dot export and tests. Hot readers
 //     use row() and slotState().
 //   - The same action payload repeats across thousands of edges, so
-//     actions are deduplicated once into an intern pool and a stored edge
-//     is a 12-byte CompactEdge{action idx, target, task idx}. Successor
-//     lists append into large fixed-capacity arena chunks (CSR-style; a
-//     list never spans chunks, so a raw pointer+count names it).
+//     actions live once in the transition cache's intern pool (a memo
+//     entry is its action's pool index) and a stored edge is a 12-byte
+//     CompactEdge{action idx, target, task idx}. Successor lists append
+//     into large fixed-capacity arena chunks (CSR-style; a list never
+//     spans chunks, so a raw pointer+count names it), allocated
+//     uninitialized: an edge slot is written before it is read.
 //   - The interning index is a linear-probe open-addressing table of
-//     (row hash, chain head); same-hash nodes chain intrusively.
+//     8-byte {32-bit row hash, node} slots, one slot per node. A probe
+//     compares the stored hash, then the row; growth rehomes each slot
+//     from its stored hash without reading rows.
 // Row chunks, edge chunks and the action deque never relocate, so row
 // pointers and EdgeList views stay valid across graph growth.
 //
@@ -57,6 +61,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -81,13 +86,16 @@ struct Edge {
 };
 
 // Stored form of an edge: indices into the graph's task table and action
-// intern pool plus the target node. 12 bytes, trivially copyable.
+// intern pool plus the target node. 12 bytes, trivial: the arena chunks
+// holding edges are allocated without zero-filling.
 struct CompactEdge {
-  std::uint32_t action = 0;  // index into the action intern pool
-  NodeId to = kNoNode;
-  std::uint16_t task = 0;  // index into System::allTasks()
+  std::uint32_t action;  // index into the action intern pool
+  NodeId to;
+  std::uint16_t task;  // index into System::allTasks()
 };
 static_assert(sizeof(CompactEdge) <= 12, "CompactEdge grew past 12 bytes");
+static_assert(std::is_trivial_v<CompactEdge>,
+              "edge chunks are allocated uninitialized");
 
 // Non-owning view of one stored edge; task/action reference the graph's
 // pools (stable for the graph's lifetime).
@@ -166,8 +174,8 @@ class StateGraph {
   // component states are hash-consed in the memo's SlotCanonTable, so they
   // are not attributed here);
   // bytesEdges the edge arena chunks plus the action pool and its intern
-  // table; bytesIndex the open-addressing node index, hash chains, parent
-  // records and per-node successor spans.
+  // table; bytesIndex the open-addressing node index, parent records and
+  // per-node successor spans.
   struct MemoryStats {
     std::uint64_t bytesStates = 0;
     std::uint64_t bytesEdges = 0;
@@ -241,9 +249,9 @@ class StateGraph {
   // expansion hook, a truncated exploration) never leave the graph
   // half-mutated. Verifies parallel-array sizes, stats/size agreement, the
   // row store (one row per node, every id issued by the memo's table for
-  // that slot), the hash-chain partition, and edge-target/pool-index
-  // bounds. Returns false and (when `why` is non-null) a diagnostic on the
-  // first violation.
+  // that slot), the node index (every node in exactly one slot, reachable
+  // from its home slot), and edge-target/pool-index bounds. Returns false
+  // and (when `why` is non-null) a diagnostic on the first violation.
   bool checkConsistent(std::string* why = nullptr) const;
 
   // Canonical node id for `s` (inserted if new). `s` may come from
@@ -337,12 +345,12 @@ class StateGraph {
     std::uint16_t task = 0;
   };
 
-  // One slot of the open-addressing node index: the head of the intrusive
-  // same-hash chain through nextSameHash_. head == kNoNode marks an empty
-  // slot (no deletions, so no tombstones).
+  // One slot of the open-addressing node index: a node and the low 32 bits
+  // of its row hash, which pick its home slot. node == kNoNode marks an
+  // empty slot (no deletions, so no tombstones).
   struct IndexSlot {
-    std::size_t hash = 0;
-    NodeId head = kNoNode;
+    std::uint32_t hash = 0;
+    NodeId node = kNoNode;
   };
 
   // Per-node successor span: global arena position of the first edge (or
@@ -409,16 +417,6 @@ class StateGraph {
     return EdgeList(this, si.count ? edgeAt(si.begin) : nullptr, si.count);
   }
 
-  // The action's pool index, cached on the memoized transition so later
-  // edges with this transition skip hashing the action. The memo's cache
-  // and pool live and die together, so the cached index never goes stale.
-  std::uint32_t internAction(TransitionCache::Transition& t) {
-    if (t.poolIndex == TransitionCache::kNoPoolIndex) {
-      t.poolIndex = memo_->internAction(t.action);
-    }
-    return t.poolIndex;
-  }
-  std::size_t findIndexSlot(std::size_t hash) const;
   void growIndex(std::size_t newCap);
 
   const ioa::System& sys_;
@@ -449,11 +447,8 @@ class StateGraph {
   std::uint32_t edgeUsed_ = kEdgeChunkCapacity;  // forces the first chunk
   std::uint64_t edgeSlackSlots_ = 0;
 
-  // Interning index: linear-probe open addressing of (hash, chain head);
-  // states with equal hashes chain intrusively through nextSameHash_.
+  // Interning index: linear-probe open addressing, one slot per node.
   std::vector<IndexSlot> index_;
-  std::size_t indexUsed_ = 0;
-  std::vector<NodeId> nextSameHash_;
 
   // Slot hash-consing, transition memo and action pool: private by
   // default, shared across jobs when the service injects a warm memo (see

@@ -9,8 +9,8 @@ namespace boosting::analysis {
 
 namespace {
 
-// Open-addressing growth policy (same as the graph's node index): grow at
-// 70% load so linear probes stay short.
+// Open-addressing growth policy of both tables (the graph's node index
+// too): grow at 70% load so linear probes stay short.
 constexpr bool overloaded(std::size_t used, std::size_t cap) {
   return used * 10 >= cap * 7;
 }
@@ -68,7 +68,7 @@ std::uint32_t TransitionCache::probe(std::uint32_t id, std::size_t taskIndex) {
   const std::uint32_t ei = row + rowOffset_[taskIndex];
   Entry& e = entries_[ei];
   ++stats_.enabledLookups;
-  if (e.transition != kUnknown) {
+  if (e.action != kUnknown) {
     ++stats_.enabledHits;
     return ei;
   }
@@ -77,7 +77,7 @@ std::uint32_t TransitionCache::probe(std::uint32_t id, std::size_t taskIndex) {
   std::optional<ioa::Action> a = sys_.componentAtSlot(slot).enabledAction(
       *canon_.rep(id).state, sys_.allTasks()[taskIndex]);
   if (!a) {
-    e.transition = kDisabled;
+    e.action = kDisabled;
     return ei;
   }
   e.othersBegin = static_cast<std::uint32_t>(others_.size());
@@ -89,16 +89,46 @@ std::uint32_t TransitionCache::probe(std::uint32_t id, std::size_t taskIndex) {
     }
   });
   e.othersCount = static_cast<std::uint16_t>(others_.size() - e.othersBegin);
-  e.transition = static_cast<std::uint32_t>(transitions_.size());
-  transitions_.push_back(Transition{std::move(*a)});
+  e.action = internAction(std::move(*a));
   return ei;
+}
+
+std::uint32_t TransitionCache::internAction(ioa::Action&& a) {
+  const std::size_t h = a.hash();
+  if (poolTable_.empty()) growPoolTable(256);
+  const std::size_t mask = poolTable_.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    PoolSlot& slot = poolTable_[i];
+    if (slot.idx == kUnknown) {
+      const auto idx = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(std::move(a));
+      slot = PoolSlot{h, idx};
+      if (overloaded(pool_.size(), poolTable_.size())) {
+        growPoolTable(poolTable_.size() * 2);
+      }
+      return idx;
+    }
+    if (slot.hash == h && pool_[slot.idx] == a) return slot.idx;
+  }
+}
+
+void TransitionCache::growPoolTable(std::size_t newCap) {
+  std::vector<PoolSlot> old = std::move(poolTable_);
+  poolTable_.assign(newCap, PoolSlot{});
+  const std::size_t mask = newCap - 1;
+  for (const PoolSlot& slot : old) {
+    if (slot.idx == kUnknown) continue;
+    std::size_t i = slot.hash & mask;
+    while (poolTable_[i].idx != kUnknown) i = (i + 1) & mask;
+    poolTable_[i] = slot;
+  }
 }
 
 const ioa::Action* TransitionCache::enabledAction(const std::uint32_t* ids,
                                                   std::size_t taskIndex) {
-  const std::uint32_t t =
-      entries_[probe(ids[ownerSlot_[taskIndex]], taskIndex)].transition;
-  return t == kDisabled ? nullptr : &transitions_[t].action;
+  const std::uint32_t a =
+      entries_[probe(ids[ownerSlot_[taskIndex]], taskIndex)].action;
+  return a == kDisabled ? nullptr : &pool_[a];
 }
 
 std::uint32_t TransitionCache::enabledClass(const std::uint32_t* ids,
@@ -111,9 +141,8 @@ std::uint32_t TransitionCache::enabledClass(const std::uint32_t* ids,
   tuple.reserve(rowSize_[slot]);
   for (std::size_t ti = 0; ti < ownerSlot_.size(); ++ti) {
     if (ownerSlot_[ti] != slot) continue;
-    const std::uint32_t t = entries_[probe(id, ti)].transition;
-    tuple.push_back(classCode(t == kDisabled ? nullptr
-                                             : &transitions_[t].action));
+    const std::uint32_t a = entries_[probe(id, ti)].action;
+    tuple.push_back(classCode(a == kDisabled ? nullptr : &pool_[a]));
   }
   const auto it =
       classes_.emplace(std::move(tuple),
@@ -156,12 +185,13 @@ void TransitionCache::growNext() {
   }
 }
 
-TransitionCache::Transition* TransitionCache::step(const std::uint32_t* ids,
-                                                   std::size_t taskIndex,
-                                                   std::uint32_t* next) {
+std::uint32_t TransitionCache::step(const std::uint32_t* ids,
+                                    std::size_t taskIndex,
+                                    std::uint32_t* next) {
   const std::uint32_t ei = probe(ids[ownerSlot_[taskIndex]], taskIndex);
-  if (entries_[ei].transition == kDisabled) return nullptr;
-  Transition& t = transitions_[entries_[ei].transition];
+  const std::uint32_t ai = entries_[ei].action;
+  if (ai == kDisabled) return kDisabled;
+  const ioa::Action& action = pool_[ai];
   std::copy(ids, ids + width(), next);
 
   if (entries_[ei].ownerParticipates) {
@@ -169,7 +199,7 @@ TransitionCache::Transition* TransitionCache::step(const std::uint32_t* ids,
     ++stats_.applyLookups;
     if (entries_[ei].ownerNext == ioa::kNoSlotId) {
       ++stats_.applyMisses;
-      entries_[ei].ownerNext = successorId(ids[owner], t.action);
+      entries_[ei].ownerNext = successorId(ids[owner], action);
     } else {
       ++stats_.applyHits;
     }
@@ -184,7 +214,7 @@ TransitionCache::Transition* TransitionCache::step(const std::uint32_t* ids,
     std::uint32_t nid = ns.next;
     if (ns.key == kEmptyKey) {
       ++stats_.applyMisses;
-      nid = successorId(ids[p], t.action);
+      nid = successorId(ids[p], action);
       ns = NextSlot{key, nid};  // successorId leaves nextTable_ alone
       if (overloaded(++nextUsed_, nextTable_.size())) growNext();
     } else {
@@ -192,7 +222,7 @@ TransitionCache::Transition* TransitionCache::step(const std::uint32_t* ids,
     }
     next[p] = nid;
   }
-  return &t;
+  return ai;
 }
 
 }  // namespace boosting::analysis

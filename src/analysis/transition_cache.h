@@ -10,12 +10,16 @@
 //
 //   (owner slot id, task)               -> enabled? + action + participants
 //                                          + the owner's successor slot id
-//   (transition, other participant id)  -> that participant's successor id
+//   (entry, other participant id)       -> that participant's successor id
 //
 // The first memo is a ROW per owner id: one contiguous block of entries,
-// one per task the owner slot owns, reached by indexing (no hashing). The
-// action identity in the second memo is represented by its producer (the
-// row entry) -- determinism again -- and the owner is always a participant
+// one per task the owner slot owns, reached by indexing (no hashing). An
+// entry IS its action's index in the cache's ACTION POOL: the enabled
+// action is interned there on the entry's miss, so the thousands of
+// entries that enable one of a few dozen distinct actions share one
+// stored copy, and the graph's edges store the same index. The action
+// identity in the second memo is represented by its producer (the row
+// entry) -- determinism again -- and the owner is always a participant
 // of its own task's action, so its successor lives in the entry itself.
 // Only the other participant of an invoke or respond goes through one
 // open-addressing table keyed by (entry, participant id). With both memos
@@ -89,17 +93,8 @@ class TransitionCache {
     }
   };
 
-  static constexpr std::uint32_t kNoPoolIndex =
-      static_cast<std::uint32_t>(-1);
-
-  // One memoized enabled transition: stable address for the cache's
-  // lifetime. `poolIndex` belongs to the cache's single action-pool
-  // consumer (the owning AnalysisMemo's pool), which fills it on first use
-  // so later edges skip hashing the action.
-  struct Transition {
-    ioa::Action action;
-    std::uint32_t poolIndex = kNoPoolIndex;
-  };
+  // step()'s result for a disabled task (never a pool index).
+  static constexpr std::uint32_t kDisabled = static_cast<std::uint32_t>(-2);
 
   // Both referees must outlive the cache; `sys` must be fully built (the
   // task list is snapshotted here).
@@ -113,10 +108,22 @@ class TransitionCache {
 
   // The action task #taskIndex (in sys.allTasks() order) enables in the
   // configuration `ids` (width() ids of this cache's table), or nullptr
-  // when disabled. Builds no successor; the pointer is stable until
-  // destruction. Counts as one enabled-memo lookup.
+  // when disabled: &actionAt(i) for the entry's pool index i. Builds no
+  // successor; the pointer is stable until destruction. Counts as one
+  // enabled-memo lookup.
   const ioa::Action* enabledAction(const std::uint32_t* ids,
                                    std::size_t taskIndex);
+
+  // The action pool: every distinct enabled action, interned on the miss
+  // of the first entry that enables it. Indices are assigned in first-miss
+  // order and never change; the deque keeps references stable.
+  const ioa::Action& actionAt(std::uint32_t idx) const { return pool_[idx]; }
+  std::size_t actionPoolSize() const { return pool_.size(); }
+  // Shallow bytes of the pool and its intern table.
+  std::uint64_t actionBytes() const {
+    return pool_.size() * sizeof(ioa::Action) +
+           poolTable_.capacity() * sizeof(PoolSlot);
+  }
 
   // The ENABLED CLASS of the slot-`slot` id in `ids`: an interned id for
   // the tuple, over the tasks that slot owns (in allTasks() order), of
@@ -132,20 +139,18 @@ class TransitionCache {
   std::uint64_t serial() const { return serial_; }
 
   // If task #taskIndex is enabled in `ids`, writes the successor's id row
-  // to next[0, width()) and returns the memoized transition. Returns
-  // nullptr, leaving `next` untouched, when disabled. `next` must not
+  // to next[0, width()) and returns the action's pool index. Returns
+  // kDisabled, leaving `next` untouched, when disabled. `next` must not
   // alias `ids`.
-  Transition* step(const std::uint32_t* ids, std::size_t taskIndex,
-                   std::uint32_t* next);
+  std::uint32_t step(const std::uint32_t* ids, std::size_t taskIndex,
+                     std::uint32_t* next);
 
  private:
   static constexpr std::uint32_t kUnknown = static_cast<std::uint32_t>(-1);
-  static constexpr std::uint32_t kDisabled = kUnknown - 1;
 
   // One (owner id, task) memo entry, 16 bytes.
   struct Entry {
-    std::uint32_t transition = kUnknown;  // index into transitions_, or
-                                          // kUnknown / kDisabled
+    std::uint32_t action = kUnknown;  // pool index, or kUnknown / kDisabled
     std::uint32_t ownerNext = ioa::kNoSlotId;  // id of the owner's successor
     std::uint32_t othersBegin = 0;        // into others_
     std::uint16_t othersCount = 0;
@@ -157,6 +162,12 @@ class TransitionCache {
     std::uint32_t next = ioa::kNoSlotId;
   };
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
+  // One slot of the pool's open-addressing intern table.
+  struct PoolSlot {
+    std::size_t hash = 0;
+    std::uint32_t idx = kUnknown;
+  };
 
   // Per slot id: the first entry of its row, and its enabled class.
   struct IdInfo {
@@ -171,6 +182,9 @@ class TransitionCache {
   std::uint32_t successorId(std::uint32_t id, const ioa::Action& a);
   NextSlot& findNext(std::uint64_t key);
   void growNext();
+  // Index of `a` in the pool, appending it on first sight.
+  std::uint32_t internAction(ioa::Action&& a);
+  void growPoolTable(std::size_t newCap);
 
   const ioa::System& sys_;
   ioa::SlotCanonTable& canon_;
@@ -179,7 +193,8 @@ class TransitionCache {
   std::vector<std::uint32_t> rowSize_;    // per slot: tasks it owns
   std::vector<IdInfo> idInfo_;            // per id
   std::vector<Entry> entries_;            // rows, back to back
-  std::deque<Transition> transitions_;    // stable: step() hands them out
+  std::deque<ioa::Action> pool_;          // stable: EdgeView refers here
+  std::vector<PoolSlot> poolTable_;       // linear-probe index into pool_
   std::vector<std::uint32_t> others_;     // non-owner participant slots
   std::vector<NextSlot> nextTable_;
   std::size_t nextUsed_ = 0;

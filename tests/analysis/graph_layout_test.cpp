@@ -12,6 +12,7 @@
 #include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -228,6 +229,45 @@ TEST(GraphLayout, StateBytesAreOneIdRowPerState) {
   const std::uint64_t rows = g.size() * 4 * partCount;
   EXPECT_GE(g.memoryStats().bytesStates, rows);
   EXPECT_LE(g.memoryStats().bytesStates, g.size() * (4 * partCount + 16));
+}
+
+// The node index keeps one 8-byte {hash, node} slot per node and grows by
+// rehoming each slot from its stored hash, reading no row. Interning the
+// states of an explored graph into a fresh one drives the index through
+// at least four growths (1,024 slots, doubling at 70% load: past 717,
+// 1,434, 2,867 and 5,734 nodes); the graph is consistent after every one
+// and finds every row again under its original id.
+TEST(GraphLayout, NodeIndexFindsEveryRowAcrossGrowths) {
+  auto sys = relay51();
+  StateGraph src(*sys);
+  for (int ones = 0; ones <= sys->processCount(); ++ones) {
+    exploreReachable(src, src.intern(canonicalInitialization(*sys, ones)),
+                     ExplorationPolicy{});
+  }
+  ASSERT_GT(src.size(), 5734u);
+
+  StateGraph dst(*sys);
+  std::uint64_t indexBytes = dst.memoryStats().bytesIndex;
+  std::size_t resized = 0;
+  std::string why;
+  for (NodeId id = 0; id < src.size(); ++id) {
+    ASSERT_EQ(dst.intern(src.state(id)), id);
+    // bytesIndex moves on every index growth (and on the parallel
+    // per-node arrays' growth): check the graph each time.
+    const std::uint64_t now = dst.memoryStats().bytesIndex;
+    if (now == indexBytes) continue;
+    indexBytes = now;
+    ++resized;
+    ASSERT_TRUE(dst.checkConsistent(&why)) << why << " at " << dst.size();
+  }
+  EXPECT_GE(resized, 4u);
+  const std::uint64_t hits = dst.stats().dedupHits;
+  for (NodeId id = src.size(); id-- > 0;) {
+    ASSERT_EQ(dst.intern(src.state(id)), id);
+  }
+  EXPECT_EQ(dst.size(), src.size());
+  EXPECT_EQ(dst.stats().dedupHits, hits + src.size());
+  EXPECT_TRUE(dst.checkConsistent(&why)) << why;
 }
 
 TEST(GraphLayout, TaskCountMustFitSixteenBits) {

@@ -166,6 +166,7 @@ void expectPinnedWalk(std::unique_ptr<ioa::System> sys, PorMode por,
   EXPECT_EQ(o.hook->alpha0Valence, Valence::One);
   EXPECT_EQ(o.hook->alpha1Valence, Valence::Zero);
   EXPECT_EQ(o.statesTouched, want.statesTouched);
+  EXPECT_TRUE(isGenuineHook(g, va, *o.hook));
 }
 
 std::unique_ptr<ioa::System> analyzerRelay(int n, int f) {
@@ -184,6 +185,35 @@ TEST(HookPinned, RelayFiveWithPor) {
 TEST(HookPinned, RelayFiveWithoutPor) {
   expectPinnedWalk(analyzerRelay(5, 1), PorMode::Off, 100,
                    {3125, 5, 3255, 3396, 3397, 3640, 0, 1, 27318});
+}
+
+// tob n=3 f=1 as the analyzer builds it, POR on by default (tob declares
+// its task structure). The walk's corners depend only on the BFS order of
+// its scans, not on how their visited set and discovery tree are stored.
+TEST(HookPinned, TOBThree) {
+  processes::TOBConsensusSpec spec;
+  spec.processCount = 3;
+  spec.serviceResilience = 1;
+  spec.policy = services::DummyPolicy::PreferDummy;
+  const auto sys = processes::buildTOBConsensusSystem(spec);
+  StateGraph g(*sys, SymmetryPolicy::forSystem(*sys, SymmetryMode::Off),
+               PorPolicy::forSystem(*sys, PorMode::Auto));
+  ValenceAnalyzer va(g);
+  const auto biv = findBivalentInitialization(g, va);
+  ASSERT_TRUE(biv.bivalent.has_value());
+  EXPECT_EQ(biv.bivalent->node, 1889u);
+  const HookSearchOutcome o = findHook(g, va, biv.bivalent->node);
+  EXPECT_FALSE(o.fairCycle);
+  ASSERT_TRUE(o.hook.has_value());
+  EXPECT_TRUE(isGenuineHook(g, va, *o.hook));
+  EXPECT_EQ(o.iterations, 3u);
+  EXPECT_EQ(o.hook->alpha, 1899u);
+  EXPECT_EQ(o.hook->alpha0, 1909u);
+  EXPECT_EQ(o.hook->alphaPrime, 1910u);
+  EXPECT_EQ(o.hook->alpha1, 1930u);
+  EXPECT_EQ(o.hook->e.str(), "task(S400.0-perform)");
+  EXPECT_EQ(o.hook->ePrime.str(), "task(S400.1-perform)");
+  EXPECT_EQ(o.statesTouched, 9025u);
 }
 
 TEST(HookPinned, BridgeFour) {

@@ -12,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/analysis_memo.h"
 #include "analysis/bivalence.h"
 #include "analysis/state_graph.h"
 #include "analysis/transition_cache.h"
@@ -99,11 +102,13 @@ void checkPass(const StateGraph& g, TransitionCache& cache) {
       const std::optional<ioa::Action> want = sys.enabled(s, tasks[ti]);
       const ioa::Action* action = cache.enabledAction(ids, ti);
       ASSERT_EQ(action != nullptr, want.has_value()) << tasks[ti].str();
-      TransitionCache::Transition* t = cache.step(ids, ti, next.data());
-      ASSERT_EQ(t != nullptr, want.has_value()) << tasks[ti].str();
+      const std::uint32_t ai = cache.step(ids, ti, next.data());
+      ASSERT_EQ(ai != TransitionCache::kDisabled, want.has_value())
+          << tasks[ti].str();
       if (!want) continue;
       EXPECT_EQ(*action, *want);
-      EXPECT_EQ(&t->action, action);  // one stable transition per entry
+      ASSERT_LT(ai, cache.actionPoolSize());
+      EXPECT_EQ(&cache.actionAt(ai), action);  // one pooled action per entry
       for (std::size_t k = 0; k < next.size(); ++k) {
         ASSERT_LT(next[k], table.size());
         ASSERT_EQ(table.rep(next[k]).slot, k);  // an id of this slot
@@ -143,6 +148,50 @@ TEST_P(TransitionCacheOracle, AgreesWithEnabledAndApplyColdAndWarm) {
   EXPECT_EQ(warm.enabledMisses, 0u);
   EXPECT_EQ(warm.applyMisses, 0u);
   EXPECT_EQ(warm.enabledLookups, cold.enabledLookups);
+}
+
+// An entry is its action's pool index: equal actions enabled from
+// different (owner id, task) entries share one index, every index names a
+// distinct action, and enabledAction points into the memo's pool.
+TEST_P(TransitionCacheOracle, EqualActionsShareOnePoolIndex) {
+  const auto [candidate, n] = GetParam();
+  const auto sys = build(candidate, n);
+  StateGraph g(*sys);
+  exploreAll(g);
+  AnalysisMemo& memo = *g.memo();
+  TransitionCache& cache = memo.transitions();
+  const std::vector<ioa::TaskId>& tasks = sys->allTasks();
+  std::vector<std::uint32_t> next(cache.width());
+  // Pool index -> the (owner id, task) entries that enable its action.
+  std::map<std::uint32_t, std::set<std::pair<std::uint32_t, std::size_t>>>
+      entriesOf;
+  for (NodeId id = 0; id < g.size(); ++id) {
+    const std::uint32_t* ids = g.row(id);
+    for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
+      const std::uint32_t ai = cache.step(ids, ti, next.data());
+      const ioa::Action* action = cache.enabledAction(ids, ti);
+      if (ai == TransitionCache::kDisabled) {
+        EXPECT_EQ(action, nullptr);
+        continue;
+      }
+      ASSERT_LT(ai, memo.actionPoolSize());
+      EXPECT_EQ(action, &memo.actionAt(ai));
+      const std::uint32_t owner = ids[sys->ownerSlot(tasks[ti])];
+      entriesOf[ai].emplace(owner, ti);
+    }
+  }
+  EXPECT_EQ(entriesOf.size(), memo.actionPoolSize());  // no idle action
+  for (std::uint32_t a = 0; a < memo.actionPoolSize(); ++a) {
+    for (std::uint32_t b = a + 1; b < memo.actionPoolSize(); ++b) {
+      ASSERT_FALSE(memo.actionAt(a) == memo.actionAt(b)) << a << " " << b;
+    }
+  }
+  std::size_t shared = 0;
+  for (const auto& [ai, entries] : entriesOf) {
+    if (entries.size() > 1) ++shared;
+  }
+  EXPECT_GT(shared, 0u);
+  EXPECT_LT(memo.actionPoolSize(), cache.size());
 }
 
 TEST_P(TransitionCacheOracle, ForeignStatesInternToTheirNodes) {

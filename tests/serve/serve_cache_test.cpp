@@ -78,6 +78,20 @@ TEST(ServeCache, WarmMemoGraphsMatchNodeForNode) {
     for (analysis::NodeId n = 0; n < cold.size(); ++n) {
       ASSERT_EQ(warm.state(n), cold.state(n))
           << "node " << n << " diverged in round " << round;
+      // Stored edges, pool indices included, are identical field for
+      // field: the warm pool hands out the indices a cold one would.
+      const auto coldEdges = cold.cachedSuccessors(n);
+      const auto warmEdges = warm.cachedSuccessors(n);
+      ASSERT_EQ(warmEdges.has_value(), coldEdges.has_value()) << "node " << n;
+      if (!coldEdges) continue;
+      ASSERT_EQ(warmEdges->size(), coldEdges->size()) << "node " << n;
+      for (std::size_t k = 0; k < coldEdges->size(); ++k) {
+        const analysis::CompactEdge& c = coldEdges->data()[k];
+        const analysis::CompactEdge& w = warmEdges->data()[k];
+        EXPECT_EQ(w.action, c.action) << "node " << n << " round " << round;
+        EXPECT_EQ(w.to, c.to) << "node " << n << " round " << round;
+        EXPECT_EQ(w.task, c.task) << "node " << n << " round " << round;
+      }
     }
     std::string why;
     EXPECT_TRUE(warm.checkConsistent(&why)) << why;
