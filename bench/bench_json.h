@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace boosting::benchjson {
 
 struct RunRecord {
@@ -68,18 +70,6 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   std::vector<RunRecord> records;
 };
 
-// Minimal JSON string escape: bench names only contain [-/_:A-Za-z0-9],
-// but stay defensive about quotes and backslashes.
-inline std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 inline bool writeBenchJson(const std::string& path,
                            const std::vector<RunRecord>& records) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -93,14 +83,14 @@ inline bool writeBenchJson(const std::string& path,
     const RunRecord& r = records[i];
     std::fprintf(f,
                  "    {\n"
-                 "      \"name\": \"%s\",\n"
+                 "      \"name\": %s,\n"
                  "      \"iterations\": %.0f,\n"
                  "      \"real_ns_per_iter\": %.3f,\n"
                  "      \"cpu_ns_per_iter\": %.3f",
-                 jsonEscape(r.name).c_str(), r.iterations, r.realNsPerIter,
+                 obs::quoteJson(r.name).c_str(), r.iterations, r.realNsPerIter,
                  r.cpuNsPerIter);
     for (const auto& [name, value] : r.counters) {
-      std::fprintf(f, ",\n      \"%s\": %.6g", jsonEscape(name).c_str(),
+      std::fprintf(f, ",\n      %s: %.6g", obs::quoteJson(name).c_str(),
                    value);
     }
     std::fprintf(f, "\n    }%s\n", i + 1 < records.size() ? "," : "");

@@ -43,12 +43,12 @@
 #include <set>
 #include <string>
 
-#include "analysis/analysis_memo.h"
 #include "analysis/bivalence.h"
 #include "analysis/hook.h"
 #include "analysis/por.h"
 #include "analysis/similarity.h"
 #include "analysis/symmetry.h"
+#include "analysis/transition_cache.h"
 #include "ioa/execution.h"
 
 namespace boosting::analysis {
@@ -75,13 +75,13 @@ struct AdversaryConfig {
   // component declares a canonical task structure; On requests it and
   // surfaces the reason when it cannot be honored.
   PorMode por = PorMode::Off;
-  // Cross-job warm start (the analysis service): a memo built for the SAME
-  // System object shares its slot canon table, transition cache and action
-  // pool with the pipeline's StateGraph. Null (the default) keeps the
-  // legacy private-memo behaviour; verdicts and every proof artifact are
-  // bit-identical either way (see analysis/analysis_memo.h). The memo must
-  // not be in use by another exploration concurrently.
-  std::shared_ptr<AnalysisMemo> memo;
+  // Cross-job warm start (the analysis service): a transition cache built
+  // for the SAME System object shares its slot canon table, memos, action
+  // pool and ample decisions with the pipeline's StateGraph. Null (the
+  // default) keeps a private cache; verdicts and every proof artifact are
+  // bit-identical either way (see analysis/transition_cache.h). The cache
+  // must not be in use by another exploration concurrently.
+  std::shared_ptr<TransitionCache> memo;
 };
 
 struct AdversaryReport {

@@ -1,9 +1,10 @@
 #include "analysis/dot_export.h"
 
+#include <algorithm>
 #include <deque>
 #include <set>
-
-#include "analysis/dense.h"
+#include <utility>
+#include <vector>
 
 namespace boosting::analysis {
 
@@ -51,15 +52,22 @@ std::string exportDot(StateGraph& g, ValenceAnalyzer& va, NodeId root,
 
   std::string out = "digraph GC {\n  rankdir=TB;\n  node [style=filled];\n";
   std::deque<NodeId> frontier{root};
-  DenseNodeSet seen(g.size());
-  seen.insert(root);
+  // Visited marks by node id, grown with the graph.
+  std::vector<char> seen(g.size());
+  const auto firstVisit = [&seen](NodeId x) {
+    if (x >= seen.size()) {
+      seen.resize(std::max<std::size_t>(x + 1, 2 * seen.size()));
+    }
+    return !std::exchange(seen[x], 1);
+  };
+  firstVisit(root);
   std::vector<NodeId> nodes;
   while (!frontier.empty() && nodes.size() < options.maxNodes) {
     const NodeId x = frontier.front();
     frontier.pop_front();
     nodes.push_back(x);
     for (const EdgeView e : g.successors(x)) {
-      if (seen.insert(e.to)) frontier.push_back(e.to);
+      if (firstVisit(e.to)) frontier.push_back(e.to);
     }
   }
   std::set<NodeId> included(nodes.begin(), nodes.end());

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/dense.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
@@ -324,8 +323,15 @@ HookEnumeration enumerateHooks(StateGraph& g, ValenceAnalyzer& va, NodeId root,
   va.explore(root);
   HookEnumeration out;
   std::deque<NodeId> frontier{root};
-  DenseNodeSet seen(g.size());
-  seen.insert(root);
+  // Visited marks by node id, grown with the graph.
+  std::vector<char> seen(g.size());
+  const auto firstVisit = [&seen](NodeId x) {
+    if (x >= seen.size()) {
+      seen.resize(std::max<std::size_t>(x + 1, 2 * seen.size()));
+    }
+    return !std::exchange(seen[x], 1);
+  };
+  firstVisit(root);
   while (!frontier.empty()) {
     const NodeId alpha = frontier.front();
     frontier.pop_front();
@@ -334,7 +340,7 @@ HookEnumeration enumerateHooks(StateGraph& g, ValenceAnalyzer& va, NodeId root,
     // (arena chunks never relocate).
     const EdgeList edges = g.successors(alpha);
     for (const EdgeView e : edges) {
-      if (seen.insert(e.to)) frontier.push_back(e.to);
+      if (firstVisit(e.to)) frontier.push_back(e.to);
     }
     // This walk follows FULL successor lists (a hook needs every commuting
     // square, not just the ample subset), so under an active POR policy the

@@ -107,9 +107,9 @@ void flushGraphMetrics(obs::Registry* reg, const StateGraph& g) {
   flushTransitionCacheMetrics(reg, g.transitionStats());
   // The two memo structures behind the graph, sized in entries (gauges:
   // on a shared service memo they cover every job that used it).
-  const AnalysisMemo& memo = *g.memo();
+  const TransitionCache& memo = *g.memo();
   reg->maxOf("memo.slot_representatives", memo.slotCanon().size());
-  reg->maxOf("memo.transition_entries", memo.transitions().size());
+  reg->maxOf("memo.transition_entries", memo.size());
 }
 
 void flushStatePerfDelta(obs::Registry* reg,

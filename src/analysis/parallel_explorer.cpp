@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <utility>
+#include <vector>
 
-#include "analysis/dense.h"
 #include "obs/registry.h"
 
 namespace boosting::analysis {
@@ -26,12 +27,20 @@ ExploreStats exploreReachable(StateGraph& g, NodeId root,
                               const ExplorationPolicy& policy) {
   ExploreStats stats;
   std::deque<NodeId> frontier{root};
-  DenseNodeSet seen(g.size());
-  seen.insert(root);
+  // Visited marks by node id, grown with the graph.
+  std::vector<char> seen(g.size());
+  const auto firstVisit = [&seen](NodeId x) {
+    if (x >= seen.size()) {
+      seen.resize(std::max<std::size_t>(x + 1, 2 * seen.size()));
+    }
+    return !std::exchange(seen[x], 1);
+  };
+  firstVisit(root);
+  std::uint64_t visited = 1;  // the root
   std::uint64_t expansions = 0;
   try {
     while (!frontier.empty()) {
-      if (policy.maxStates != 0 && seen.size() > policy.maxStates) {
+      if (policy.maxStates != 0 && visited > policy.maxStates) {
         stats.truncated = true;
         break;
       }
@@ -44,7 +53,10 @@ ExploreStats exploreReachable(StateGraph& g, NodeId root,
       // the same switch the valence BFS takes.
       for (const EdgeView e : g.exploreSuccessors(x)) {
         ++stats.edgesComputed;
-        if (seen.insert(e.to)) frontier.push_back(e.to);
+        if (firstVisit(e.to)) {
+          ++visited;
+          frontier.push_back(e.to);
+        }
       }
     }
   } catch (...) {
@@ -56,7 +68,7 @@ ExploreStats exploreReachable(StateGraph& g, NodeId root,
     if (policy.metrics) policy.metrics->add("explore.aborts", 1);
     throw;
   }
-  stats.statesDiscovered = seen.size();
+  stats.statesDiscovered = visited;
   flushExploreStats(policy.metrics, stats);
   return stats;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "util/hashing.h"
-
 namespace boosting::analysis {
 
 namespace {
@@ -435,65 +433,19 @@ std::uint64_t PorPolicy::ampleMask(
   return record(decide(actions, &sig), enabledOut);
 }
 
-const PorPolicy::Decision& PorPolicy::lookup(const std::uint32_t* classes,
-                                             const std::uint32_t* ids,
-                                             TransitionCache& cache,
-                                             Scratch* scratch) const {
-  DecisionMemo& m = memo_;
-  const std::size_t width = m.width;
-  const auto hash =
-      static_cast<std::uint32_t>(util::hashIdRow(classes, width));
-  std::size_t mask = m.table.size() - 1;
-  std::size_t i = hash & mask;
-  for (; m.table[i].entryPlus1 != 0; i = (i + 1) & mask) {
-    const std::uint32_t e = m.table[i].entryPlus1 - 1;
-    if (m.table[i].hash == hash &&
-        std::equal(classes, classes + width, &m.keys[e * width])) {
-      return m.decisions[e];
-    }
-  }
-  // Miss: decide from the per-task actions, then insert.
-  std::vector<const ioa::Action*>& actions = scratch->actions;
-  actions.resize(taskCount_);
-  for (std::size_t ti = 0; ti < taskCount_; ++ti) {
-    actions[ti] = cache.enabledAction(ids, ti);
-  }
-  const auto entry = static_cast<std::uint32_t>(m.decisions.size());
-  m.decisions.push_back(decide(actions, &scratch->signature));
-  m.keys.insert(m.keys.end(), classes, classes + width);
-  m.table[i] = MemoSlot{hash, entry + 1};
-  if (std::size_t{entry + 1} * 10 >= m.table.size() * 7) {
-    // Grow at 70% load: every slot moves to the home of its stored hash.
-    std::vector<MemoSlot> old = std::move(m.table);
-    m.table.assign(old.size() * 2, MemoSlot{});
-    mask = m.table.size() - 1;
-    for (const MemoSlot& slot : old) {
-      if (slot.entryPlus1 == 0) continue;
-      std::size_t j = slot.hash & mask;
-      while (m.table[j].entryPlus1 != 0) j = (j + 1) & mask;
-      m.table[j] = slot;
-    }
-  }
-  return m.decisions[entry];
-}
-
 std::uint64_t PorPolicy::ampleMask(const std::uint32_t* ids,
                                    TransitionCache& cache,
-                                   std::uint64_t* enabledOut,
-                                   Scratch* scratch) const {
-  if (memo_.cacheSerial != cache.serial()) {
-    // Class ids are the cache's own: start the memo afresh for this one.
-    memo_ = DecisionMemo{};
-    memo_.cacheSerial = cache.serial();
-    memo_.width = cache.width();
-    memo_.table.assign(1024, MemoSlot{});
-  }
-  std::vector<std::uint32_t>& classes = scratch->classes;
-  classes.resize(memo_.width);
-  for (std::size_t k = 0; k < memo_.width; ++k) {
-    classes[k] = cache.enabledClass(ids, k);
-  }
-  return record(lookup(classes.data(), ids, cache, scratch), enabledOut);
+                                   std::uint64_t* enabledOut) const {
+  // Only a class row's first request lists the per-task actions.
+  const auto decideFresh = [&] {
+    std::vector<const ioa::Action*> actions(taskCount_);
+    for (std::size_t ti = 0; ti < taskCount_; ++ti) {
+      actions[ti] = cache.enabledAction(ids, ti);
+    }
+    Signature sig;
+    return decide(actions, &sig);
+  };
+  return record(cache.ampleDecision(ids, decideFresh), enabledOut);
 }
 
 }  // namespace boosting::analysis

@@ -64,14 +64,17 @@
 // kind (and, for an invocation, its service). The transition memo interns
 // that tuple per slot id as the id's ENABLED CLASS
 // (TransitionCache::enabledClass), so a configuration's decision is a
-// function of its row of class ids, and the policy memoizes it on that
-// row in a flat open-addressing table: a warm decision costs one class
-// load per slot and one probe, with no per-task lookup.
+// function of its row of class ids, and the cache memoizes it on that row
+// (TransitionCache::ampleDecision): a warm decision costs one class load
+// per slot and one probe, with no per-task lookup. forSystem is
+// deterministic and On decides exactly like Auto, so every non-trivial
+// policy of one System makes the same decisions, and a cache shared by the
+// jobs of a service type can keep them.
 //
 // Thread safety: none. ampleMask() and the note*() callbacks update the
-// decision memo and the statistics through plain mutable members, so a
-// policy belongs to one exploration thread. Every run builds its own
-// policies (the adversary per analysis, the analysis service per job).
+// statistics through plain mutable members, so a policy belongs to one
+// exploration thread. Every run builds its own policies (the adversary per
+// analysis, the analysis service per job).
 #pragma once
 
 #include <cstdint>
@@ -87,8 +90,8 @@ namespace boosting::analysis {
 // CLI-facing selection, mirroring SymmetryMode: Auto enables the reduction
 // whenever every component declares a canonical task structure, On
 // additionally surfaces WHY it stayed off (disabledReason), Off forces
-// full expansion (the legacy behavior and the default for every analysis
-// entry point).
+// full expansion. The CLI, served jobs and the benchmark harness pass Auto
+// by default; AdversaryConfig keeps Off for library callers.
 enum class PorMode { Auto, On, Off };
 
 class PorPolicy {
@@ -104,6 +107,9 @@ class PorPolicy {
   static std::shared_ptr<const PorPolicy> forSystem(const ioa::System& sys,
                                                     PorMode mode);
 
+  // The System the policy was built for.
+  const ioa::System& system() const { return *sys_; }
+
   // Trivial: ampleMask() always answers "expand everything".
   bool trivial() const { return trivial_; }
   const std::string& disabledReason() const { return disabledReason_; }
@@ -112,34 +118,19 @@ class PorPolicy {
   // slot ids); the policy must not be trivial(). Returns the ample task
   // mask (over sys.allTasks() indices) and stores the enabled mask in
   // *enabledOut; the result equals the enabled mask when no proper ample
-  // set is valid (or the configuration is unanalyzable). Memoized on the
-  // row of the slots' enabled classes, which determines the per-task
-  // signature the decision is computed from, so the decision is a pure
-  // function of the configuration, whatever order the engine expands
-  // nodes in. The memo belongs to one cache's class ids: a call with
-  // another cache starts it afresh. Caller-owned scratch (the graph keeps
-  // one across expansions), so a warm decision makes no heap allocation;
-  // never shared between threads.
-  struct Scratch {
-    std::vector<std::uint32_t> classes;
-    std::vector<const ioa::Action*> actions;
-    std::vector<std::uint32_t> signature;
-  };
+  // set is valid (or the configuration is unanalyzable). Memoized in
+  // `cache` on the row of the slots' enabled classes, which determines the
+  // per-task signature the decision is computed from, so the decision is a
+  // pure function of the configuration, whatever order the engine expands
+  // nodes in.
   std::uint64_t ampleMask(const std::uint32_t* ids, TransitionCache& cache,
-                          std::uint64_t* enabledOut, Scratch* scratch) const;
+                          std::uint64_t* enabledOut) const;
 
   // The same decision, presented as the per-task enabled actions:
   // actions[ti] is the action task #ti enables, or nullptr when disabled.
-  // Not memoized: computed afresh on every call.
+  // Not memoized: computed afresh on every call (the reference path).
   std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
                           std::uint64_t* enabledOut) const;
-
-  // True when `a` is a strict no-op self-loop (a waiting process's dummy
-  // step). Used by the engines' C3 check: a self-loop target never counts
-  // as an open successor.
-  static bool isNoOp(const ioa::Action& a) {
-    return a.kind == ioa::ActionKind::ProcDummy;
-  }
 
   // -- Reduction statistics (flushed by flushGraphMetrics) ---------------
   // Expansions that consulted the policy.
@@ -176,13 +167,7 @@ class PorPolicy {
   // (serviceIndex+1)<<6 (serviceIndex only for process invocations).
   using Signature = std::vector<std::uint32_t>;
 
-  // One evaluated configuration: its masks and how many of its enabled
-  // actions contradicted the declared task structure.
-  struct Decision {
-    std::uint64_t ample = 0;
-    std::uint64_t enabled = 0;
-    std::uint32_t violations = 0;
-  };
+  using Decision = TransitionCache::AmpleDecision;
 
   Decision decide(const std::vector<const ioa::Action*>& actions,
                   Signature* sig) const;
@@ -197,26 +182,6 @@ class PorPolicy {
                            std::uint64_t enabledMask, std::uint64_t deadMask,
                            bool* valid) const;
   std::uint64_t deadTasks(std::uint64_t enabledMask) const;
-
-  // The decision memo: class rows of `width` ids back to back in `keys`,
-  // their decisions in `decisions`, and a linear-probe table of
-  // (hash, entry + 1) slots (entry + 1 == 0 marks an empty slot).
-  struct MemoSlot {
-    std::uint32_t hash = 0;
-    std::uint32_t entryPlus1 = 0;
-  };
-  struct DecisionMemo {
-    std::uint64_t cacheSerial = 0;  // TransitionCache::serial() of the keys
-    std::size_t width = 0;
-    std::vector<std::uint32_t> keys;
-    std::vector<Decision> decisions;
-    std::vector<MemoSlot> table;
-  };
-  // The memoized decision of the class row `classes`, computing it from
-  // the per-task actions of `ids` on a miss.
-  const Decision& lookup(const std::uint32_t* classes,
-                         const std::uint32_t* ids, TransitionCache& cache,
-                         Scratch* scratch) const;
 
   const ioa::System* sys_ = nullptr;
   std::vector<int> serviceIds_;  // sorted, densely indexed
@@ -238,8 +203,6 @@ class PorPolicy {
     std::vector<std::uint64_t> depInvoke;
   };
   std::vector<TaskInfo> tasks_;
-
-  mutable DecisionMemo memo_;
 
   mutable std::uint64_t nodesEvaluated_ = 0;
   mutable std::uint64_t nodesReduced_ = 0;

@@ -135,8 +135,8 @@ HookClassification classifyHook(StateGraph& g, const Hook& hook,
   // Node ids are injective on states (no quotient within one graph), so
   // the explicit-state analysis on the node states is exactly Lemma 8's.
   const std::optional<Edge> viaEPrime = g.successorVia(hook.alpha0, hook.ePrime);
-  // states_ is a deque: the references survive the interning successorVia
-  // may have triggered.
+  // state() references keep their address while the graph grows, so they
+  // survive the interning successorVia may have triggered.
   const ioa::SystemState* s0p = viaEPrime ? &g.state(viaEPrime->to) : nullptr;
   return classifyHookStates(g.system(), g.state(hook.alpha0),
                             g.state(hook.alpha1), s0p, opts);

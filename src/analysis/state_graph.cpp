@@ -3,22 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
-#include "util/hashing.h"
-
 namespace boosting::analysis {
-
-namespace {
-
-// Open-addressing growth policy of the node index: grow at 70% load so
-// linear probes stay short.
-constexpr bool overloaded(std::size_t used, std::size_t cap) {
-  return used * 10 >= cap * 7;
-}
-
-}  // namespace
 
 void StateGraph::validateTaskCapacity(std::size_t taskCount,
                                       std::uint32_t chunkCapacity) {
@@ -40,20 +27,26 @@ void StateGraph::validateTaskCapacity(std::size_t taskCount,
 StateGraph::StateGraph(const ioa::System& sys,
                        std::shared_ptr<const SymmetryPolicy> symmetry,
                        std::shared_ptr<const PorPolicy> por,
-                       std::shared_ptr<AnalysisMemo> memo)
+                       std::shared_ptr<TransitionCache> memo)
     : sys_(sys), symmetry_(std::move(symmetry)), por_(std::move(por)),
       width_(static_cast<std::size_t>(sys.processCount()) +
              static_cast<std::size_t>(sys.serviceCount())),
-      memo_(memo ? std::move(memo) : std::make_shared<AnalysisMemo>(sys)),
-      transitionsBase_(memo_->transitions().stats()),
+      rows_(width_),
+      memo_(memo ? std::move(memo) : std::make_shared<TransitionCache>(sys)),
+      transitionsBase_(memo_->stats()),
       nextIds_(width_),
       canonIds_(width_) {
+  // The memos and the reduction only make sense against the exact System
+  // object they were built for (the cache snapshots its task list and keys
+  // on the ids of its slot representatives; the policy's tables index its
+  // tasks).
   if (&memo_->system() != &sys_) {
-    // The memos only make sense against the exact System object they were
-    // built for (the TransitionCache snapshots its task list and keys on
-    // the ids of its slot representatives).
     throw std::invalid_argument(
-        "StateGraph: AnalysisMemo was built for a different System object");
+        "StateGraph: TransitionCache was built for a different System object");
+  }
+  if (por_ && &por_->system() != &sys_) {
+    throw std::invalid_argument(
+        "StateGraph: PorPolicy was built for a different System object");
   }
   validateTaskCapacity(sys_.allTasks().size(), kEdgeChunkCapacity);
 #ifndef NDEBUG
@@ -107,65 +100,18 @@ const ioa::SystemState& StateGraph::state(NodeId id) const {
   return s;
 }
 
-std::size_t StateGraph::rowChunkCapacity(std::size_t chunk) {
-  const std::size_t shift = std::clamp<std::size_t>(
-      chunk + kRowChunkMinShift - 1, kRowChunkMinShift, kRowChunkMaxShift);
-  return std::size_t{1} << shift;
-}
-
-std::uint32_t* StateGraph::appendRow() {
-  std::size_t offset = 0;
-  const std::size_t chunk =
-      rowChunkOf(static_cast<NodeId>(rowCount_), &offset);
-  if (chunk == rowChunks_.size()) {
-    const std::size_t ids = rowChunkCapacity(chunk) * width_;
-    rowChunks_.emplace_back(new std::uint32_t[ids]);
-    rowBytes_ += ids * sizeof(std::uint32_t);
-  }
-  ++rowCount_;
-  return rowChunks_[chunk].get() + offset * width_;
-}
-
-void StateGraph::growIndex(std::size_t newCap) {
-  std::vector<IndexSlot> old = std::move(index_);
-  index_.assign(newCap, IndexSlot{});
-  const std::size_t mask = newCap - 1;
-  for (const IndexSlot& slot : old) {
-    if (slot.node == kNoNode) continue;
-    // Rows are distinct, so reinsertion only needs the first empty
-    // position of the probe sequence from the stored hash.
-    std::size_t i = slot.hash & mask;
-    while (index_[i].node != kNoNode) i = (i + 1) & mask;
-    index_[i] = slot;
-  }
-}
-
 StateGraph::InternResult StateGraph::internRow(const std::uint32_t* ids) {
   assertWriter();
-  const auto hash = static_cast<std::uint32_t>(util::hashIdRow(ids, width_));
-  if (index_.empty()) growIndex(1024);
-  // Linear probe to the slot holding this row or the first empty one. No
-  // deletions, so probes never cross tombstones.
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash & mask;
-  for (; index_[i].node != kNoNode; i = (i + 1) & mask) {
-    const IndexSlot slot = index_[i];
-    if (slot.hash == hash &&
-        std::memcmp(row(slot.node), ids, width_ * sizeof(std::uint32_t)) ==
-            0) {
-      ++stats_.dedupHits;
-      return {slot.node, false};
-    }
+  const RowTable::Probe p = rows_.find(ids);
+  if (p.id != RowTable::kNone) {
+    ++stats_.dedupHits;
+    return {p.id, false};
   }
-  const NodeId id = static_cast<NodeId>(size());
-  std::copy(ids, ids + width_, appendRow());
   succ_.emplace_back();
   reducedSucc_.emplace_back();
   parent_.emplace_back();
-  index_[i] = IndexSlot{hash, id};
-  if (overloaded(size(), index_.size())) growIndex(index_.size() * 2);
   ++stats_.statesDiscovered;
-  return {id, true};
+  return {rows_.insert(p, ids), true};
 }
 
 CompactEdge* StateGraph::reserveEdgeRun(std::uint32_t need,
@@ -197,8 +143,7 @@ EdgeList StateGraph::successors(NodeId id) {
   // Row chunks never relocate: `ids` stays valid across insertions.
   const std::uint32_t* ids = row(id);
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-    const std::uint32_t ai =
-        memo_->transitions().step(ids, ti, nextIds_.data());
+    const std::uint32_t ai = memo_->step(ids, ti, nextIds_.data());
     if (ai == TransitionCache::kDisabled) continue;
     const InternResult r = internSuccessor(nextIds_.data());
     if (r.inserted) {
@@ -237,8 +182,7 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
   // successor is built yet.
   const std::uint32_t* ids = row(id);
   std::uint64_t enabledMask = 0;
-  const std::uint64_t ampleMask = por_->ampleMask(
-      ids, memo_->transitions(), &enabledMask, &porScratch_);
+  const std::uint64_t ampleMask = por_->ampleMask(ids, *memo_, &enabledMask);
   if (ampleMask == enabledMask) {
     // No proper ample set: the full list IS the reduced list.
     const EdgeList full = successors(id);
@@ -254,8 +198,7 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
   bool open = false;  // C3: some ample target not yet reduced-expanded
   for (std::uint64_t m = ampleMask; m != 0; m &= m - 1) {
     const std::size_t ti = static_cast<std::size_t>(std::countr_zero(m));
-    const std::uint32_t ai =
-        memo_->transitions().step(ids, ti, nextIds_.data());
+    const std::uint32_t ai = memo_->step(ids, ti, nextIds_.data());
     const InternResult r = internSuccessor(nextIds_.data());
     if (r.inserted) {
       parent_[r.id] = Parent{id, ai, static_cast<std::uint16_t>(ti)};
@@ -312,7 +255,7 @@ bool StateGraph::checkConsistent(std::string* why) const {
     return false;
   };
   const std::size_t n = size();
-  if (rowCount_ != n) return fail("row count != size()");
+  if (succ_.size() != n) return fail("succ_ size != size()");
   if (reducedSucc_.size() != n) return fail("reducedSucc_ size != size()");
   if (parent_.size() != n) return fail("parent_ size != size()");
   if (stats_.statesDiscovered != n) {
@@ -337,31 +280,8 @@ bool StateGraph::checkConsistent(std::string* why) const {
       return fail("materialized state of an out-of-range node");
     }
   }
-  // Every node sits in exactly one index slot, under its row's hash, with
-  // no empty slot between its home slot and that slot (a probe finds it).
-  std::vector<char> seen(n, 0);
-  std::size_t occupied = 0;
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = 0; i < index_.size(); ++i) {
-    const IndexSlot& slot = index_[i];
-    if (slot.node == kNoNode) continue;
-    ++occupied;
-    if (static_cast<std::size_t>(slot.node) >= n) {
-      return fail("index slot references out-of-range node");
-    }
-    if (seen[slot.node]) return fail("node in two index slots");
-    seen[slot.node] = 1;
-    if (slot.hash != static_cast<std::uint32_t>(
-                         util::hashIdRow(row(slot.node), width_))) {
-      return fail("index slot hash differs from its row's hash");
-    }
-    for (std::size_t j = slot.hash & mask; j != i; j = (j + 1) & mask) {
-      if (index_[j].node == kNoNode) {
-        return fail("index slot unreachable from its home slot");
-      }
-    }
-  }
-  if (occupied != n) return fail("occupied index slots != size()");
+  // Every node sits in exactly one index slot, reachable from its home.
+  if (!rows_.checkConsistent(why)) return false;
   // On a shared memo the pool may hold actions no edge of THIS graph
   // references; the bound check below (index < poolSize) is still exact.
   const std::size_t poolSize = memo_->actionPoolSize();
@@ -470,7 +390,8 @@ StateGraph::MemoryStats StateGraph::memoryStats() const {
   MemoryStats ms;
   // Row chunks, plus the materialization side store: per entry its state
   // and an unordered_map node (key and next pointer), plus the buckets.
-  ms.bytesStates = rowBytes_ + materialized_.bucket_count() * sizeof(void*);
+  ms.bytesStates =
+      rows_.rowBytes() + materialized_.bucket_count() * sizeof(void*);
   for (const auto& [id, s] : materialized_) {
     ms.bytesStates += sizeof(id) + sizeof(void*) + s.shallowBytes();
   }
@@ -478,7 +399,7 @@ StateGraph::MemoryStats StateGraph::memoryStats() const {
       static_cast<std::uint64_t>(edgeChunks_.size()) * kEdgeChunkCapacity *
           sizeof(CompactEdge) +
       memo_->actionBytes();
-  ms.bytesIndex = index_.capacity() * sizeof(IndexSlot) +
+  ms.bytesIndex = rows_.indexBytes() +
                   parent_.capacity() * sizeof(Parent) +
                   succ_.capacity() * sizeof(SuccIndex) +
                   reducedSucc_.capacity() * sizeof(SuccIndex);

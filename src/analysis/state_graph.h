@@ -18,13 +18,14 @@
 // MEMORY LAYOUT (flat, pooled -- see DESIGN.md "Graph memory layout"):
 //   - A configuration is stored as one fixed-stride ROW of u32 slot ids,
 //     one per slot, issued by the memo's SlotCanonTable (ids are trusted:
-//     every row is written through that table). Rows live in chunks that
-//     never relocate (64, 64, 128, 256, 512, then 1024 rows each), so a
-//     row is 4 * partCount bytes and a row pointer stays valid while the
-//     graph grows. Interning hashes the row and compares rows with memcmp;
-//     TransitionCache steps row to row. No SystemState is built on the
-//     exploration path (except under --symmetry on, which materializes
-//     each successor into a scratch state to canonicalize it).
+//     every row is written through that table). Rows live in a RowTable
+//     (analysis/row_table.h), in chunks that never relocate, so a row is
+//     4 * partCount bytes and a row pointer stays valid while the graph
+//     grows; the row's id in that table is its node id. Interning hashes
+//     the row and compares rows with memcmp; TransitionCache steps row to
+//     row. No SystemState is built on the exploration path (except under
+//     --symmetry on, which materializes each successor into a scratch
+//     state to canonicalize it).
 //   - state(id) materializes a SystemState on first request into a side
 //     store (counted in bytesStates) and returns the same object from then
 //     on. Only cold paths call it: witness roots, hook endpoints,
@@ -37,10 +38,8 @@
 //     into large fixed-capacity arena chunks (CSR-style; a list never
 //     spans chunks, so a raw pointer+count names it), allocated
 //     uninitialized: an edge slot is written before it is read.
-//   - The interning index is a linear-probe open-addressing table of
-//     8-byte {32-bit row hash, node} slots, one slot per node. A probe
-//     compares the stored hash, then the row; growth rehomes each slot
-//     from its stored hash without reading rows.
+//   - The interning index is the RowTable's linear-probe open-addressing
+//     table of 8-byte {32-bit row hash, node} slots, one slot per node.
 // Row chunks, edge chunks and the action deque never relocate, so row
 // pointers and EdgeList views stay valid across graph growth.
 //
@@ -55,7 +54,6 @@
 // call concurrently only while no writer is active.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -65,8 +63,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/analysis_memo.h"
 #include "analysis/por.h"
+#include "analysis/row_table.h"
 #include "analysis/symmetry.h"
 #include "analysis/transition_cache.h"
 #include "ioa/system.h"
@@ -190,17 +188,18 @@ class StateGraph {
   // With a non-trivial `por`, the graph additionally maintains a REDUCED
   // successor tier (see exploreSuccessors below); the full tier and every
   // other accessor are unaffected.
-  // With a non-null `memo`, the graph shares that memo's slot canon table,
-  // transition cache and action pool instead of creating private ones --
-  // the analysis service's cross-job warm start (see
-  // analysis/analysis_memo.h for the safety argument). The memo must have
-  // been built for the SAME System object (validated) and must not be used
-  // by another graph concurrently (single-writer, like the graph itself).
-  // Null means a private memo that dies with the graph.
+  // With a non-null `memo`, the graph shares that transition cache (its
+  // slot canon table, transition memos, action pool and ample decisions)
+  // instead of creating a private one -- the analysis service's cross-job
+  // warm start (see analysis/transition_cache.h for the safety argument).
+  // The cache and the POR policy must have been built for the SAME System
+  // object (validated), and the cache must not be used by another graph
+  // concurrently (single-writer, like the graph itself). Null means a
+  // private cache that dies with the graph.
   explicit StateGraph(const ioa::System& sys,
                       std::shared_ptr<const SymmetryPolicy> symmetry = nullptr,
                       std::shared_ptr<const PorPolicy> por = nullptr,
-                      std::shared_ptr<AnalysisMemo> memo = nullptr);
+                      std::shared_ptr<TransitionCache> memo = nullptr);
 
   // Edges per arena chunk. Power of two: a global edge position is
   // (chunk << kEdgeChunkShift) | offset. It must exceed allTasks().size()
@@ -238,12 +237,12 @@ class StateGraph {
   // construction, so a graph on a warm shared memo still reports per-run
   // numbers -- warm entries populated by earlier jobs show up as hits.
   TransitionCache::Stats transitionStats() const {
-    return memo_->transitions().stats().deltaSince(transitionsBase_);
+    return memo_->stats().deltaSince(transitionsBase_);
   }
 
-  // The memo backing this graph's canon table, transition cache and
+  // The transition cache backing this graph's canon table, memos and
   // action pool: the graph's own private one, or the injected shared one.
-  const std::shared_ptr<AnalysisMemo>& memo() const { return memo_; }
+  const std::shared_ptr<TransitionCache>& memo() const { return memo_; }
 
   // Structural self-check, used to assert that abort paths (a throwing
   // expansion hook, a truncated exploration) never leave the graph
@@ -263,17 +262,13 @@ class StateGraph {
   // request (see the layout note above). The reference stays valid, at
   // the same address, for the graph's lifetime.
   const ioa::SystemState& state(NodeId id) const;
-  std::size_t size() const { return succ_.size(); }
+  std::size_t size() const { return rows_.size(); }
 
   // Slots per configuration (ids per row).
   std::size_t width() const { return width_; }
   // Node `id`'s row: width() slot ids of memo()->slotCanon(). Stable
   // address for the graph's lifetime.
-  const std::uint32_t* row(NodeId id) const {
-    std::size_t offset = 0;
-    const std::size_t chunk = rowChunkOf(id, &offset);
-    return rowChunks_[chunk].get() + offset * width_;
-  }
+  const std::uint32_t* row(NodeId id) const { return rows_.row(id); }
   // The component state at `slot` of node `id`, read through the memo's
   // representatives (no materialization).
   const ioa::AutomatonState& slotState(NodeId id, std::size_t slot) const {
@@ -345,14 +340,6 @@ class StateGraph {
     std::uint16_t task = 0;
   };
 
-  // One slot of the open-addressing node index: a node and the low 32 bits
-  // of its row hash, which pick its home slot. node == kNoNode marks an
-  // empty slot (no deletions, so no tombstones).
-  struct IndexSlot {
-    std::uint32_t hash = 0;
-    NodeId node = kNoNode;
-  };
-
   // Per-node successor span: global arena position of the first edge (or
   // kUnexpanded) and edge count. Expanded-but-empty lists keep a valid
   // begin with count 0.
@@ -385,24 +372,6 @@ class StateGraph {
   // representative first.
   InternResult internSuccessor(const std::uint32_t* ids);
 
-  // Row store: chunk c holds rowChunkCapacity(c) rows.
-  static constexpr unsigned kRowChunkMinShift = 6;
-  static constexpr unsigned kRowChunkMaxShift = 10;
-  static std::size_t rowChunkOf(NodeId id, std::size_t* offset) {
-    constexpr NodeId kMax = NodeId{1} << kRowChunkMaxShift;
-    if (id < kMax) {
-      const unsigned c = static_cast<unsigned>(
-          std::bit_width(id >> kRowChunkMinShift));
-      *offset = id - (c == 0 ? 0 : NodeId{1} << (c + kRowChunkMinShift - 1));
-      return c;
-    }
-    *offset = id & (kMax - 1);
-    return (kRowChunkMaxShift - kRowChunkMinShift) + (id >> kRowChunkMaxShift);
-  }
-  static std::size_t rowChunkCapacity(std::size_t chunk);
-  // Storage for the next node's row (allocating a chunk when needed).
-  std::uint32_t* appendRow();
-
   // Reserve a contiguous run of up to `need` edge slots in the arena
   // (starting a fresh chunk when the current tail cannot fit the run) and
   // return its base; commit happens by bumping edgeUsed_ with the actual
@@ -417,16 +386,12 @@ class StateGraph {
     return EdgeList(this, si.count ? edgeAt(si.begin) : nullptr, si.count);
   }
 
-  void growIndex(std::size_t newCap);
-
   const ioa::System& sys_;
   std::shared_ptr<const SymmetryPolicy> symmetry_;
   std::shared_ptr<const PorPolicy> por_;
   std::size_t width_ = 0;  // slots per configuration
-  // Row store (see the layout note): chunks of rows, never relocated.
-  std::vector<std::unique_ptr<std::uint32_t[]>> rowChunks_;
-  std::size_t rowCount_ = 0;
-  std::uint64_t rowBytes_ = 0;  // allocated chunk bytes
+  // Row store and interning index (see the layout note).
+  RowTable rows_;
   // state()'s materialized configurations. Node-based, so a returned
   // reference survives rehashing.
   mutable std::unordered_map<NodeId, ioa::SystemState> materialized_;
@@ -447,13 +412,10 @@ class StateGraph {
   std::uint32_t edgeUsed_ = kEdgeChunkCapacity;  // forces the first chunk
   std::uint64_t edgeSlackSlots_ = 0;
 
-  // Interning index: linear-probe open addressing, one slot per node.
-  std::vector<IndexSlot> index_;
-
-  // Slot hash-consing, transition memo and action pool: private by
-  // default, shared across jobs when the service injects a warm memo (see
-  // analysis/analysis_memo.h). Single-writer either way.
-  std::shared_ptr<AnalysisMemo> memo_;
+  // Slot hash-consing, transition memos, action pool and ample decisions:
+  // private by default, shared across jobs when the service injects a warm
+  // cache (see analysis/transition_cache.h). Single-writer either way.
+  std::shared_ptr<TransitionCache> memo_;
   // The shared cache's tallies at this graph's construction, so
   // transitionStats() stays per-graph on a warm memo.
   TransitionCache::Stats transitionsBase_;
@@ -462,8 +424,6 @@ class StateGraph {
   std::vector<std::uint32_t> nextIds_;
   std::vector<std::uint32_t> canonIds_;
   ioa::SystemState symScratch_;
-  // reducedSuccessors() pass-1 scratch, reused across expansions.
-  PorPolicy::Scratch porScratch_;
   Stats stats_;
 #ifndef NDEBUG
   std::thread::id writer_;  // single-writer expectation, asserted in debug

@@ -1,7 +1,6 @@
 #include "analysis/transition_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <optional>
 
@@ -9,20 +8,12 @@ namespace boosting::analysis {
 
 namespace {
 
-// Open-addressing growth policy of both tables (the graph's node index
-// too): grow at 70% load so linear probes stay short.
-constexpr bool overloaded(std::size_t used, std::size_t cap) {
-  return used * 10 >= cap * 7;
-}
-
 // Fibonacci hashing: the top bits of key * 2^64/phi index a 2^bits table.
 inline std::size_t homeSlot(std::uint64_t key, std::size_t cap) {
   const int bits = std::countr_zero(cap);
   return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
                                   (64 - bits));
 }
-
-std::atomic<std::uint64_t> nextSerial{1};
 
 // Enabled-class code of one task: 0 = disabled; otherwise
 // 1 | kind<<1 | (invoked service + 1)<<6, the service only for an Invoke.
@@ -37,13 +28,14 @@ std::uint32_t classCode(const ioa::Action* a) {
 
 }  // namespace
 
-TransitionCache::TransitionCache(const ioa::System& sys,
-                                 ioa::SlotCanonTable& canon)
-    : sys_(sys), canon_(canon), serial_(nextSerial.fetch_add(1)) {
+TransitionCache::TransitionCache(const ioa::System& sys)
+    : sys_(sys),
+      rowSize_(static_cast<std::size_t>(sys.processCount()) +
+                   static_cast<std::size_t>(sys.serviceCount()),
+               0),
+      decisionRows_(rowSize_.size()),
+      classRow_(rowSize_.size()) {
   const auto& tasks = sys.allTasks();
-  rowSize_.assign(static_cast<std::size_t>(sys.processCount()) +
-                      static_cast<std::size_t>(sys.serviceCount()),
-                  0);
   ownerSlot_.reserve(tasks.size());
   rowOffset_.reserve(tasks.size());
   for (const ioa::TaskId& t : tasks) {
@@ -103,7 +95,7 @@ std::uint32_t TransitionCache::internAction(ioa::Action&& a) {
       const auto idx = static_cast<std::uint32_t>(pool_.size());
       pool_.push_back(std::move(a));
       slot = PoolSlot{h, idx};
-      if (overloaded(pool_.size(), poolTable_.size())) {
+      if (pastMaxLoad(pool_.size(), poolTable_.size())) {
         growPoolTable(poolTable_.size() * 2);
       }
       return idx;
@@ -216,7 +208,7 @@ std::uint32_t TransitionCache::step(const std::uint32_t* ids,
       ++stats_.applyMisses;
       nid = successorId(ids[p], action);
       ns = NextSlot{key, nid};  // successorId leaves nextTable_ alone
-      if (overloaded(++nextUsed_, nextTable_.size())) growNext();
+      if (pastMaxLoad(++nextUsed_, nextTable_.size())) growNext();
     } else {
       ++stats_.applyHits;
     }

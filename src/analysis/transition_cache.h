@@ -1,12 +1,14 @@
-// TransitionCache: memoized component transitions over hash-consed slots.
+// TransitionCache: the memo of one System -- every pure function of the
+// System that the engines look up -- over hash-consed slots.
 //
 // Under the determinism assumptions of Section 3.1, whether task e is
 // enabled -- and which action it produces -- is a pure function of the
 // owning component's local state, and the effect of an action on a
 // participant is a pure function of that participant's local state and the
 // action. The exploration engines store a configuration as a row of slot
-// ids issued by one SlotCanonTable (see analysis/state_graph.h), so "local
-// state" is a u32 and both functions are memoizable with integer keys:
+// ids issued by the cache's own SlotCanonTable (see analysis/state_graph.h),
+// so "local state" is a u32 and both functions are memoizable with integer
+// keys:
 //
 //   (owner slot id, task)               -> enabled? + action + participants
 //                                          + the owner's successor slot id
@@ -31,15 +33,50 @@
 //
 // Beside each id's row sits its ENABLED CLASS: an interned id for what the
 // id's tasks enable, by kind (enabledClass). A configuration's row of
-// classes is what the POR policy keys its ample decisions on.
+// classes determines its partial-order-reduction decision, so the cache
+// also memoizes the AMPLE DECISIONS on those class rows (ampleDecision).
+// Every non-trivial PorPolicy of one System decides alike (see
+// analysis/por.h), so the decisions are a function of the System too.
 //
 // Ids are TRUSTED: every id row handed to the cache must hold ids of the
 // cache's own SlotCanonTable. StateGraph writes every row through that
 // table; a SystemState from anywhere else enters the id space only through
 // SlotCanonTable::canonicalize, which looks every slot up by content.
 //
-// The cache is NOT thread-safe; like its SlotCanonTable it belongs to one
-// exploration at a time (see analysis/analysis_memo.h).
+// A StateGraph constructed without a cache creates a private one: nothing
+// outlives the graph. The analysis service (src/serve/) instead keeps one
+// cache per service type and hands it to every job's StateGraph, so a warm
+// job starts with the slot representatives, transition memos, action pool
+// and ample decisions of its predecessors already populated.
+//
+// WHY SHARING IS SAFE (the serve cache-correctness argument; see DESIGN.md
+// "Analysis service"):
+//   - Every structure here, the pool and the decisions included, is an
+//     insert-only append cache of pure functions of the (immutable, fully
+//     built) ioa::System the cache was constructed for. A warm entry can
+//     make a probe cheaper, never different: the memos key on the dense
+//     slot ids of this cache's SlotCanonTable, which never reuses an id and
+//     owns every representative (shared_ptr) while the cache lives, and on
+//     class ids that the cache interns itself. Every id row a graph stores
+//     is written through this table (StateGraph::intern looks a foreign
+//     SystemState up slot by slot, by content), so an id issued by another
+//     cache's table can never select a wrong row.
+//   - A transition-memo entry is its action's index in the pool, and the
+//     cache owns the pool, so the index cannot go stale across the graphs
+//     that share the cache.
+//   - The action pool assigns indices in first-miss order. Two
+//     explorations of the same system miss on the same entries in the
+//     same order (the engines are deterministic), so a warm pool hands out
+//     exactly the indices a cold one would -- warm and cold CompactEdges
+//     are bit-identical (asserted by tests/serve/serve_cache_test).
+//   - Nothing here is thread-safe. A cache must be used by at most one
+//     exploration at a time; the service enforces this with exclusive
+//     leases (serve::ServiceContextPool) whose mutex handoff also provides
+//     the necessary happens-before between jobs on different worker
+//     threads.
+//
+// The cache borrows the System, which must outlive it (the service caches
+// the built System alongside the cache for exactly this reason).
 #pragma once
 
 #include <cstddef>
@@ -48,6 +85,7 @@
 #include <map>
 #include <vector>
 
+#include "analysis/row_table.h"
 #include "ioa/system.h"
 
 namespace boosting::analysis {
@@ -67,20 +105,11 @@ class TransitionCache {
     std::uint64_t applyHits = 0;
     std::uint64_t applyMisses = 0;
 
-    void accumulate(const Stats& other) {
-      enabledLookups += other.enabledLookups;
-      enabledHits += other.enabledHits;
-      enabledMisses += other.enabledMisses;
-      applyLookups += other.applyLookups;
-      applyHits += other.applyHits;
-      applyMisses += other.applyMisses;
-    }
-
     // This snapshot minus an earlier one of the same cache. Every field is
     // monotone, so the difference is a well-formed Stats that satisfies
     // hits + misses == lookups whenever both endpoints do. Used to report
-    // PER-GRAPH tallies of a cache shared across graphs (a service memo,
-    // see analysis/analysis_memo.h).
+    // PER-GRAPH tallies of a cache shared across graphs (a service
+    // cache).
     Stats deltaSince(const Stats& base) const {
       Stats d;
       d.enabledLookups = enabledLookups - base.enabledLookups;
@@ -96,9 +125,23 @@ class TransitionCache {
   // step()'s result for a disabled task (never a pool index).
   static constexpr std::uint32_t kDisabled = static_cast<std::uint32_t>(-2);
 
-  // Both referees must outlive the cache; `sys` must be fully built (the
-  // task list is snapshotted here).
-  TransitionCache(const ioa::System& sys, ioa::SlotCanonTable& canon);
+  // The ample decision of one configuration (see analysis/por.h): its
+  // ample and enabled task masks, and how many of its enabled actions
+  // contradicted the declared task structure.
+  struct AmpleDecision {
+    std::uint64_t ample = 0;
+    std::uint64_t enabled = 0;
+    std::uint32_t violations = 0;
+  };
+
+  // `sys` must outlive the cache and be fully built (the task list is
+  // snapshotted here).
+  explicit TransitionCache(const ioa::System& sys);
+
+  const ioa::System& system() const { return sys_; }
+  // The slot hash-consing every id row of this cache is written through.
+  ioa::SlotCanonTable& slotCanon() { return canon_; }
+  const ioa::SlotCanonTable& slotCanon() const { return canon_; }
 
   const Stats& stats() const { return stats_; }
   // Memoized (owner slot state, task) entries.
@@ -134,9 +177,24 @@ class TransitionCache {
   // the slot owns) and stored next to the id's entry row; a pure function
   // of the System, so it is safe in a shared memo.
   std::uint32_t enabledClass(const std::uint32_t* ids, std::size_t slot);
-  // Identity of this cache for memos keyed on its class ids: unique per
-  // constructed cache within the process, never reused.
-  std::uint64_t serial() const { return serial_; }
+
+  // The ample decision of the configuration `ids`, memoized on its row of
+  // enabled classes; `decide()` computes it on the row's first request.
+  // A warm decision makes no heap allocation.
+  template <class Decide>
+  const AmpleDecision& ampleDecision(const std::uint32_t* ids,
+                                     Decide&& decide) {
+    for (std::size_t k = 0; k < width(); ++k) {
+      classRow_[k] = enabledClass(ids, k);
+    }
+    const RowTable::Probe p = decisionRows_.find(classRow_.data());
+    if (p.id != RowTable::kNone) return decisions_[p.id];
+    decisions_.push_back(decide());
+    decisionRows_.insert(p, classRow_.data());
+    return decisions_.back();
+  }
+  // Memoized ample decisions.
+  std::size_t decisionCount() const { return decisions_.size(); }
 
   // If task #taskIndex is enabled in `ids`, writes the successor's id row
   // to next[0, width()) and returns the action's pool index. Returns
@@ -187,7 +245,7 @@ class TransitionCache {
   void growPoolTable(std::size_t newCap);
 
   const ioa::System& sys_;
-  ioa::SlotCanonTable& canon_;
+  ioa::SlotCanonTable canon_;
   std::vector<std::uint32_t> ownerSlot_;  // per task index
   std::vector<std::uint32_t> rowOffset_;  // per task: index inside its row
   std::vector<std::uint32_t> rowSize_;    // per slot: tasks it owns
@@ -201,7 +259,10 @@ class TransitionCache {
   std::size_t entryCount_ = 0;
   // Enabled classes: tuple -> class id (filled on an id's first request).
   std::map<std::vector<std::uint32_t>, std::uint32_t> classes_;
-  std::uint64_t serial_;
+  // Ample decisions, keyed on class rows (decisions_[id] for row id).
+  RowTable decisionRows_;
+  std::vector<AmpleDecision> decisions_;
+  std::vector<std::uint32_t> classRow_;  // ampleDecision()'s key scratch
   Stats stats_;
 };
 

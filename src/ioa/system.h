@@ -166,7 +166,7 @@ class SystemState final {
 // Slot hash-consing (maximal structural sharing): maps (slot index, slot
 // content) to one canonical representative, and gives every
 // representative a dense u32 id (0, 1, 2, ... in registration order). An
-// interning engine (StateGraph, through its AnalysisMemo) owns one table
+// interning engine (StateGraph, through its TransitionCache) owns one table
 // and stores each configuration as a row of these ids, one per slot: two
 // configurations are equal iff their rows are, and the deep virtual
 // equals runs at most once per distinct slot content. Equal component

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace boosting::obs {
 
 void Registry::add(std::string_view name, std::uint64_t delta) {
@@ -74,22 +76,6 @@ std::vector<std::pair<std::string, double>> Registry::derived() const {
   return {derived_.begin(), derived_.end()};
 }
 
-namespace {
-
-// Same minimal escape as bench/bench_json.h: names are dotted identifiers,
-// but stay defensive about quotes and backslashes.
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
 bool Registry::writeMetricsJson(const std::string& path,
                                 std::string_view tool) const {
   const auto cs = counters();
@@ -101,28 +87,27 @@ bool Registry::writeMetricsJson(const std::string& path,
     return false;
   }
   std::fprintf(f, "{\n  \"schema\": \"boosting-metrics-v12\",\n");
-  std::fprintf(f, "  \"tool\": \"%s\",\n",
-               jsonEscape(tool).c_str());
+  std::fprintf(f, "  \"tool\": %s,\n", quoteJson(tool).c_str());
   std::fprintf(f, "  \"counters\": [\n");
   for (std::size_t i = 0; i < cs.size(); ++i) {
-    std::fprintf(f, "    {\"name\": \"%s\", \"value\": %llu}%s\n",
-                 jsonEscape(cs[i].first).c_str(),
+    std::fprintf(f, "    {\"name\": %s, \"value\": %llu}%s\n",
+                 quoteJson(cs[i].first).c_str(),
                  static_cast<unsigned long long>(cs[i].second),
                  i + 1 < cs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"timers\": [\n");
   for (std::size_t i = 0; i < ts.size(); ++i) {
     std::fprintf(
-        f, "    {\"name\": \"%s\", \"wall_ns\": %llu, \"count\": %llu}%s\n",
-        jsonEscape(ts[i].first).c_str(),
+        f, "    {\"name\": %s, \"wall_ns\": %llu, \"count\": %llu}%s\n",
+        quoteJson(ts[i].first).c_str(),
         static_cast<unsigned long long>(ts[i].second.wallNs),
         static_cast<unsigned long long>(ts[i].second.count),
         i + 1 < ts.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"derived\": [\n");
   for (std::size_t i = 0; i < ds.size(); ++i) {
-    std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.6g}%s\n",
-                 jsonEscape(ds[i].first).c_str(), ds[i].second,
+    std::fprintf(f, "    {\"name\": %s, \"value\": %.6g}%s\n",
+                 quoteJson(ds[i].first).c_str(), ds[i].second,
                  i + 1 < ds.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

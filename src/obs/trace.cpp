@@ -1,30 +1,8 @@
 #include "obs/trace.h"
 
+#include "obs/json.h"
+
 namespace boosting::obs {
-
-namespace {
-
-// JSON string escape for keys and string values: quotes, backslashes, and
-// control characters (payload renderings may contain quoted symbols).
-void writeEscaped(std::FILE* f, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': std::fputs("\\\"", f); break;
-      case '\\': std::fputs("\\\\", f); break;
-      case '\n': std::fputs("\\n", f); break;
-      case '\t': std::fputs("\\t", f); break;
-      case '\r': std::fputs("\\r", f); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(f, "\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          std::fputc(c, f);
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::shared_ptr<TraceWriter> TraceWriter::open(const std::string& path,
                                                std::string* error) {
@@ -49,13 +27,10 @@ void TraceWriter::event(std::string_view type,
                        std::chrono::steady_clock::now() - start_)
                        .count();
   std::lock_guard<std::mutex> lock(m_);
-  std::fputs("{\"ev\":\"", f_);
-  writeEscaped(f_, type);
-  std::fprintf(f_, "\",\"t_ns\":%lld", static_cast<long long>(tNs));
+  std::fprintf(f_, "{\"ev\":%s,\"t_ns\":%lld", quoteJson(type).c_str(),
+               static_cast<long long>(tNs));
   for (const Field& field : fields) {
-    std::fputs(",\"", f_);
-    writeEscaped(f_, field.key);
-    std::fputs("\":", f_);
+    std::fprintf(f_, ",%s:", quoteJson(field.key).c_str());
     switch (field.kind) {
       case Field::Kind::Int:
         std::fprintf(f_, "%lld", static_cast<long long>(field.i));
@@ -70,9 +45,7 @@ void TraceWriter::event(std::string_view type,
         std::fputs(field.b ? "true" : "false", f_);
         break;
       case Field::Kind::Str:
-        std::fputc('"', f_);
-        writeEscaped(f_, field.s);
-        std::fputc('"', f_);
+        std::fputs(quoteJson(field.s).c_str(), f_);
         break;
     }
   }

@@ -81,7 +81,7 @@ std::optional<ServiceContextPool::Lease> ServiceContextPool::acquire(
   ctx->key = key;
   ctx->system = buildCandidateSystem(key.candidate, key.n, key.f, buildError);
   if (!ctx->system) return std::nullopt;
-  ctx->memo = std::make_shared<analysis::AnalysisMemo>(*ctx->system);
+  ctx->memo = std::make_shared<analysis::TransitionCache>(*ctx->system);
   Entry e;
   e.ctx = std::move(ctx);
   e.leased = true;

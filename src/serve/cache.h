@@ -4,10 +4,11 @@
 // reduction modes -- rebuild exactly the same ioa::System, re-intern the
 // same actions, and re-derive the same transitions. A ServiceContext keeps
 // that substructure alive for the process lifetime: the built System plus
-// an analysis::AnalysisMemo (action pool, slot canon table, transition
-// memo) threaded into AdversaryConfig::memo so repeat jobs start warm.
+// an analysis::TransitionCache (slot canon table, transition memos, action
+// pool, ample decisions) threaded into AdversaryConfig::memo so repeat
+// jobs start warm.
 //
-// Safety argument (details in analysis/analysis_memo.h and DESIGN.md
+// Safety argument (details in analysis/transition_cache.h and DESIGN.md
 // "Analysis service"): the memo is only sound for the System object it was
 // built against, and it is NOT thread-safe. The pool therefore hands out
 // an EXCLUSIVE lease per context -- at most one job touches a context at a
@@ -30,9 +31,9 @@
 #include <string>
 #include <unordered_map>
 
-#include "analysis/analysis_memo.h"
 #include "analysis/por.h"
 #include "analysis/symmetry.h"
+#include "analysis/transition_cache.h"
 #include "ioa/system.h"
 
 namespace boosting::serve {
@@ -60,7 +61,7 @@ struct ServiceKeyHash {
 struct ServiceContext {
   ServiceKey key;
   std::unique_ptr<ioa::System> system;
-  std::shared_ptr<analysis::AnalysisMemo> memo;
+  std::shared_ptr<analysis::TransitionCache> memo;
   std::uint64_t jobsServed = 0;  // completed leases (warm after the first)
 };
 
@@ -84,7 +85,7 @@ class ServiceContextPool {
     ~Lease();
 
     ioa::System& system() { return *ctx_->system; }
-    const std::shared_ptr<analysis::AnalysisMemo>& memo() const {
+    const std::shared_ptr<analysis::TransitionCache>& memo() const {
       return ctx_->memo;
     }
     // True when this context has already served at least one job (the

@@ -137,7 +137,7 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
   if (!lease && !buildError.empty()) throw std::runtime_error(buildError);
   std::unique_ptr<ioa::System> privateSys;
   ioa::System* sys = nullptr;
-  std::shared_ptr<analysis::AnalysisMemo> memo;
+  std::shared_ptr<analysis::TransitionCache> memo;
   if (lease) {
     sys = &lease->system();
     memo = lease->memo();

@@ -19,6 +19,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/json.h"
+
 namespace boosting::serve {
 
 // One field value. Kind discriminates; only the matching member is
@@ -48,7 +50,7 @@ bool parseWireObject(std::string_view line, WireObject* out,
                      std::string* error);
 
 // `s` as a JSON string token, quotes included, with all mandatory escapes.
-std::string quoteJson(std::string_view s);
+using obs::quoteJson;
 
 // Serialize to one line (no trailing newline). Doubles use %.17g so values
 // survive a parse round trip.

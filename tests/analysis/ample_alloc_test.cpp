@@ -1,7 +1,7 @@
 // Heap allocations made by a warm ample decision: zero. Pass 1 of every
 // reduced expansion asks the POR policy for the ample set, which reads the
 // row's enabled classes from the transition memo and looks the class row
-// up in its decision memo; once the classes and the decision are known,
+// up among the memo's ample decisions; once both are known,
 // neither may touch the heap (the pass runs once per explored node).
 // Standalone (no test framework): the counting global operator new must
 // see only the allocations of the decisions under test.
@@ -59,19 +59,18 @@ int main() {
     }
   }
 
-  analysis::TransitionCache& cache = g.memo()->transitions();
-  analysis::PorPolicy::Scratch scratch;
+  analysis::TransitionCache& cache = *g.memo();
   std::uint64_t reduced = 0;
   const auto decideAll = [&] {
     for (std::size_t id = 0; id < g.size(); ++id) {
       const std::uint32_t* ids = g.row(static_cast<analysis::NodeId>(id));
       std::uint64_t enabled = 0;
-      if (por->ampleMask(ids, cache, &enabled, &scratch) != enabled) {
+      if (por->ampleMask(ids, cache, &enabled) != enabled) {
         ++reduced;
       }
     }
   };
-  decideAll();  // cold: fills the classes, the decision memo and scratch
+  decideAll();  // cold: fills the classes and the decisions
   const std::size_t before = g_allocations;
   decideAll();
   const std::size_t made = g_allocations - before;

@@ -11,13 +11,13 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/bivalence.h"
-#include "analysis/dense.h"
 #include "analysis/parallel_explorer.h"
 #include "analysis/por.h"
 #include "analysis/state_graph.h"
@@ -102,10 +102,10 @@ TEST(GraphLayout, SuccessorListsMatchSystemOracle) {
     auto sys = fx.build();
     StateGraph g(*sys);
     std::vector<NodeId> stack;
-    DenseNodeSet seen(64);
+    std::set<NodeId> seen;
     for (int j = 0; j <= sys->processCount(); ++j) {
       const NodeId root = g.intern(canonicalInitialization(*sys, j));
-      if (seen.insert(root)) stack.push_back(root);
+      if (seen.insert(root).second) stack.push_back(root);
     }
     while (!stack.empty()) {
       const NodeId x = stack.back();
@@ -124,7 +124,7 @@ TEST(GraphLayout, SuccessorListsMatchSystemOracle) {
         sys->applyInPlace(next, *action);
         EXPECT_TRUE(g.state(e.to).equals(next))
             << fx.name << " node " << x << " edge " << k;
-        if (seen.insert(e.to)) stack.push_back(e.to);
+        if (seen.insert(e.to).second) stack.push_back(e.to);
         ++k;
       }
       ASSERT_EQ(k, edges.size()) << fx.name << " node " << x;

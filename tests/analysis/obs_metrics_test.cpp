@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/adversary.h"
 #include "analysis/bivalence.h"
@@ -61,6 +63,109 @@ PipelineCounters runPipeline(const ioa::System& sys, int claim,
   return PipelineCounters{reg.value("graph.states_discovered"),
                           reg.value("graph.edges_discovered"),
                           report.statesExplored};
+}
+
+// True when `doc` is exactly one JSON value (RFC 8259 strings, loose
+// numbers), surrounded by optional whitespace. Builds nothing.
+class JsonCheck {
+ public:
+  static bool parses(std::string_view doc) {
+    JsonCheck c(doc);
+    c.ws();
+    if (!c.value()) return false;
+    c.ws();
+    return c.i_ == doc.size();
+  }
+
+ private:
+  explicit JsonCheck(std::string_view s) : s_(s) {}
+  bool more() const { return i_ < s_.size(); }
+  void ws() {
+    while (more() && std::string_view(" \t\r\n").find(s_[i_]) !=
+                         std::string_view::npos) {
+      ++i_;
+    }
+  }
+  bool eat(char c) {
+    if (!more() || s_[i_] != c) return false;
+    ++i_;
+    return true;
+  }
+  bool literal(std::string_view w) {
+    if (s_.substr(i_, w.size()) != w) return false;
+    i_ += w.size();
+    return true;
+  }
+  bool value() {
+    if (!more()) return false;
+    switch (s_[i_]) {
+      case '{': return members('}', true);
+      case '[': return members(']', false);
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+  // An object (keyed) or array body up to `close`.
+  bool members(char close, bool keyed) {
+    ++i_;
+    ws();
+    if (eat(close)) return true;
+    do {
+      ws();
+      if (keyed) {
+        if (!string()) return false;
+        ws();
+        if (!eat(':')) return false;
+        ws();
+      }
+      if (!value()) return false;
+      ws();
+    } while (eat(','));
+    return eat(close);
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (more()) {
+      const auto c = static_cast<unsigned char>(s_[i_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;  // control characters must be escaped
+      if (c != '\\') continue;
+      if (!more()) return false;
+      const char e = s_[i_++];
+      if (e == 'u') {
+        for (int k = 0; k < 4; ++k) {
+          if (!more() || !std::isxdigit(static_cast<unsigned char>(s_[i_++]))) {
+            return false;
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                 std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool number() {
+    const std::size_t start = i_;
+    while (more() && std::string_view("0123456789+-.eE").find(s_[i_]) !=
+                         std::string_view::npos) {
+      ++i_;
+    }
+    return i_ > start && std::isdigit(static_cast<unsigned char>(s_[i_ - 1]));
+  }
+
+  std::string_view s_;
+  std::size_t i_ = 0;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 TEST(ObsMetrics, DiscoveryCountersMatchTheReport) {
@@ -173,6 +278,7 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   // v10 memo gauges.
   EXPECT_NE(doc.find("memo.slot_representatives"), std::string::npos);
   EXPECT_NE(doc.find("memo.transition_entries"), std::string::npos);
+  EXPECT_TRUE(JsonCheck::parses(doc));
 }
 
 TEST(ObsMetrics, MemoGaugesMatchTheSharedMemo) {
@@ -182,7 +288,7 @@ TEST(ObsMetrics, MemoGaugesMatchTheSharedMemo) {
   AdversaryConfig cfg;
   cfg.claimedFailures = 2;
   cfg.exploration.metrics = &reg;
-  cfg.memo = std::make_shared<AnalysisMemo>(*sys);
+  cfg.memo = std::make_shared<TransitionCache>(*sys);
   (void)analyzeConsensusCandidate(*sys, cfg);
   EXPECT_GT(reg.value("graph.states_discovered"), 0u);
   EXPECT_GE(reg.value("memo.slot_representatives"), 1u);
@@ -190,7 +296,7 @@ TEST(ObsMetrics, MemoGaugesMatchTheSharedMemo) {
             cfg.memo->slotCanon().size());
   EXPECT_GE(reg.value("memo.transition_entries"), 1u);
   EXPECT_EQ(reg.value("memo.transition_entries"),
-            cfg.memo->transitions().size());
+            cfg.memo->size());
 }
 
 TEST(ObsMetrics, ColdPrivateMemoHasOneEntryPerEnabledMiss) {
@@ -232,9 +338,40 @@ TEST(ObsMetrics, TraceWriterEmitsOneJsonObjectPerLine) {
     EXPECT_EQ(line.back(), '}');
     EXPECT_NE(line.find("\"ev\":"), std::string::npos);
     EXPECT_NE(line.find("\"t_ns\":"), std::string::npos);
+    EXPECT_TRUE(JsonCheck::parses(line)) << line;
   }
   EXPECT_EQ(lines, 2u);
   std::remove(path.c_str());
+}
+
+TEST(ObsMetrics, ControlCharactersAreEscapedInTraceAndMetrics) {
+  const std::string tracePath =
+      testing::TempDir() + "/obs_metrics_test_escape.jsonl";
+  {
+    std::string err;
+    auto tw = obs::TraceWriter::open(tracePath, &err);
+    ASSERT_TRUE(tw) << err;
+    tw->event("esc", {{"s", "a\x01" "b"}, {"k\x1f", 1}});
+  }
+  std::string line = slurp(tracePath);
+  std::remove(tracePath.c_str());
+  ASSERT_FALSE(line.empty());
+  ASSERT_EQ(line.back(), '\n');
+  line.pop_back();
+  EXPECT_NE(line.find("\"a\\u0001b\""), std::string::npos) << line;
+  EXPECT_NE(line.find("\"k\\u001f\":1"), std::string::npos) << line;
+  EXPECT_TRUE(JsonCheck::parses(line)) << line;
+
+  const std::string metricsPath =
+      testing::TempDir() + "/obs_metrics_test_escape.json";
+  obs::Registry reg;
+  reg.add("bad\x02name", 1);
+  ASSERT_TRUE(reg.writeMetricsJson(metricsPath, "tool\x03"));
+  const std::string doc = slurp(metricsPath);
+  std::remove(metricsPath.c_str());
+  EXPECT_NE(doc.find("\"bad\\u0002name\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"tool\\u0003\""), std::string::npos) << doc;
+  EXPECT_TRUE(JsonCheck::parses(doc)) << doc;
 }
 
 TEST(ObsMetrics, RunnerFlushesScheduleEvents) {

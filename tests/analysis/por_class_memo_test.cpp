@@ -98,7 +98,7 @@ std::unique_ptr<ioa::System> lyingRelay() {
 // The unmemoized decision for node `id`, from its per-task actions.
 std::uint64_t actionDecision(StateGraph& g, NodeId id, const PorPolicy& por,
                              std::uint64_t* enabled) {
-  TransitionCache& cache = g.memo()->transitions();
+  TransitionCache& cache = *g.memo();
   std::vector<const ioa::Action*> actions(g.system().allTasks().size());
   for (std::size_t ti = 0; ti < actions.size(); ++ti) {
     actions[ti] = cache.enabledAction(g.row(id), ti);
@@ -129,13 +129,12 @@ TEST(PorClassMemo, ClassRowDecisionEqualsActionDecision) {
 
     const auto byClass = PorPolicy::forSystem(sys, PorMode::Auto);
     const auto byAction = PorPolicy::forSystem(sys, PorMode::Auto);
-    PorPolicy::Scratch scratch;
     std::uint64_t reduced = 0;
     for (NodeId id = 0; id < g.size(); ++id) {
       std::uint64_t enabledClass = 0;
       std::uint64_t enabledAction = 0;
-      const std::uint64_t ampleClass = byClass->ampleMask(
-          g.row(id), g.memo()->transitions(), &enabledClass, &scratch);
+      const std::uint64_t ampleClass =
+          byClass->ampleMask(g.row(id), *g.memo(), &enabledClass);
       const std::uint64_t ampleAction =
           actionDecision(g, id, *byAction, &enabledAction);
       ASSERT_EQ(enabledClass, enabledAction) << fx.name << " node " << id;
@@ -159,7 +158,7 @@ TEST(PorClassMemo, EnabledClassIsExactlyWhatThePolicyReads) {
     StateGraph g(*sys, nullptr, PorPolicy::forSystem(*sys, PorMode::Auto));
     ValenceAnalyzer va(g);
     (void)findBivalentInitialization(g, va);
-    TransitionCache& cache = g.memo()->transitions();
+    TransitionCache& cache = *g.memo();
     const std::vector<ioa::TaskId>& tasks = sys->allTasks();
     std::map<std::pair<std::size_t, std::uint32_t>, Tuple> tupleOf;
     std::map<std::pair<std::size_t, Tuple>, std::uint32_t> classOf;
@@ -231,11 +230,9 @@ TEST(PorClassMemo, MemoHitsCountEveryEvaluation) {
   EXPECT_EQ(por->ampleSum(), brute->ampleSum());
 
   // A second pass is answered from the memo and counts again, exactly.
-  PorPolicy::Scratch scratch;
   for (const NodeId id : visited) {
     std::uint64_t enabled = 0;
-    (void)por->ampleMask(g.row(id), g.memo()->transitions(), &enabled,
-                         &scratch);
+    (void)por->ampleMask(g.row(id), *g.memo(), &enabled);
   }
   EXPECT_EQ(por->nodesEvaluated(), 2 * visited.size());
   EXPECT_EQ(por->declarationViolations(),
@@ -256,12 +253,11 @@ TEST(PorClassMemo, AnotherCacheStartsTheMemoAfresh) {
   StateGraph second(*sys);  // private memo, classes interned afresh
   ValenceAnalyzer va2(second);
   (void)findBivalentInitialization(second, va2);
-  PorPolicy::Scratch scratch;
   for (NodeId id = 0; id < second.size(); ++id) {
     std::uint64_t e1 = 0;
     std::uint64_t e2 = 0;
-    const std::uint64_t m1 = por->ampleMask(
-        second.row(id), second.memo()->transitions(), &e1, &scratch);
+    const std::uint64_t m1 =
+        por->ampleMask(second.row(id), *second.memo(), &e1);
     const std::uint64_t m2 = actionDecision(second, id, *fresh, &e2);
     ASSERT_EQ(e1, e2) << "node " << id;
     ASSERT_EQ(m1, m2) << "node " << id;

@@ -163,7 +163,7 @@ TEST(RowStore, WarmSharedMemoMatchesColdGraph) {
   for (const Fixture& fx : fixtures()) {
     const ioa::System& sys = *fx.sys;
     const auto por = PorPolicy::forSystem(sys, PorMode::Auto);
-    const auto runGraph = [&](std::shared_ptr<AnalysisMemo> memo) {
+    const auto runGraph = [&](std::shared_ptr<TransitionCache> memo) {
       auto g = std::make_unique<StateGraph>(sys, nullptr, por, memo);
       ValenceAnalyzer va(*g);
       const BivalenceResult biv = findBivalentInitialization(*g, va);
@@ -175,7 +175,7 @@ TEST(RowStore, WarmSharedMemoMatchesColdGraph) {
       return std::make_pair(std::move(g), valences);
     };
     const auto [cold, coldValences] = runGraph(nullptr);
-    const auto memo = std::make_shared<AnalysisMemo>(sys);
+    const auto memo = std::make_shared<TransitionCache>(sys);
     (void)runGraph(memo);  // warms the memo
     const auto [warm, warmValences] = runGraph(memo);
     ASSERT_EQ(warm->size(), cold->size()) << fx.name;

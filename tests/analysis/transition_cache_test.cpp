@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/analysis_memo.h"
 #include "analysis/bivalence.h"
 #include "analysis/state_graph.h"
 #include "analysis/transition_cache.h"
@@ -87,17 +86,20 @@ void expectInvariant(const TransitionCache::Stats& st) {
   EXPECT_EQ(st.applyHits + st.applyMisses, st.applyLookups);
 }
 
-// One pass over every (node, task) of `g`: `cache`, which must share g's
-// slot table, against the oracle.
+// One pass over every (node, task) of `g` against the oracle: each node's
+// configuration is canonicalized into `cache`'s own table (for the graph's
+// cache, that is the node's row) and stepped there.
 void checkPass(const StateGraph& g, TransitionCache& cache) {
   const ioa::System& sys = g.system();
-  const ioa::SlotCanonTable& table = g.memo()->slotCanon();
+  ioa::SlotCanonTable& table = cache.slotCanon();
   const std::vector<ioa::TaskId>& tasks = sys.allTasks();
+  std::vector<std::uint32_t> row(cache.width());
   std::vector<std::uint32_t> next(cache.width());
   ioa::SystemState got;
   for (NodeId id = 0; id < g.size(); ++id) {
     const ioa::SystemState& s = g.state(id);
-    const std::uint32_t* ids = g.row(id);
+    table.canonicalize(s, row.data());
+    const std::uint32_t* ids = row.data();
     for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
       const std::optional<ioa::Action> want = sys.enabled(s, tasks[ti]);
       const ioa::Action* action = cache.enabledAction(ids, ti);
@@ -131,8 +133,9 @@ TEST_P(TransitionCacheOracle, AgreesWithEnabledAndApplyColdAndWarm) {
   StateGraph g(*sys);
   exploreAll(g);
   ASSERT_GT(g.size(), 1u);
-  // A second cache on the graph's table: cold, but reading the graph's ids.
-  TransitionCache cache(*sys, g.memo()->slotCanon());
+  // A second cache with its own table, cold: the graph's configurations
+  // enter it by content.
+  TransitionCache cache(*sys);
 
   // Cold: every entry is computed on its first probe.
   checkPass(g, cache);
@@ -158,8 +161,7 @@ TEST_P(TransitionCacheOracle, EqualActionsShareOnePoolIndex) {
   const auto sys = build(candidate, n);
   StateGraph g(*sys);
   exploreAll(g);
-  AnalysisMemo& memo = *g.memo();
-  TransitionCache& cache = memo.transitions();
+  TransitionCache& cache = *g.memo();
   const std::vector<ioa::TaskId>& tasks = sys->allTasks();
   std::vector<std::uint32_t> next(cache.width());
   // Pool index -> the (owner id, task) entries that enable its action.
@@ -174,16 +176,16 @@ TEST_P(TransitionCacheOracle, EqualActionsShareOnePoolIndex) {
         EXPECT_EQ(action, nullptr);
         continue;
       }
-      ASSERT_LT(ai, memo.actionPoolSize());
-      EXPECT_EQ(action, &memo.actionAt(ai));
+      ASSERT_LT(ai, cache.actionPoolSize());
+      EXPECT_EQ(action, &cache.actionAt(ai));
       const std::uint32_t owner = ids[sys->ownerSlot(tasks[ti])];
       entriesOf[ai].emplace(owner, ti);
     }
   }
-  EXPECT_EQ(entriesOf.size(), memo.actionPoolSize());  // no idle action
-  for (std::uint32_t a = 0; a < memo.actionPoolSize(); ++a) {
-    for (std::uint32_t b = a + 1; b < memo.actionPoolSize(); ++b) {
-      ASSERT_FALSE(memo.actionAt(a) == memo.actionAt(b)) << a << " " << b;
+  EXPECT_EQ(entriesOf.size(), cache.actionPoolSize());  // no idle action
+  for (std::uint32_t a = 0; a < cache.actionPoolSize(); ++a) {
+    for (std::uint32_t b = a + 1; b < cache.actionPoolSize(); ++b) {
+      ASSERT_FALSE(cache.actionAt(a) == cache.actionAt(b)) << a << " " << b;
     }
   }
   std::size_t shared = 0;
@@ -191,7 +193,7 @@ TEST_P(TransitionCacheOracle, EqualActionsShareOnePoolIndex) {
     if (entries.size() > 1) ++shared;
   }
   EXPECT_GT(shared, 0u);
-  EXPECT_LT(memo.actionPoolSize(), cache.size());
+  EXPECT_LT(cache.actionPoolSize(), cache.size());
 }
 
 TEST_P(TransitionCacheOracle, ForeignStatesInternToTheirNodes) {
@@ -200,7 +202,7 @@ TEST_P(TransitionCacheOracle, ForeignStatesInternToTheirNodes) {
   StateGraph g(*sys);
   exploreAll(g);
   const std::size_t nodes = g.size();
-  const std::size_t entries = g.memo()->transitions().size();
+  const std::size_t entries = g.memo()->size();
   const ioa::SlotCanonTable& table = g.memo()->slotCanon();
 
   // A second table over deep clones hands out ids 0, 1, 2, ... too. It
@@ -230,7 +232,7 @@ TEST_P(TransitionCacheOracle, ForeignStatesInternToTheirNodes) {
     ASSERT_EQ(g.intern(foreign[k]), static_cast<NodeId>(k));
   }
   EXPECT_EQ(g.size(), nodes);
-  EXPECT_EQ(g.memo()->transitions().size(), entries);
+  EXPECT_EQ(g.memo()->size(), entries);
   EXPECT_EQ(table.size(), reps);
 
   // Expanding the foreign configurations, as roots of a graph on the same
@@ -251,10 +253,10 @@ TEST_P(TransitionCacheOracle, ForeignStatesInternToTheirNodes) {
     }
     EXPECT_EQ(edge, edges.size());
   }
-  EXPECT_EQ(g.memo()->transitions().size(), entries);
+  EXPECT_EQ(g.memo()->size(), entries);
   std::string why;
   EXPECT_TRUE(h.checkConsistent(&why)) << why;
-  expectInvariant(g.memo()->transitions().stats());
+  expectInvariant(g.memo()->stats());
 }
 
 INSTANTIATE_TEST_SUITE_P(

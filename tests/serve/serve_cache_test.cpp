@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "analysis/adversary.h"
@@ -22,7 +23,7 @@ namespace boosting::serve {
 namespace {
 
 analysis::AdversaryReport analyze(
-    const ioa::System& sys, std::shared_ptr<analysis::AnalysisMemo> memo) {
+    const ioa::System& sys, std::shared_ptr<analysis::TransitionCache> memo) {
   analysis::AdversaryConfig cfg;
   cfg.claimedFailures = 2;
   cfg.exemptFailureAware = true;
@@ -46,7 +47,7 @@ TEST(ServeCache, WarmMemoVerdictBitIdenticalToCold) {
   const auto cold = analyze(*sys, nullptr);
   // Shared memo, used by three consecutive jobs: first fills it, the rest
   // run warm. Every run must be bit-identical to the cold reference.
-  auto memo = std::make_shared<analysis::AnalysisMemo>(*sys);
+  auto memo = std::make_shared<analysis::TransitionCache>(*sys);
   const auto first = analyze(*sys, memo);
   const std::size_t poolAfterFirst = memo->actionPoolSize();
   const auto second = analyze(*sys, memo);
@@ -68,7 +69,7 @@ TEST(ServeCache, WarmMemoGraphsMatchNodeForNode) {
       cold.intern(analysis::canonicalInitialization(*sys, 1));
   analysis::exploreReachable(cold, coldRoot);
 
-  auto memo = std::make_shared<analysis::AnalysisMemo>(*sys);
+  auto memo = std::make_shared<analysis::TransitionCache>(*sys);
   for (int round = 0; round < 2; ++round) {
     analysis::StateGraph warm(*sys, nullptr, nullptr, memo);
     const auto warmRoot =
@@ -103,7 +104,7 @@ TEST(ServeCache, MemoStaysConsistentAcrossCancelledJob) {
   ASSERT_NE(sys, nullptr);
   const auto cold = analyze(*sys, nullptr);
 
-  auto memo = std::make_shared<analysis::AnalysisMemo>(*sys);
+  auto memo = std::make_shared<analysis::TransitionCache>(*sys);
   // A job cancelled mid-exploration: the hook throws JobCancelled through
   // the engines' abort path, which guarantees graph consistency -- and
   // therefore memo reusability.
@@ -125,12 +126,63 @@ TEST(ServeCache, StateGraphRejectsMemoOfDifferentSystem) {
   auto sysB = buildCandidateSystem("relay", 3, 1, nullptr);
   ASSERT_NE(sysA, nullptr);
   ASSERT_NE(sysB, nullptr);
-  auto memoA = std::make_shared<analysis::AnalysisMemo>(*sysA);
+  auto memoA = std::make_shared<analysis::TransitionCache>(*sysA);
   // Equal parameters but a DIFFERENT System object: pointer-keyed caches
   // would silently poison, so the graph must refuse up front.
   EXPECT_THROW(
       analysis::StateGraph(*sysB, nullptr, nullptr, memoA),
       std::invalid_argument);
+  // The same for a reduction policy: its task tables index sysA's tasks.
+  const auto porA =
+      analysis::PorPolicy::forSystem(*sysA, analysis::PorMode::Auto);
+  EXPECT_THROW(analysis::StateGraph(*sysB, nullptr, porA),
+               std::invalid_argument);
+}
+
+TEST(ServeCache, WarmPorJobAddsNoAmpleDecision) {
+  auto sys = buildCandidateSystem("relay", 3, 1, nullptr);
+  ASSERT_NE(sys, nullptr);
+  // One served job's exploration: the reduced tier from every
+  // initialization, on a fresh POR policy.
+  const auto explore = [&sys](std::shared_ptr<analysis::TransitionCache> memo) {
+    auto g = std::make_unique<analysis::StateGraph>(
+        *sys, nullptr,
+        analysis::PorPolicy::forSystem(*sys, analysis::PorMode::Auto),
+        std::move(memo));
+    for (int ones = 0; ones <= sys->processCount(); ++ones) {
+      analysis::exploreReachable(
+          *g, g->intern(analysis::canonicalInitialization(*sys, ones)));
+    }
+    return g;
+  };
+  const auto cold = explore(nullptr);
+  ASSERT_TRUE(cold->porActive());
+  ASSERT_GT(cold->stats().reducedExpansions, 0u);
+
+  auto memo = std::make_shared<analysis::TransitionCache>(*sys);
+  (void)explore(memo);
+  const std::size_t decisions = memo->decisionCount();
+  ASSERT_GT(decisions, 0u);
+  const auto warm = explore(memo);
+  EXPECT_EQ(memo->decisionCount(), decisions);
+
+  ASSERT_EQ(warm->size(), cold->size());
+  for (analysis::NodeId n = 0; n < cold->size(); ++n) {
+    ASSERT_EQ(warm->state(n), cold->state(n)) << "node " << n;
+    const auto coldEdges = cold->cachedReducedSuccessors(n);
+    const auto warmEdges = warm->cachedReducedSuccessors(n);
+    ASSERT_EQ(warmEdges.has_value(), coldEdges.has_value()) << "node " << n;
+    if (!coldEdges) continue;
+    ASSERT_EQ(warmEdges->size(), coldEdges->size()) << "node " << n;
+    for (std::size_t k = 0; k < coldEdges->size(); ++k) {
+      EXPECT_EQ(warmEdges->data()[k].action, coldEdges->data()[k].action);
+      EXPECT_EQ(warmEdges->data()[k].to, coldEdges->data()[k].to);
+      EXPECT_EQ(warmEdges->data()[k].task, coldEdges->data()[k].task);
+    }
+  }
+  EXPECT_EQ(warm->stats().reducedExpansions, cold->stats().reducedExpansions);
+  std::string why;
+  EXPECT_TRUE(warm->checkConsistent(&why)) << why;
 }
 
 TEST(ServeCache, PoolLeasesExclusivelyAndCountsBypasses) {
