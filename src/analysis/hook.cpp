@@ -1,7 +1,6 @@
 #include "analysis/hook.h"
 
 #include <algorithm>
-#include <bit>
 #include <deque>
 #include <stdexcept>
 #include <unordered_map>
@@ -9,34 +8,35 @@
 
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "util/hashing.h"
+#include "util/id_index.h"
 
 namespace boosting::analysis {
 
 namespace {
 
-// The visited set and discovery tree of one Fig. 3 scan, in one
-// open-addressing table keyed by node: slot = (node, previous node, task
-// index into allTasks()), the root with no previous node. The table is
-// sized to the nodes the scan visits (grown at 50% load), not to the
-// graph: the scans run while the graph is at its largest and reach a small
-// corner of it. reset() keeps the capacity for the next scan.
+// The visited set and discovery tree of one Fig. 3 scan: the visits
+// (node, previous node, task index into allTasks()) in visit order, the
+// root with no previous node, behind an index keyed by node. The index is
+// sized to the nodes the scan visits, not to the graph: the scans run
+// while the graph is at its largest and reach a small corner of it.
+// reset() keeps the capacity for the next scan.
 class ScanTree {
  public:
   // Forget the previous scan; `root` is the only visited node.
   void reset(NodeId root) {
-    if (slots_.empty()) slots_.resize(kMinCapacity);
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    used_ = 0;
+    visits_.clear();
+    index_.clear();
     visit(root, kNoNode, 0);
   }
 
   // Marks `x` visited, reached from `from` by task #task; false (and no
   // change) when `x` was already visited.
   bool visit(NodeId x, NodeId from, std::uint16_t task) {
-    Slot& slot = slots_[slotOf(x)];
-    if (slot.node != kNoNode) return false;
-    slot = Slot{x, from, task};
-    if (2 * ++used_ > slots_.size()) grow();
+    const util::IdIndex::Probe p = find(x);
+    if (p.id != util::IdIndex::kNone) return false;
+    index_.insert(p, static_cast<std::uint32_t>(visits_.size()));
+    visits_.push_back(Visit{x, from, task});
     return true;
   }
 
@@ -45,49 +45,33 @@ class ScanTree {
   std::vector<std::pair<NodeId, ioa::TaskId>> pathTo(const StateGraph& g,
                                                      NodeId target) const {
     std::vector<std::pair<NodeId, ioa::TaskId>> rev;
-    for (const Slot* s = &slots_[slotOf(target)];;
-         s = &slots_[slotOf(s->from)]) {
-      if (s->node == kNoNode) {
+    for (NodeId x = target;;) {
+      const std::uint32_t id = find(x).id;
+      if (id == util::IdIndex::kNone) {
         throw std::logic_error("hook BFS: broken parent chain");
       }
-      if (s->from == kNoNode) break;  // the root
-      rev.emplace_back(s->from, g.taskAt(s->task));
+      const Visit& v = visits_[id];
+      if (v.from == kNoNode) break;  // the root
+      rev.emplace_back(v.from, g.taskAt(v.task));
+      x = v.from;
     }
     return {rev.rbegin(), rev.rend()};
   }
 
  private:
-  struct Slot {
+  struct Visit {
     NodeId node = kNoNode;
     NodeId from = kNoNode;
     std::uint16_t task = 0;
   };
-  static constexpr std::size_t kMinCapacity = 256;
 
-  // The slot holding `x`, or the empty slot where it belongs.
-  std::size_t slotOf(NodeId x) const {
-    const std::size_t mask = slots_.size() - 1;
-    // Fibonacci hashing: the top bits of x * 2^64/phi spread consecutive
-    // ids across the table.
-    std::size_t i = static_cast<std::size_t>(
-        (std::uint64_t{x} * 0x9e3779b97f4a7c15ULL) >>
-        (64 - std::countr_zero(slots_.size())));
-    while (slots_[i].node != kNoNode && slots_[i].node != x) {
-      i = (i + 1) & mask;
-    }
-    return i;
+  util::IdIndex::Probe find(NodeId x) const {
+    return index_.find(static_cast<std::uint32_t>(util::mix64(x)),
+                       [&](std::uint32_t id) { return visits_[id].node == x; });
   }
 
-  void grow() {
-    std::vector<Slot> old(slots_.size() * 2);
-    old.swap(slots_);
-    for (const Slot& s : old) {
-      if (s.node != kNoNode) slots_[slotOf(s.node)] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t used_ = 0;
+  std::vector<Visit> visits_;
+  util::IdIndex index_{256};
 };
 
 // Fig. 3's inner search: BFS over the e-free edges from `alpha` (e is

@@ -38,8 +38,8 @@
 //     into large fixed-capacity arena chunks (CSR-style; a list never
 //     spans chunks, so a raw pointer+count names it), allocated
 //     uninitialized: an edge slot is written before it is read.
-//   - The interning index is the RowTable's linear-probe open-addressing
-//     table of 8-byte {32-bit row hash, node} slots, one slot per node.
+//   - The interning index is the RowTable's util::IdIndex: 8-byte
+//     {32-bit row hash, node} slots, one slot per node.
 // Row chunks, edge chunks and the action deque never relocate, so row
 // pointers and EdgeList views stay valid across graph growth.
 //

@@ -1,19 +1,11 @@
 #include "analysis/transition_cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 
 namespace boosting::analysis {
 
 namespace {
-
-// Fibonacci hashing: the top bits of key * 2^64/phi index a 2^bits table.
-inline std::size_t homeSlot(std::uint64_t key, std::size_t cap) {
-  const int bits = std::countr_zero(cap);
-  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
-                                  (64 - bits));
-}
 
 // Enabled-class code of one task: 0 = disabled; otherwise
 // 1 | kind<<1 | (invoked service + 1)<<6, the service only for an Invoke.
@@ -86,34 +78,14 @@ std::uint32_t TransitionCache::probe(std::uint32_t id, std::size_t taskIndex) {
 }
 
 std::uint32_t TransitionCache::internAction(ioa::Action&& a) {
-  const std::size_t h = a.hash();
-  if (poolTable_.empty()) growPoolTable(256);
-  const std::size_t mask = poolTable_.size() - 1;
-  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-    PoolSlot& slot = poolTable_[i];
-    if (slot.idx == kUnknown) {
-      const auto idx = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(std::move(a));
-      slot = PoolSlot{h, idx};
-      if (pastMaxLoad(pool_.size(), poolTable_.size())) {
-        growPoolTable(poolTable_.size() * 2);
-      }
-      return idx;
-    }
-    if (slot.hash == h && pool_[slot.idx] == a) return slot.idx;
-  }
-}
-
-void TransitionCache::growPoolTable(std::size_t newCap) {
-  std::vector<PoolSlot> old = std::move(poolTable_);
-  poolTable_.assign(newCap, PoolSlot{});
-  const std::size_t mask = newCap - 1;
-  for (const PoolSlot& slot : old) {
-    if (slot.idx == kUnknown) continue;
-    std::size_t i = slot.hash & mask;
-    while (poolTable_[i].idx != kUnknown) i = (i + 1) & mask;
-    poolTable_[i] = slot;
-  }
+  const util::IdIndex::Probe p = poolIndex_.find(
+      static_cast<std::uint32_t>(a.hash()),
+      [&](std::uint32_t idx) { return pool_[idx] == a; });
+  if (p.id != util::IdIndex::kNone) return p.id;
+  const auto idx = static_cast<std::uint32_t>(pool_.size());
+  pool_.push_back(std::move(a));
+  poolIndex_.insert(p, idx);
+  return idx;
 }
 
 const ioa::Action* TransitionCache::enabledAction(const std::uint32_t* ids,
@@ -159,24 +131,6 @@ std::uint32_t TransitionCache::successorId(std::uint32_t id,
   return canon_.canonicalizeSlot(slot, std::move(sp), h);
 }
 
-TransitionCache::NextSlot& TransitionCache::findNext(std::uint64_t key) {
-  if (nextTable_.empty()) nextTable_.assign(1024, NextSlot{});
-  const std::size_t mask = nextTable_.size() - 1;
-  std::size_t i = homeSlot(key, nextTable_.size());
-  while (nextTable_[i].key != kEmptyKey && nextTable_[i].key != key) {
-    i = (i + 1) & mask;
-  }
-  return nextTable_[i];
-}
-
-void TransitionCache::growNext() {
-  std::vector<NextSlot> old = std::move(nextTable_);
-  nextTable_.assign(old.size() * 2, NextSlot{});
-  for (const NextSlot& ns : old) {
-    if (ns.key != kEmptyKey) findNext(ns.key) = ns;
-  }
-}
-
 std::uint32_t TransitionCache::step(const std::uint32_t* ids,
                                     std::size_t taskIndex,
                                     std::uint32_t* next) {
@@ -200,19 +154,18 @@ std::uint32_t TransitionCache::step(const std::uint32_t* ids,
   const Entry e = entries_[ei];
   for (std::uint32_t k = 0; k < e.othersCount; ++k) {
     const std::size_t p = others_[e.othersBegin + k];
-    const std::uint64_t key = (std::uint64_t{ei} << 32) | std::uint64_t{ids[p]};
+    const std::uint32_t key[2] = {ei, ids[p]};
     ++stats_.applyLookups;
-    NextSlot& ns = findNext(key);
-    std::uint32_t nid = ns.next;
-    if (ns.key == kEmptyKey) {
+    const RowTable::Probe found = nextKeys_.find(key);
+    if (found.id == RowTable::kNone) {
       ++stats_.applyMisses;
-      nid = successorId(ids[p], action);
-      ns = NextSlot{key, nid};  // successorId leaves nextTable_ alone
-      if (pastMaxLoad(++nextUsed_, nextTable_.size())) growNext();
+      nextIds_.push_back(successorId(ids[p], action));
+      nextKeys_.insert(found, key);  // successorId leaves nextKeys_ alone
+      next[p] = nextIds_.back();
     } else {
       ++stats_.applyHits;
+      next[p] = nextIds_[found.id];
     }
-    next[p] = nid;
   }
   return ai;
 }

@@ -23,8 +23,9 @@
 // identity in the second memo is represented by its producer (the row
 // entry) -- determinism again -- and the owner is always a participant
 // of its own task's action, so its successor lives in the entry itself.
-// Only the other participant of an invoke or respond goes through one
-// open-addressing table keyed by (entry, participant id). With both memos
+// Only the other participant of an invoke or respond goes through the
+// second memo: a RowTable of {entry, participant id} keys whose row id
+// indexes the successor ids. With both memos
 // warm, expanding an edge is a copy of the source id row plus a few
 // integer loads and stores; no component is cloned, stepped, rehashed, or
 // canonicalized more than once per distinct (local state, action) pair in
@@ -87,6 +88,7 @@
 
 #include "analysis/row_table.h"
 #include "ioa/system.h"
+#include "util/id_index.h"
 
 namespace boosting::analysis {
 
@@ -162,10 +164,9 @@ class TransitionCache {
   // order and never change; the deque keeps references stable.
   const ioa::Action& actionAt(std::uint32_t idx) const { return pool_[idx]; }
   std::size_t actionPoolSize() const { return pool_.size(); }
-  // Shallow bytes of the pool and its intern table.
+  // Shallow bytes of the pool and its intern index.
   std::uint64_t actionBytes() const {
-    return pool_.size() * sizeof(ioa::Action) +
-           poolTable_.capacity() * sizeof(PoolSlot);
+    return pool_.size() * sizeof(ioa::Action) + poolIndex_.bytes();
   }
 
   // The ENABLED CLASS of the slot-`slot` id in `ids`: an interned id for
@@ -214,19 +215,6 @@ class TransitionCache {
     std::uint16_t othersCount = 0;
     bool ownerParticipates = false;
   };
-  // (entry index, participant id) -> successor id.
-  struct NextSlot {
-    std::uint64_t key = kEmptyKey;
-    std::uint32_t next = ioa::kNoSlotId;
-  };
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-
-  // One slot of the pool's open-addressing intern table.
-  struct PoolSlot {
-    std::size_t hash = 0;
-    std::uint32_t idx = kUnknown;
-  };
-
   // Per slot id: the first entry of its row, and its enabled class.
   struct IdInfo {
     std::uint32_t row = kUnknown;
@@ -238,11 +226,8 @@ class TransitionCache {
   // The id of representative `id` after `a` (the miss path: clone, apply,
   // hash, canonicalize).
   std::uint32_t successorId(std::uint32_t id, const ioa::Action& a);
-  NextSlot& findNext(std::uint64_t key);
-  void growNext();
   // Index of `a` in the pool, appending it on first sight.
   std::uint32_t internAction(ioa::Action&& a);
-  void growPoolTable(std::size_t newCap);
 
   const ioa::System& sys_;
   ioa::SlotCanonTable canon_;
@@ -252,10 +237,12 @@ class TransitionCache {
   std::vector<IdInfo> idInfo_;            // per id
   std::vector<Entry> entries_;            // rows, back to back
   std::deque<ioa::Action> pool_;          // stable: EdgeView refers here
-  std::vector<PoolSlot> poolTable_;       // linear-probe index into pool_
+  util::IdIndex poolIndex_{256};          // action hash -> pool index
   std::vector<std::uint32_t> others_;     // non-owner participant slots
-  std::vector<NextSlot> nextTable_;
-  std::size_t nextUsed_ = 0;
+  // The successor memo: {entry, participant id} keys, and by key id the
+  // participant's successor id.
+  RowTable nextKeys_{2};
+  std::vector<std::uint32_t> nextIds_;
   std::size_t entryCount_ = 0;
   // Enabled classes: tuple -> class id (filled on an id's first request).
   std::map<std::vector<std::uint32_t>, std::uint32_t> classes_;

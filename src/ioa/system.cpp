@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/hashing.h"
 
@@ -165,19 +164,18 @@ SlotCanonTable::~SlotCanonTable() = default;
 std::uint32_t SlotCanonTable::canonicalizeSlot(
     std::size_t slot, std::shared_ptr<const AutomatonState> probe,
     std::size_t probeHash) {
-  const auto [head, fresh] =
-      head_.try_emplace(slotMix(slot, probeHash), kNoSlotId);
-  for (std::uint32_t id = head->second; id != kNoSlotId;
-       id = nextSameKey_[id]) {
-    const Rep& r = reps_[id];
-    if (r.slot != slot || r.hash != probeHash) continue;  // key collision
-    if (r.state.get() == probe.get() || r.state->equals(*probe)) return id;
-  }
+  const util::IdIndex::Probe p = index_.find(
+      static_cast<std::uint32_t>(slotMix(slot, probeHash)),
+      [&](std::uint32_t id) {
+        const Rep& r = reps_[id];
+        return r.slot == slot && r.hash == probeHash &&
+               (r.state.get() == probe.get() || r.state->equals(*probe));
+      });
+  if (p.id != util::IdIndex::kNone) return p.id;
   const std::uint32_t id = static_cast<std::uint32_t>(reps_.size());
   reps_.push_back(
       Rep{std::move(probe), probeHash, static_cast<std::uint32_t>(slot)});
-  nextSameKey_.push_back(head->second);
-  head->second = id;
+  index_.insert(p, id);
   return id;
 }
 
@@ -302,12 +300,6 @@ std::optional<Action> System::enabled(const SystemState& s,
                                       const TaskId& t) const {
   const std::size_t slot = ownerSlot(t);
   return componentAtSlot(slot).enabledAction(s.part(slot), t);
-}
-
-std::vector<std::size_t> System::participants(const Action& a) const {
-  std::vector<std::size_t> out;
-  forEachParticipant(a, [&out](std::size_t slot) { out.push_back(slot); });
-  return out;
 }
 
 void System::applyInPlace(SystemState& s, const Action& a) const {

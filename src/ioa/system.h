@@ -45,10 +45,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ioa/automaton.h"
+#include "util/id_index.h"
 
 namespace boosting::ioa {
 
@@ -165,7 +165,10 @@ class SystemState final {
 
 // Slot hash-consing (maximal structural sharing): maps (slot index, slot
 // content) to one canonical representative, and gives every
-// representative a dense u32 id (0, 1, 2, ... in registration order). An
+// representative a dense u32 id (0, 1, 2, ... in registration order). The
+// representatives sit in an array by id behind a util::IdIndex keyed on
+// the position-salted slot hash; a probe compares slot and hash, then
+// pointer identity, then the deep virtual equals. An
 // interning engine (StateGraph, through its TransitionCache) owns one table
 // and stores each configuration as a row of these ids, one per slot: two
 // configurations are equal iff their rows are, and the deep virtual
@@ -220,11 +223,7 @@ class SlotCanonTable {
 
  private:
   std::vector<Rep> reps_;  // by id
-  // key (mixed slot index + slot hash) -> newest id with that key; older
-  // ids with the same key chain through nextSameKey_. Chains are almost
-  // always one id long.
-  std::unordered_map<std::size_t, std::uint32_t> head_;
-  std::vector<std::uint32_t> nextSameKey_;  // by id
+  util::IdIndex index_;    // slotMix(slot, hash) -> id
 };
 
 class System {
@@ -270,13 +269,9 @@ class System {
   // The unique action enabled for task `t` in `s`, if any.
   std::optional<Action> enabled(const SystemState& s, const TaskId& t) const;
 
-  // Component slots participating in `a` (at most two, plus fan-out for
-  // fail actions, which are inputs to the process and all its services).
-  std::vector<std::size_t> participants(const Action& a) const;
-
-  // Allocation-free participant enumeration for the transition hot loop;
-  // calls `fn(slot)` for each participant in the same order participants()
-  // returns them.
+  // Calls `fn(slot)` for each component slot participating in `a` (at
+  // most two, plus fan-out for fail actions, which are inputs to the
+  // process and all its services), without allocating.
   template <typename Fn>
   void forEachParticipant(const Action& a, Fn&& fn) const;
 

@@ -179,10 +179,6 @@ std::string TraceParseError::str() const {
   return out;
 }
 
-std::optional<Value> parseValue(const std::string& text) {
-  return parseValue(text, nullptr);
-}
-
 std::optional<Value> parseValue(const std::string& text,
                                 TraceParseError* error) {
   Parser p{text};
@@ -305,10 +301,6 @@ ExecutionParseResult parseExecutionDetailed(const std::string& text) {
   }
   result.execution = std::move(exec);
   return result;
-}
-
-std::optional<ioa::Execution> parseExecution(const std::string& text) {
-  return parseExecutionDetailed(text).execution;
 }
 
 }  // namespace boosting::sim

@@ -41,9 +41,9 @@ struct TraceParseError {
 
 // -- Value syntax --------------------------------------------------------
 std::string renderValue(const util::Value& v);
-// Parses a single value; returns nullopt on syntax errors. The overload
-// with `error` reports where the value syntax broke (line is always 1).
-std::optional<util::Value> parseValue(const std::string& text);
+// Parses a single value; returns nullopt on syntax errors, and reports
+// where the value syntax broke in `error` when it is non-null (line is
+// always 1).
 std::optional<util::Value> parseValue(const std::string& text,
                                       TraceParseError* error);
 
@@ -59,10 +59,5 @@ struct ExecutionParseResult {
   bool ok() const { return execution.has_value(); }
 };
 ExecutionParseResult parseExecutionDetailed(const std::string& text);
-
-// Legacy wrapper over parseExecutionDetailed: returns nullopt on any
-// malformed line, discarding the diagnostic. Comments and blank lines are
-// skipped; an empty document parses as an empty execution.
-std::optional<ioa::Execution> parseExecution(const std::string& text);
 
 }  // namespace boosting::sim

@@ -1,9 +1,10 @@
 // Hash-combination helpers used by all value-semantic state types.
 //
-// The analysis engine (state graphs, valence memoization, livelock
-// detection) keys hash tables by the hash of entire system states, so every
-// state type in the library must provide a stable, well-mixed hash. These
-// helpers implement the boost-style combine with a 64-bit mixer.
+// The analysis engine hash-conses component states: the SlotCanonTable
+// keys each slot's content by its hash, and the graph keys configurations
+// on rows of the resulting slot ids (hashIdRow below). So every state type
+// in the library must provide a stable, well-mixed hash. These helpers
+// implement the boost-style combine with a 64-bit mixer.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,8 @@
 // RowTable, the row store and index under the graph's node ids and the
-// transition cache's ample decisions: rows keep their ids and addresses
-// while the index doubles, and every growth rehomes each slot where a
-// probe from its row's hash finds it.
+// transition cache's ample decisions and successor memo: rows keep their
+// ids and addresses while the index doubles, and every growth rehomes each
+// slot where a probe from its row's hash finds it. The last cell drives
+// the shared util::IdIndex with every id under one hash.
 #include "analysis/row_table.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/id_index.h"
 
 namespace boosting::analysis {
 namespace {
@@ -71,6 +74,42 @@ TEST(RowTable, RowChunksFollowTheGraphLayout) {
   EXPECT_EQ(t.rowBytes(), 2048u * 2 * 4);
   std::string why;
   EXPECT_TRUE(t.checkConsistent(&why)) << why;
+}
+
+TEST(IdIndex, FullCollisionsAreRefoundAcrossGrowths) {
+  // Every id is filed under one hash, so every probe walks one cluster
+  // that holds all of them: only the stored hashes, the probe order and
+  // the rehoming decide whether an id is found again.
+  constexpr std::uint32_t kHash = 0x2545f491u;
+  const auto hashOf = [](std::uint32_t) { return kHash; };
+  util::IdIndex index;
+  std::vector<std::uint32_t> content;  // by id, as an owner keeps it
+  const auto findValue = [&](std::uint32_t value) {
+    return index.find(kHash, [&](std::uint32_t id) {
+      return content[id] == value;
+    });
+  };
+  std::uint64_t bytes = index.bytes();
+  std::size_t growths = 0;
+  std::string why;
+  for (std::uint32_t k = 0; k < 6000; ++k) {
+    const std::uint32_t value = k * 2654435761u;  // distinct per k
+    const util::IdIndex::Probe p = findValue(value);
+    ASSERT_EQ(p.id, util::IdIndex::kNone) << "id " << k;
+    content.push_back(value);
+    index.insert(p, k);
+    if (index.bytes() == bytes) continue;
+    if (bytes != 0) ++growths;
+    bytes = index.bytes();
+    ASSERT_TRUE(index.checkConsistent(content.size(), hashOf, &why))
+        << why << " at " << content.size();
+    for (std::uint32_t j = 0; j <= k; ++j) {
+      ASSERT_EQ(findValue(content[j]).id, j) << "id " << j;
+    }
+  }
+  EXPECT_GE(growths, 3u);
+  EXPECT_EQ(index.size(), 6000u);
+  EXPECT_TRUE(index.checkConsistent(content.size(), hashOf, &why)) << why;
 }
 
 }  // namespace

@@ -259,6 +259,52 @@ TEST_P(TransitionCacheOracle, ForeignStatesInternToTheirNodes) {
   expectInvariant(g.memo()->stats());
 }
 
+// A component state whose hash() is constant: every content collides.
+class CollidingState final : public ioa::AutomatonState {
+ public:
+  explicit CollidingState(int v) : v_(v) {}
+  std::unique_ptr<ioa::AutomatonState> clone() const override {
+    return std::make_unique<CollidingState>(v_);
+  }
+  std::size_t hash() const override { return 42; }
+  bool equals(const ioa::AutomatonState& other) const override {
+    const auto* c = dynamic_cast<const CollidingState*>(&other);
+    return c != nullptr && c->v_ == v_;
+  }
+  std::string str() const override { return "colliding " + std::to_string(v_); }
+
+ private:
+  int v_;
+};
+
+TEST(SlotCanonTable, CollidingContentsKeepTheirOwnIds) {
+  ioa::SlotCanonTable table;
+  // Each call registers a fresh object, so only the deep equals can tell
+  // an old content from a new one.
+  const auto canon = [&table](std::size_t slot, int v) {
+    auto s = std::make_shared<const CollidingState>(v);
+    return table.canonicalizeSlot(slot, s, s->hash());
+  };
+  // Distinct contents under one hash at one slot: distinct ids, issued in
+  // registration order.
+  for (std::uint32_t v = 0; v < 5; ++v) {
+    EXPECT_EQ(canon(0, static_cast<int>(v)), v);
+  }
+  // Equal contents: the same id, and no new representative.
+  for (std::uint32_t v = 5; v-- > 0;) {
+    EXPECT_EQ(canon(0, static_cast<int>(v)), v);
+  }
+  EXPECT_EQ(table.size(), 5u);
+  // The representative itself resolves to its id.
+  EXPECT_EQ(table.canonicalizeSlot(0, table.rep(3).state, 42), 3u);
+  // The same content at another slot: another id, then that id again.
+  EXPECT_EQ(canon(1, 2), 5u);
+  EXPECT_EQ(canon(1, 2), 5u);
+  EXPECT_EQ(table.rep(5).slot, 1u);
+  EXPECT_EQ(canon(0, 2), 2u);
+  EXPECT_EQ(table.size(), 6u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Candidates, TransitionCacheOracle,
     testing::Values(std::make_pair(std::string("relay"), 4),

@@ -13,6 +13,9 @@
 // consensus object anywhere in the stack.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "compose/system_as_service.h"
 #include "processes/relay_consensus.h"
 #include "processes/tas_consensus.h"
@@ -54,7 +57,10 @@ TEST(LayeredBooster, MetaReflectsRemappedEndpoints) {
 TEST(LayeredBooster, FailRoutesOnlyToTheOwningGroup) {
   auto sys = layeredBooster();
   // fail_3 reaches P3 and the second wrapper only.
-  auto participants = sys->participants(ioa::Action::fail(3));
+  std::vector<std::size_t> participants;
+  sys->forEachParticipant(ioa::Action::fail(3), [&](std::size_t slot) {
+    participants.push_back(slot);
+  });
   ASSERT_EQ(participants.size(), 2u);
   EXPECT_EQ(participants[1], sys->slotForService(1001));
 }

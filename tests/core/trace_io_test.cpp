@@ -16,8 +16,9 @@ using util::sym;
 using util::Value;
 
 void roundTrip(const Value& v) {
-  auto parsed = parseValue(renderValue(v));
-  ASSERT_TRUE(parsed.has_value()) << renderValue(v);
+  TraceParseError err;
+  auto parsed = parseValue(renderValue(v), &err);
+  ASSERT_TRUE(parsed.has_value()) << renderValue(v) << ": " << err.str();
   EXPECT_EQ(*parsed, v) << renderValue(v);
 }
 
@@ -41,16 +42,20 @@ TEST(TraceIO, ValueRoundTrips) {
 
 TEST(TraceIO, NumericEdgeTokens) {
   // "nil" parses as nil, "-" alone as a symbol-free failure, digits as int.
-  EXPECT_EQ(*parseValue("nil"), Value::nil());
-  EXPECT_EQ(*parseValue("7"), Value(7));
-  EXPECT_EQ(*parseValue("(a -1)"), sym("a", -1));
+  TraceParseError err;
+  EXPECT_EQ(*parseValue("nil", &err), Value::nil());
+  EXPECT_EQ(*parseValue("7", &err), Value(7));
+  EXPECT_EQ(*parseValue("(a -1)", &err), sym("a", -1));
+  EXPECT_EQ(err.line, 0u);  // no error recorded
 }
 
 TEST(TraceIO, ParseRejectsMalformedValues) {
-  EXPECT_FALSE(parseValue("(unclosed").has_value());
-  EXPECT_FALSE(parseValue("\"unterminated").has_value());
-  EXPECT_FALSE(parseValue("a b").has_value());  // trailing garbage
-  EXPECT_FALSE(parseValue("").has_value());
+  for (const char* text : {"(unclosed", "\"unterminated",
+                           "a b" /* trailing garbage */, ""}) {
+    TraceParseError err;
+    EXPECT_FALSE(parseValue(text, &err).has_value()) << text;
+    EXPECT_EQ(err.line, 1u) << text;
+  }
 }
 
 TEST(TraceIO, ExecutionRoundTrips) {
@@ -64,26 +69,28 @@ TEST(TraceIO, ExecutionRoundTrips) {
   e.append(Action::compute(2, 400));
   e.append(Action::procStep(1, Value("note")));
 
-  auto parsed = parseExecution(renderExecution(e));
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), e.size());
+  const ExecutionParseResult parsed =
+      parseExecutionDetailed(renderExecution(e));
+  ASSERT_TRUE(parsed.ok()) << parsed.error.str();
+  ASSERT_EQ(parsed.execution->size(), e.size());
   for (std::size_t i = 0; i < e.size(); ++i) {
-    EXPECT_EQ(parsed->actions()[i], e.actions()[i]) << "action " << i;
+    EXPECT_EQ(parsed.execution->actions()[i], e.actions()[i])
+        << "action " << i;
   }
 }
 
 TEST(TraceIO, CommentsAndBlanksSkipped) {
   const std::string text =
       "# a comment\n\n   \nfail 2 -1 -1 nil\n# another\n";
-  auto parsed = parseExecution(text);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ(parsed->actions()[0], Action::fail(2));
+  const ExecutionParseResult parsed = parseExecutionDetailed(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error.str();
+  ASSERT_EQ(parsed.execution->size(), 1u);
+  EXPECT_EQ(parsed.execution->actions()[0], Action::fail(2));
 }
 
 TEST(TraceIO, ParseRejectsUnknownKinds) {
-  EXPECT_FALSE(parseExecution("teleport 0 1 2 nil").has_value());
-  EXPECT_FALSE(parseExecution("fail x -1 -1 nil").has_value());
+  EXPECT_FALSE(parseExecutionDetailed("teleport 0 1 2 nil").ok());
+  EXPECT_FALSE(parseExecutionDetailed("fail x -1 -1 nil").ok());
 }
 
 TEST(TraceIO, ParseErrorReportsLineColumnAndToken) {
@@ -168,14 +175,15 @@ TEST(TraceIO, AdversaryWitnessRoundTripsAndReplays) {
             analysis::AdversaryReport::Verdict::TerminationViolation);
 
   // Serialize the witness, parse it back, replay on a fresh system.
-  auto parsed = parseExecution(renderExecution(report.witness));
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), report.witness.size());
+  const ExecutionParseResult parsed =
+      parseExecutionDetailed(renderExecution(report.witness));
+  ASSERT_TRUE(parsed.ok()) << parsed.error.str();
+  ASSERT_EQ(parsed.execution->size(), report.witness.size());
   ioa::SystemState s = sys->initialState();
-  for (const Action& a : parsed->actions()) {
+  for (const Action& a : parsed.execution->actions()) {
     ASSERT_NO_THROW(sys->applyInPlace(s, a)) << a.str();
   }
-  EXPECT_EQ(parsed->failedEndpoints(), report.witnessFailures);
+  EXPECT_EQ(parsed.execution->failedEndpoints(), report.witnessFailures);
 }
 
 }  // namespace
