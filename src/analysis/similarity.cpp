@@ -13,8 +13,8 @@ bool buffersMatchExcept(const ServiceState& a, const ServiceState& b,
                         const std::vector<int>& endpoints, int except) {
   for (int i : endpoints) {
     if (i == except) continue;
-    if (a.invBuf.at(i) != b.invBuf.at(i)) return false;
-    if (a.respBuf.at(i) != b.respBuf.at(i)) return false;
+    if (a.invBuf[i] != b.invBuf[i]) return false;
+    if (a.respBuf[i] != b.respBuf[i]) return false;
   }
   return true;
 }

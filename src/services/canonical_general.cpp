@@ -20,57 +20,74 @@ using util::Value;
 
 namespace {
 
-// First entry whose endpoint is not below i (the table is endpoint-sorted).
-template <typename It>
-It lowerBound(It first, It last, int i) {
-  return std::lower_bound(
-      first, last, i,
-      [](const EndpointQueues::Entry& e, int key) { return e.first < key; });
-}
-
-[[noreturn]] void throwNoEndpoint(int i) {
-  throw std::out_of_range("EndpointQueues::at: no endpoint " +
-                          std::to_string(i));
-}
-
-// Pops the head of a FIFO buffer. Buffers hold a handful of values, so
-// shifting the tail down beats a deque's per-queue block allocation.
-Value popFront(EndpointQueues::Queue& q) {
-  Value head = std::move(q.front());
-  q.erase(q.begin());
-  return head;
-}
+struct ByEndpoint {
+  bool operator()(const EndpointQueues::Item& e, int i) const {
+    return e.endpoint < i;
+  }
+  bool operator()(int i, const EndpointQueues::Item& e) const {
+    return i < e.endpoint;
+  }
+};
 
 }  // namespace
 
-EndpointQueues::Queue& EndpointQueues::operator[](int i) {
-  auto it = lowerBound(entries_.begin(), entries_.end(), i);
-  if (it == entries_.end() || it->first != i) {
-    it = entries_.emplace(it, i, Queue{});
+bool EndpointQueues::Queue::operator==(const Queue& other) const {
+  return std::equal(first_, last_, other.first_, other.last_,
+                    [](const Item& a, const Item& b) {
+                      return a.value == b.value;
+                    });
+}
+
+int EndpointQueues::Queue::compare(const Queue& other) const {
+  const std::size_t n = std::min(size(), other.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    if ((*this)[k] < other[k]) return -1;
+    if (other[k] < (*this)[k]) return 1;
   }
-  return it->second;
+  return size() < other.size() ? -1 : (other.size() < size() ? 1 : 0);
 }
 
-EndpointQueues::Queue& EndpointQueues::at(int i) {
-  auto it = find(i);
-  if (it == entries_.end()) throwNoEndpoint(i);
-  return it->second;
+EndpointQueues::Queue EndpointQueues::operator[](int i) const {
+  const auto [first, last] =
+      std::equal_range(items_.begin(), items_.end(), i, ByEndpoint{});
+  return Queue(items_.data() + (first - items_.begin()),
+               items_.data() + (last - items_.begin()));
 }
 
-const EndpointQueues::Queue& EndpointQueues::at(int i) const {
-  auto it = find(i);
-  if (it == entries_.end()) throwNoEndpoint(i);
-  return it->second;
+void EndpointQueues::push(int i, Value v) {
+  // Buffers hold a handful of items, so shifting the later endpoints'
+  // items up beats a container per queue.
+  const auto tail =
+      std::upper_bound(items_.begin(), items_.end(), i, ByEndpoint{});
+  items_.insert(tail, Item{i, std::move(v)});
 }
 
-EndpointQueues::iterator EndpointQueues::find(int i) {
-  auto it = lowerBound(entries_.begin(), entries_.end(), i);
-  return it != entries_.end() && it->first == i ? it : entries_.end();
+Value EndpointQueues::popFront(int i) {
+  const auto head =
+      std::lower_bound(items_.begin(), items_.end(), i, ByEndpoint{});
+  if (head == items_.end() || head->endpoint != i) {
+    throw std::logic_error("EndpointQueues::popFront: empty queue " +
+                           std::to_string(i));
+  }
+  Value v = std::move(head->value);
+  items_.erase(head);
+  return v;
 }
 
-EndpointQueues::const_iterator EndpointQueues::find(int i) const {
-  auto it = lowerBound(entries_.begin(), entries_.end(), i);
-  return it != entries_.end() && it->first == i ? it : entries_.end();
+EndpointQueues EndpointQueues::relabeled(const std::vector<int>& perm) const {
+  EndpointQueues out;
+  out.items_.reserve(items_.size());
+  for (const Item& e : items_) {
+    out.items_.push_back(
+        {perm[static_cast<std::size_t>(e.endpoint)], e.value});
+  }
+  // Each endpoint's items are one run, so a stable sort by endpoint moves
+  // whole runs and keeps every queue's order.
+  std::stable_sort(out.items_.begin(), out.items_.end(),
+                   [](const Item& a, const Item& b) {
+                     return a.endpoint < b.endpoint;
+                   });
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -84,16 +101,21 @@ std::unique_ptr<ioa::AutomatonState> ServiceState::clone() const {
 std::size_t ServiceState::hash() const {
   std::size_t h = 0xce5e1ceu;
   util::hashCombine(h, val.hash());
-  for (const auto& [i, q] : invBuf) {
+  const auto hashQueue = [&h](EndpointQueues::Queue q) {
+    for (std::size_t k = 0; k < q.size(); ++k) {
+      util::hashCombine(h, q[k].hash());
+    }
+  };
+  invBuf.forEachQueue([&](int i, EndpointQueues::Queue q) {
     util::hashValue(h, i);
-    for (const Value& v : q) util::hashCombine(h, v.hash());
+    hashQueue(q);
     util::hashCombine(h, 0x1d);  // queue delimiter
-  }
-  for (const auto& [i, q] : respBuf) {
+  });
+  respBuf.forEachQueue([&](int i, EndpointQueues::Queue q) {
     util::hashValue(h, ~static_cast<std::size_t>(i));
-    for (const Value& v : q) util::hashCombine(h, v.hash());
+    hashQueue(q);
     util::hashCombine(h, 0x2d);
-  }
+  });
   for (int i : failed) util::hashValue(h, i + 0x1000);
   return h;
 }
@@ -110,8 +132,7 @@ std::string ServiceState::str() const {
   auto bufs = [](const EndpointQueues& m) {
     std::string s = "{";
     bool first = true;
-    for (const auto& [i, q] : m) {
-      if (q.empty()) continue;
+    m.forEachQueue([&](int i, EndpointQueues::Queue q) {
       if (!first) s += ", ";
       first = false;
       s += std::to_string(i) + ":[";
@@ -120,7 +141,7 @@ std::string ServiceState::str() const {
         s += q[j].str();
       }
       s += "]";
-    }
+    });
     return s + "}";
   };
   out += " inv=" + bufs(invBuf) + " resp=" + bufs(respBuf);
@@ -189,10 +210,6 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::initialState()
     const {
   auto s = std::make_unique<ServiceState>();
   s->val = type_.initialValue;
-  for (int i : endpoints_) {
-    s->invBuf[i];   // materialize empty queues so equality is structural
-    s->respBuf[i];
-  }
   return s;
 }
 
@@ -205,6 +222,10 @@ std::vector<TaskId> CanonicalGeneralService::tasks() const {
     out.push_back(TaskId::serviceCompute(id_, g));
   }
   return out;
+}
+
+bool CanonicalGeneralService::isEndpoint(int i) const {
+  return std::binary_search(endpoints_.begin(), endpoints_.end(), i);
 }
 
 bool CanonicalGeneralService::dummyEndpointEnabled(const ServiceState& s,
@@ -226,7 +247,7 @@ std::optional<Action> CanonicalGeneralService::enabledAction(
     case TaskOwner::ServicePerform: {
       const int i = t.endpoint;
       const bool dummy = dummyEndpointEnabled(s, i);
-      const bool real = !s.invBuf.at(i).empty();
+      const bool real = !s.invBuf[i].empty();
       if (dummy && (preferDummy || !real)) return Action::dummyPerform(i, id_);
       if (real) return Action::perform(i, id_);
       return std::nullopt;
@@ -234,9 +255,10 @@ std::optional<Action> CanonicalGeneralService::enabledAction(
     case TaskOwner::ServiceOutput: {
       const int i = t.endpoint;
       const bool dummy = dummyEndpointEnabled(s, i);
-      const bool real = !s.respBuf.at(i).empty();
+      const EndpointQueues::Queue q = s.respBuf[i];
+      const bool real = !q.empty();
       if (dummy && (preferDummy || !real)) return Action::dummyOutput(i, id_);
-      if (real) return Action::respond(i, id_, s.respBuf.at(i).front());
+      if (real) return Action::respond(i, id_, q.front());
       return std::nullopt;
     }
     case TaskOwner::ServiceCompute: {
@@ -254,17 +276,16 @@ std::optional<Action> CanonicalGeneralService::enabledAction(
 void CanonicalGeneralService::appendResponses(ServiceState& s,
                                               types::ResponseMap rm) const {
   for (auto& [j, seq] : rm.out) {
-    auto it = s.respBuf.find(j);
-    if (it == s.respBuf.end()) {
+    if (!isEndpoint(j)) {
       throw std::logic_error(name() + ": response addressed to non-endpoint " +
                              std::to_string(j));
     }
     for (Value& r : seq) {
-      if (options_.coalesceResponses && !it->second.empty() &&
-          it->second.back() == r) {
-        continue;
+      if (options_.coalesceResponses) {
+        const EndpointQueues::Queue q = s.respBuf[j];
+        if (!q.empty() && q.back() == r) continue;
       }
-      it->second.push_back(std::move(r));
+      s.respBuf.push(j, std::move(r));
     }
   }
 }
@@ -274,20 +295,18 @@ void CanonicalGeneralService::apply(ioa::AutomatonState& state,
   ServiceState& s = stateOf(state);
   switch (a.kind) {
     case ActionKind::Invoke: {
-      auto it = s.invBuf.find(a.endpoint);
-      if (it == s.invBuf.end()) {
+      if (!isEndpoint(a.endpoint)) {
         throw std::logic_error(name() + ": invocation from non-endpoint " +
                                std::to_string(a.endpoint));
       }
-      it->second.push_back(a.payload);
+      s.invBuf.push(a.endpoint, a.payload);
       return;
     }
     case ActionKind::Perform: {
-      auto& q = s.invBuf.at(a.endpoint);
-      if (q.empty()) {
+      if (s.invBuf[a.endpoint].empty()) {
         throw std::logic_error(name() + ": perform on empty inv-buffer");
       }
-      Value inv = popFront(q);
+      Value inv = s.invBuf.popFront(a.endpoint);
       auto [rm, next] =
           type_.delta1(inv, a.endpoint, s.val, endpoints_, s.failed);
       s.val = std::move(next);
@@ -295,11 +314,11 @@ void CanonicalGeneralService::apply(ioa::AutomatonState& state,
       return;
     }
     case ActionKind::Respond: {
-      auto& q = s.respBuf.at(a.endpoint);
+      const EndpointQueues::Queue q = s.respBuf[a.endpoint];
       if (q.empty() || !(q.front() == a.payload)) {
         throw std::logic_error(name() + ": respond does not match buffer head");
       }
-      popFront(q);
+      s.respBuf.popFront(a.endpoint);
       return;
     }
     case ActionKind::Compute: {
@@ -309,10 +328,7 @@ void CanonicalGeneralService::apply(ioa::AutomatonState& state,
       return;
     }
     case ActionKind::Fail: {
-      if (std::binary_search(endpoints_.begin(), endpoints_.end(),
-                             a.endpoint)) {
-        s.failed.insert(a.endpoint);
-      }
+      if (isEndpoint(a.endpoint)) s.failed.insert(a.endpoint);
       return;
     }
     case ActionKind::DummyPerform:
@@ -327,8 +343,7 @@ void CanonicalGeneralService::apply(ioa::AutomatonState& state,
 bool CanonicalGeneralService::participates(const Action& a) const {
   switch (a.kind) {
     case ActionKind::Fail:
-      return std::binary_search(endpoints_.begin(), endpoints_.end(),
-                                a.endpoint);
+      return isEndpoint(a.endpoint);
     case ActionKind::Invoke:
     case ActionKind::Respond:
     case ActionKind::Perform:
@@ -347,14 +362,8 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::relabeledState(
   const ServiceState& s = stateOf(state);
   auto out = std::make_unique<ServiceState>();
   out->val = s.val;
-  const auto remap = [&](const EndpointQueues& m) {
-    EndpointQueues r;
-    r.reserve(m.size());
-    for (const auto& [i, q] : m) r[perm[static_cast<std::size_t>(i)]] = q;
-    return r;
-  };
-  out->invBuf = remap(s.invBuf);
-  out->respBuf = remap(s.respBuf);
+  out->invBuf = s.invBuf.relabeled(perm);
+  out->respBuf = s.respBuf.relabeled(perm);
   for (int i : s.failed) out->failed.insert(perm[static_cast<std::size_t>(i)]);
   return out;
 }
@@ -362,17 +371,8 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::relabeledState(
 int CanonicalGeneralService::compareEndpointViews(
     const ioa::AutomatonState& state, int i, int j) const {
   const ServiceState& s = stateOf(state);
-  const auto compareQueues = [](const EndpointQueues::Queue& a,
-                                const EndpointQueues::Queue& b) {
-    if (std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end())) {
-      return -1;
-    }
-    return std::lexicographical_compare(b.begin(), b.end(), a.begin(), a.end())
-               ? 1
-               : 0;
-  };
-  if (int c = compareQueues(s.invBuf.at(i), s.invBuf.at(j))) return c;
-  if (int c = compareQueues(s.respBuf.at(i), s.respBuf.at(j))) return c;
+  if (int c = s.invBuf[i].compare(s.invBuf[j])) return c;
+  if (int c = s.respBuf[i].compare(s.respBuf[j])) return c;
   return static_cast<int>(s.failed.count(i)) -
          static_cast<int>(s.failed.count(j));
 }

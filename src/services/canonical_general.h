@@ -41,38 +41,74 @@ namespace boosting::services {
 
 enum class DummyPolicy { PreferReal, PreferDummy };
 
-// The per-endpoint FIFO buffers of a ServiceState: one endpoint-sorted flat
-// table of queues. Every reachable configuration holds its service states,
-// so per-endpoint container overhead multiplies by the state count: copying
-// a table is one allocation, and an empty queue allocates nothing (an empty
-// deque allocates over 512 bytes). Exposes the subset of the std::map
-// interface the engine uses; iteration is in endpoint order.
+// The per-endpoint FIFO buffers of a ServiceState: one endpoint-sorted
+// vector of (endpoint, value) items, FIFO within each endpoint. Every
+// reachable configuration holds its service states, so per-endpoint
+// container overhead multiplies by the state count: copying a table is at
+// most one allocation (list payloads are shared, see util/value.h), and
+// an empty buffer allocates nothing and has no item at all. The table does
+// not know the endpoint set; the automaton checks membership.
 class EndpointQueues {
  public:
-  using Queue = std::vector<util::Value>;
-  using Entry = std::pair<int, Queue>;
-  using iterator = std::vector<Entry>::iterator;
-  using const_iterator = std::vector<Entry>::const_iterator;
+  struct Item {
+    int endpoint;
+    util::Value value;
+    bool operator==(const Item&) const = default;
+  };
 
-  // The queue of endpoint i, inserted empty in endpoint order if absent.
-  Queue& operator[](int i);
-  // Checked lookup; throws std::out_of_range for an absent endpoint.
-  Queue& at(int i);
-  const Queue& at(int i) const;
-  iterator find(int i);
-  const_iterator find(int i) const;
+  // One endpoint's queue: a read-only view of its run of items, head
+  // first. Invalidated by any change to the table.
+  class Queue {
+   public:
+    Queue(const Item* first, const Item* last) : first_(first), last_(last) {}
+    bool empty() const { return first_ == last_; }
+    std::size_t size() const {
+      return static_cast<std::size_t>(last_ - first_);
+    }
+    const util::Value& front() const { return first_->value; }
+    const util::Value& back() const { return (last_ - 1)->value; }
+    const util::Value& operator[](std::size_t k) const {
+      return first_[k].value;
+    }
+    // Values equal in order (the endpoints may differ).
+    bool operator==(const Queue& other) const;
+    // Three-way lexicographic order by util::Value::operator<.
+    int compare(const Queue& other) const;
 
-  iterator begin() { return entries_.begin(); }
-  iterator end() { return entries_.end(); }
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
-  std::size_t size() const { return entries_.size(); }
-  void reserve(std::size_t n) { entries_.reserve(n); }
+   private:
+    const Item* first_;
+    const Item* last_;
+  };
+
+  // The queue of endpoint i; empty for an endpoint without items.
+  Queue operator[](int i) const;
+  // Appends v to the tail of endpoint i's queue.
+  void push(int i, util::Value v);
+  // Removes and returns the head of endpoint i's queue, which must be
+  // nonempty.
+  util::Value popFront(int i);
+  // The table with endpoint i renamed perm[i]; perm must be injective on
+  // the endpoints present. Queue order is kept.
+  EndpointQueues relabeled(const std::vector<int>& perm) const;
+
+  // Calls fn(i, queue) for each nonempty queue, in endpoint order.
+  template <typename Fn>
+  void forEachQueue(Fn&& fn) const {
+    const Item* it = items_.data();
+    const Item* const end = it + items_.size();
+    while (it != end) {
+      const Item* run = it;
+      while (it != end && it->endpoint == run->endpoint) ++it;
+      fn(run->endpoint, Queue(run, it));
+    }
+  }
+
+  const std::vector<Item>& items() const { return items_; }
 
   bool operator==(const EndpointQueues&) const = default;
 
  private:
-  std::vector<Entry> entries_;
+  std::vector<Item> items_;
 };
 
 class ServiceState final : public ioa::AutomatonState {
@@ -146,6 +182,7 @@ class CanonicalGeneralService : public ioa::Automaton {
   static ServiceState& stateOf(ioa::AutomatonState& s);
 
  private:
+  bool isEndpoint(int i) const;
   bool dummyEndpointEnabled(const ServiceState& s, int i) const;
   bool dummyComputeEnabled(const ServiceState& s) const;
   void appendResponses(ServiceState& s, types::ResponseMap rm) const;

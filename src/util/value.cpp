@@ -7,6 +7,11 @@
 
 namespace boosting::util {
 
+const Value::List& Value::listOf(const ListPtr& p) {
+  static const List kEmpty;
+  return p ? *p : kEmpty;
+}
+
 Value Value::set(List elems) {
   std::sort(elems.begin(), elems.end());
   elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
@@ -24,7 +29,7 @@ const std::string& Value::asStr() const {
 }
 
 const Value::List& Value::asList() const {
-  if (const auto* p = std::get_if<List>(&rep_)) return *p;
+  if (const auto* p = std::get_if<ListPtr>(&rep_)) return listOf(*p);
   throw std::logic_error("Value::asList on non-list: " + str());
 }
 
@@ -45,7 +50,7 @@ const Value& Value::at(std::size_t i) const {
 }
 
 std::size_t Value::size() const {
-  if (const auto* p = std::get_if<List>(&rep_)) return p->size();
+  if (const auto* p = std::get_if<ListPtr>(&rep_)) return listOf(*p).size();
   return 0;
 }
 
@@ -55,10 +60,14 @@ bool Value::setContains(const Value& v) const {
 }
 
 Value Value::setInsert(const Value& v) const {
-  List xs = asList();
-  auto it = std::lower_bound(xs.begin(), xs.end(), v);
-  if (it != xs.end() && *it == v) return *this;
-  xs.insert(it, v);
+  const List& cur = asList();
+  const auto it = std::lower_bound(cur.begin(), cur.end(), v);
+  if (it != cur.end() && *it == v) return *this;  // shares the payload
+  List xs;
+  xs.reserve(cur.size() + 1);
+  xs.insert(xs.end(), cur.begin(), it);
+  xs.push_back(v);
+  xs.insert(xs.end(), it, cur.end());
   return Value(std::move(xs));
 }
 
@@ -71,7 +80,23 @@ Value Value::setUnion(const Value& other) const {
   return Value(std::move(out));
 }
 
-bool Value::operator==(const Value& other) const { return rep_ == other.rep_; }
+bool Value::operator==(const Value& other) const {
+  if (rep_.index() != other.rep_.index()) return false;
+  switch (kind()) {
+    case Kind::Nil:
+      return true;
+    case Kind::Int:
+      return std::get<std::int64_t>(rep_) == std::get<std::int64_t>(other.rep_);
+    case Kind::Str:
+      return std::get<std::string>(rep_) == std::get<std::string>(other.rep_);
+    case Kind::List: {
+      const ListPtr& a = std::get<ListPtr>(rep_);
+      const ListPtr& b = std::get<ListPtr>(other.rep_);
+      return a == b || listOf(a) == listOf(b);
+    }
+  }
+  return false;
+}
 
 bool Value::operator<(const Value& other) const {
   if (rep_.index() != other.rep_.index()) {
@@ -85,8 +110,8 @@ bool Value::operator<(const Value& other) const {
     case Kind::Str:
       return std::get<std::string>(rep_) < std::get<std::string>(other.rep_);
     case Kind::List: {
-      const List& a = std::get<List>(rep_);
-      const List& b = std::get<List>(other.rep_);
+      const List& a = listOf(std::get<ListPtr>(rep_));
+      const List& b = listOf(std::get<ListPtr>(other.rep_));
       return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
                                           b.end());
     }
@@ -106,7 +131,9 @@ std::size_t Value::hash() const {
       hashValue(h, std::get<std::string>(rep_));
       break;
     case Kind::List:
-      for (const Value& v : std::get<List>(rep_)) hashCombine(h, v.hash());
+      for (const Value& v : listOf(std::get<ListPtr>(rep_))) {
+        hashCombine(h, v.hash());
+      }
       break;
   }
   return h;
@@ -122,7 +149,7 @@ std::string Value::str() const {
       return std::get<std::string>(rep_);
     case Kind::List: {
       std::string out = "(";
-      const List& xs = std::get<List>(rep_);
+      const List& xs = listOf(std::get<ListPtr>(rep_));
       for (std::size_t i = 0; i < xs.size(); ++i) {
         if (i > 0) out += ' ';
         out += xs[i].str();

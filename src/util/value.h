@@ -3,11 +3,19 @@
 // Sequential types (Section 2.1.2 of the paper) are defined over arbitrary
 // value sets V, invocation sets invs, and response sets resps. Rather than
 // templating every automaton on concrete payload types, the library uses a
-// single recursive, immutable-in-spirit value model -- nil, 64-bit integers,
-// strings (symbols), and ordered lists -- closed under equality, total
-// ordering, and hashing. Sets are represented as sorted duplicate-free
-// lists, which keeps set-valued states (e.g. the k-set-consensus value W,
-// or failure-detector suspect sets) canonical and hashable.
+// single recursive, immutable value model -- nil, 64-bit integers, strings
+// (symbols), and ordered lists -- closed under equality, total ordering,
+// and hashing. Sets are represented as sorted duplicate-free lists, which
+// keeps set-valued states (e.g. the k-set-consensus value W, or
+// failure-detector suspect sets) canonical and hashable.
+//
+// A list payload is one immutable shared node: copying a Value bumps a
+// reference count instead of deep-copying the list, so the same
+// ("decide" 1) record buffered in thousands of component states is stored
+// once. Nothing mutates a node after construction (the API is const-only;
+// "changing" a list builds a new one), and the reference counts are
+// atomic, so Values may be shared freely across threads -- the served
+// workers' states share payloads through the per-context memo.
 //
 // Invocations and responses follow a symbolic convention established by the
 // built-in types, e.g. ("init", 0), ("decide", 1), ("write", 7), ("read"),
@@ -16,6 +24,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -34,15 +43,18 @@ class Value {
   Value(int v) : rep_(std::int64_t{v}) {}      // NOLINT(google-explicit-constructor)
   Value(std::string v) : rep_(std::move(v)) {} // NOLINT(google-explicit-constructor)
   Value(const char* v) : rep_(std::string(v)) {}  // NOLINT(google-explicit-constructor)
-  Value(List v) : rep_(std::move(v)) {}        // NOLINT(google-explicit-constructor)
+  Value(List v)                                // NOLINT(google-explicit-constructor)
+      : rep_(v.empty() ? ListPtr()
+                       : std::make_shared<const List>(std::move(v))) {}
 
   Value(const Value&) = default;
   Value(Value&&) noexcept = default;
   // Copy-then-move: variant's copy assignment destroys the current
   // alternative before reading the source, so `v = v.at(1)` (assigning a
-  // value from its own list) would read freed memory. Aliasing like that
-  // is natural under the symbolic ("tag", arg...) convention -- unwrapping
-  // a payload in place -- so make assignment safe for it.
+  // value from its own list, whose last owner may be `v`) would read freed
+  // memory. Aliasing like that is natural under the symbolic ("tag",
+  // arg...) convention -- unwrapping a payload in place -- so make
+  // assignment safe for it.
   Value& operator=(const Value& other) {
     Value tmp(other);
     rep_ = std::move(tmp.rep_);
@@ -85,6 +97,7 @@ class Value {
   Value setUnion(const Value& other) const;
 
   // -- Equality / ordering / hashing --------------------------------------
+  // Two lists sharing one payload node are equal without a walk.
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
   // Total order: Nil < Int < Str < List, then componentwise.
@@ -94,7 +107,12 @@ class Value {
   std::string str() const;  // printable rendering, e.g. (decide 1)
 
  private:
-  std::variant<std::monostate, std::int64_t, std::string, List> rep_;
+  // The empty list holds no node (so it allocates nothing); a moved-from
+  // list Value reads as the empty list for the same reason.
+  using ListPtr = std::shared_ptr<const List>;
+  static const List& listOf(const ListPtr& p);
+
+  std::variant<std::monostate, std::int64_t, std::string, ListPtr> rep_;
 };
 
 // Build a symbolic record: sym("decide", 1) == ("decide" 1).

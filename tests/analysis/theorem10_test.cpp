@@ -103,8 +103,7 @@ TEST(Theorem10, FailureAwareSimilarityIgnoresDetectorState) {
   // Mutate only the detector's state in b.
   auto& fd = services::CanonicalGeneralService::stateOf(
       b.part(sys->slotForService(650)));
-  fd.respBuf.begin()->second.push_back(util::sym("suspect",
-                                                 util::Value::emptySet()));
+  fd.respBuf.push(0, util::sym("suspect", util::Value::emptySet()));
   SimilarityOptions exempt;
   exempt.exemptFailureAware = true;
   EXPECT_TRUE(jSimilar(*sys, a, b, 0, exempt));

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 namespace boosting::util {
 namespace {
@@ -146,6 +148,93 @@ TEST(Value, SelfAliasingAssignmentUnwrapsInPlace) {
   Value self = sym("x", 3);
   self = self;  // NOLINT(clang-diagnostic-self-assign-overloaded)
   EXPECT_EQ(self, sym("x", 3));
+}
+
+TEST(Value, CopiedListSharesItsPayload) {
+  const Value a = sym("decide", Value::list({Value(1), Value("x")}));
+  const Value b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(&a.asList(), &b.asList());
+  Value c;
+  c = b;
+  EXPECT_EQ(&c.asList(), &a.asList());
+  // Elements are shared too: the nested list is one node.
+  EXPECT_EQ(&a.at(1).asList(), &c.at(1).asList());
+}
+
+TEST(Value, SharedAndRebuiltValuesAgree) {
+  const Value built = Value::list({sym("init", 0), Value::set({Value(2)})});
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const Value shared = built;
+  const Value rebuilt = Value::list({sym("init", 0), Value::set({Value(2)})});
+  ASSERT_NE(&built.asList(), &rebuilt.asList());
+  for (const Value* other : {&shared, &rebuilt}) {
+    EXPECT_EQ(built, *other);
+    EXPECT_FALSE(built < *other);
+    EXPECT_FALSE(*other < built);
+    EXPECT_EQ(built.hash(), other->hash());
+    EXPECT_EQ(built.str(), other->str());
+  }
+  const Value bigger = Value::list({sym("init", 1), Value::set({Value(2)})});
+  EXPECT_NE(shared, bigger);
+  EXPECT_NE(rebuilt, bigger);
+  EXPECT_LT(shared, bigger);
+  EXPECT_LT(rebuilt, bigger);
+}
+
+TEST(Value, MovedFromListReadsAsEmptyList) {
+  Value a = sym("x", 1);
+  const Value b = std::move(a);
+  EXPECT_EQ(b, sym("x", 1));
+  // NOLINTBEGIN(bugprone-use-after-move)
+  ASSERT_TRUE(a.isList());
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(a, Value::emptySet());
+  EXPECT_EQ(a.hash(), Value::emptySet().hash());
+  EXPECT_EQ(a.str(), "()");
+  // NOLINTEND(bugprone-use-after-move)
+}
+
+TEST(Value, SetOperationsLeaveTheirOperandsUnchanged) {
+  const Value s = Value::set({Value(1), Value(3)});
+  const Value t = Value::set({Value(2), Value(3)});
+  const Value::List* sPayload = &s.asList();
+  EXPECT_EQ(s.setInsert(Value(2)).str(), "(1 2 3)");
+  EXPECT_EQ(s.setInsert(Value(0)).str(), "(0 1 3)");
+  EXPECT_EQ(s.setInsert(Value(9)).str(), "(1 3 9)");
+  EXPECT_EQ(s.setUnion(t).str(), "(1 2 3)");
+  EXPECT_EQ(t.setUnion(s).str(), "(1 2 3)");
+  EXPECT_EQ(s.str(), "(1 3)");
+  EXPECT_EQ(t.str(), "(2 3)");
+  EXPECT_EQ(&s.asList(), sPayload);
+  // Inserting a member returns the operand itself, payload and all.
+  EXPECT_EQ(&s.setInsert(Value(3)).asList(), sPayload);
+}
+
+TEST(Value, HashIsPinned) {
+  // The symmetry quotient's colour sort keys on process-slot hashes, which
+  // fold in Value::hash, so these must not drift. String hashes go
+  // through std::hash<std::string>: the pins are a 64-bit libstdc++'s.
+#if !defined(__GLIBCXX__)
+  GTEST_SKIP() << "hash pins are for libstdc++";
+#endif
+  if (sizeof(std::size_t) != 8) GTEST_SKIP() << "hash pins are 64-bit";
+  const std::pair<Value, std::uint64_t> pins[] = {
+      {Value::nil(), 0x0ull},
+      {Value(0), 0xfb91a703f08eb2cdull},
+      {Value(-7), 0xa08c678390bbaa2aull},
+      {Value("init"), 0x75c1e62fd2f1e27aull},
+      {Value::emptySet(), 0x1daa66d2bull},
+      {sym("init", 0), 0xe28a6a92490f398cull},
+      {sym("decide", 1), 0xf36b1a0c385158b7ull},
+      {Value::list({sym("decide", 1), Value::list({Value(2), Value::nil()})}),
+       0x16bdd0429258179full},
+      {sym("rcv", Value("m"), 2, 3), 0xbcdc97eac08740e8ull},
+      {Value::set({Value(3), Value(1), sym("x", Value::emptySet())}),
+       0xa91b70cd044b7d62ull},
+  };
+  for (const auto& [v, h] : pins) {
+    EXPECT_EQ(static_cast<std::uint64_t>(v.hash()), h) << v.str();
+  }
 }
 
 TEST(Value, UsableInStdSet) {

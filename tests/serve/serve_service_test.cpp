@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/registry.h"
@@ -169,9 +174,46 @@ TEST(ServeService, CancelBeforeFirstTickYieldsCancelledResult) {
 }
 
 TEST(ServeService, QueuedProgressWakesTheDrivingThread) {
-  // relay n=5 expands past the progress stride twice, with thousands of
-  // expansions still to go after the first report.
-  AnalysisService svc(AnalysisService::Config{});
+  // relay n=5 expands past the progress stride (2,048 expansions) twice,
+  // with thousands of expansions still to go after the first report.
+  //
+  // The registry's progress sink runs on the job's worker before every
+  // valence expansion. Once a wakeup is pending it parks the worker (the
+  // first time only) until the driving thread has requested the pause,
+  // so the job is held at the checkpoint right after its first report
+  // however the threads are scheduled. The sink parks only while the job
+  // runs, so a parked worker also proves the wakeup came before the
+  // job's finish: it was the progress report.
+  obs::Registry reg;
+  AnalysisService::Config cfg;
+  cfg.metrics = &reg;
+  AnalysisService svc(cfg);
+  std::mutex m;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+  const int wakeFd = svc.wakeFd();
+  reg.setProgress([&](std::string_view, std::uint64_t) {
+    std::unique_lock<std::mutex> lock(m);
+    if (parked) return;
+    pollfd pending{wakeFd, POLLIN, 0};
+    if (::poll(&pending, 1, 0) != 1) return;
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  });
+  const auto release = [&] {
+    std::lock_guard<std::mutex> lock(m);
+    released = true;
+    cv.notify_all();
+  };
+  // Declared after svc, so it runs first: a failed assertion must not
+  // leave the worker parked while svc's destructor drains.
+  struct ReleaseOnExit {
+    std::function<void()> fn;
+    ~ReleaseOnExit() { fn(); }
+  } releaseOnExit{release};
+
   JobSpec spec = relaySpec("chatty");
   spec.n = 5;
   spec.progress = true;
@@ -185,19 +227,25 @@ TEST(ServeService, QueuedProgressWakesTheDrivingThread) {
                    .has_value());
   EXPECT_EQ(svc.tick(), 1u);  // dispatch
   pollfd pfd{svc.wakeFd(), POLLIN, 0};
-  // Hang check, not a latency bound.
+  // Hang checks, not latency bounds.
   ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
-  // Hold the job at its next checkpoint so the wakeup that just arrived
-  // can only be its progress report, not its finish.
+  {
+    std::unique_lock<std::mutex> lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return parked; }))
+        << "the worker never saw its wakeup pending while running";
+  }
   EXPECT_TRUE(svc.pause("chatty"));
+  release();
   svc.clearWake();
   svc.tick();
-  ASSERT_EQ(progress.size(), 1u);
+  // Exactly the first stride's report, and the job is held, not done.
+  EXPECT_EQ(progress, (std::vector<std::uint64_t>{2048}));
   EXPECT_FALSE(done);
   EXPECT_TRUE(svc.resume("chatty"));
   svc.drain();
   EXPECT_TRUE(done);
-  EXPECT_EQ(progress.size(), 2u);
+  EXPECT_EQ(progress, (std::vector<std::uint64_t>{2048, 4096}));
 }
 
 TEST(ServeService, LiveJobsReportsQueuedState) {

@@ -26,10 +26,14 @@ TEST(CanonicalObject, InitialStateEmptyBuffers) {
   auto s = obj.initialState();
   const auto& st = CanonicalGeneralService::stateOf(*s);
   EXPECT_TRUE(st.val.isNil());
-  EXPECT_EQ(st.invBuf.size(), 3u);
-  for (const auto& [i, q] : st.invBuf) {
-    (void)i;
-    EXPECT_TRUE(q.empty());
+  // Empty buffers hold no item; each of the 3 endpoints reads an empty
+  // queue.
+  EXPECT_TRUE(st.invBuf.items().empty());
+  EXPECT_TRUE(st.respBuf.items().empty());
+  EXPECT_EQ(obj.endpoints().size(), 3u);
+  for (int i : obj.endpoints()) {
+    EXPECT_TRUE(st.invBuf[i].empty());
+    EXPECT_TRUE(st.respBuf[i].empty());
   }
   EXPECT_TRUE(st.failed.empty());
 }

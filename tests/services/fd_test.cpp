@@ -82,7 +82,7 @@ TEST(PerfectFD, CoalescingBoundsBufferGrowth) {
     fd.apply(*s, *fd.enabledAction(*s, TaskId::serviceCompute(11, 0)));
   }
   const auto& st = CanonicalGeneralService::stateOf(*s);
-  EXPECT_EQ(st.respBuf.at(0).size(), 1u);  // identical reports coalesced
+  EXPECT_EQ(st.respBuf[0].size(), 1u);  // identical reports coalesced
 }
 
 TEST(PerfectFD, WithoutCoalescingBufferGrows) {
@@ -91,7 +91,7 @@ TEST(PerfectFD, WithoutCoalescingBufferGrows) {
   for (int k = 0; k < 10; ++k) {
     fd.apply(*s, *fd.enabledAction(*s, TaskId::serviceCompute(11, 0)));
   }
-  EXPECT_EQ(CanonicalGeneralService::stateOf(*s).respBuf.at(0).size(), 10u);
+  EXPECT_EQ(CanonicalGeneralService::stateOf(*s).respBuf[0].size(), 10u);
 }
 
 TEST(PerfectFD, SilencedWhenResilienceExceeded) {
