@@ -66,8 +66,8 @@ std::string exportDot(StateGraph& g, ValenceAnalyzer& va, NodeId root,
     const NodeId x = frontier.front();
     frontier.pop_front();
     nodes.push_back(x);
-    for (const EdgeView e : g.successors(x)) {
-      if (firstVisit(e.to)) frontier.push_back(e.to);
+    for (const NodeId to : g.successors(x).targets()) {
+      if (firstVisit(to)) frontier.push_back(to);
     }
   }
   std::set<NodeId> included(nodes.begin(), nodes.end());

@@ -78,22 +78,22 @@ class ScanTree {
 // task #eIdx) for the first node x whose e-successor has valence `want`;
 // kNoNode when there is none. `tree` holds the scan's discovery tree.
 NodeId scanEFree(StateGraph& g, ValenceAnalyzer& va, NodeId alpha,
-                 const ioa::TaskId& e, std::uint16_t eIdx, Valence want,
-                 ScanTree& tree) {
+                 std::uint16_t eIdx, Valence want, ScanTree& tree) {
   tree.reset(alpha);
   std::deque<NodeId> frontier{alpha};
   while (!frontier.empty()) {
     const NodeId x = frontier.front();
     frontier.pop_front();
-    if (auto edgeE = g.successorVia(x, e)) {
+    if (auto edgeE = g.successorVia(x, eIdx)) {
       va.explore(edgeE->to);
       if (va.valence(edgeE->to) == want) return x;
     }
     const EdgeList edges = g.successors(x);
-    for (std::size_t k = 0; k < edges.size(); ++k) {
-      const CompactEdge& edge = edges.data()[k];
-      if (edge.task == eIdx) continue;
-      if (tree.visit(edge.to, x, edge.task)) frontier.push_back(edge.to);
+    for (auto it = edges.begin(); it != edges.end(); ++it) {
+      if (it.taskIndex() == eIdx) continue;
+      if (tree.visit(it.to(), x, static_cast<std::uint16_t>(it.taskIndex()))) {
+        frontier.push_back(it.to());
+      }
     }
   }
   return kNoNode;
@@ -179,7 +179,7 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
       bool found = false;
       for (std::size_t k = 0; k < tasks.size(); ++k) {
         const std::size_t idx = (cursor + k) % tasks.size();
-        if (g.successorVia(alpha, tasks[idx])) {
+        if (g.successorVia(alpha, idx)) {
           e = tasks[idx];
           eIdx = static_cast<std::uint16_t>(idx);
           newCursor = (idx + 1) % tasks.size();
@@ -196,7 +196,7 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
     // Search the e-free-reachable descendants of alpha for alpha' with
     // e(alpha') bivalent (Fig. 3's inner search).
     const NodeId alphaPrimeNode =
-        scanEFree(g, va, alpha, e, eIdx, Valence::Bivalent, tree);
+        scanEFree(g, va, alpha, eIdx, Valence::Bivalent, tree);
 
     if (alphaPrimeNode != kNoNode) {
       // Move to e(alpha') and continue with the next round-robin task.
@@ -207,7 +207,7 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
       }
       applied.push_back(e);
       appliedPerIteration.push_back(std::move(applied));
-      alpha = g.successorVia(alphaPrimeNode, e)->to;
+      alpha = g.successorVia(alphaPrimeNode, eIdx)->to;
       cursor = newCursor;
       continue;
     }
@@ -215,7 +215,7 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
     // Terminal vertex reached: every e-free-reachable alpha' has univalent
     // e(alpha'). Extract the hook along a path toward the opposite decision
     // (proof of Lemma 5).
-    const Edge eAtAlpha = *g.successorVia(alpha, e);
+    const Edge eAtAlpha = *g.successorVia(alpha, eIdx);
     va.explore(eAtAlpha.to);
     const Valence v0 = va.valence(eAtAlpha.to);
     if (v0 != Valence::Zero && v0 != Valence::One) {
@@ -226,7 +226,7 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
 
     // BFS over e-free edges for the first sigma* with e(sigma*) of the
     // opposite valence; guaranteed to exist because alpha is bivalent.
-    const NodeId sigmaStar = scanEFree(g, va, alpha, e, eIdx, target, tree);
+    const NodeId sigmaStar = scanEFree(g, va, alpha, eIdx, target, tree);
     if (sigmaStar == kNoNode) {
       throw std::logic_error(
           "findHook: no opposite-valent e-successor found from a bivalent "
@@ -243,8 +243,8 @@ HookSearchOutcome findHook(StateGraph& g, ValenceAnalyzer& va,
       sigmas.push_back(g.successorVia(node, task)->to);
     }
     for (std::size_t j = 0; j + 1 < sigmas.size(); ++j) {
-      const Edge ej0 = *g.successorVia(sigmas[j], e);
-      const Edge ej1 = *g.successorVia(sigmas[j + 1], e);
+      const Edge ej0 = *g.successorVia(sigmas[j], eIdx);
+      const Edge ej1 = *g.successorVia(sigmas[j + 1], eIdx);
       va.explore(ej0.to);
       va.explore(ej1.to);
       if (va.valence(ej0.to) == v0 && va.valence(ej1.to) == target) {
@@ -323,8 +323,8 @@ HookEnumeration enumerateHooks(StateGraph& g, ValenceAnalyzer& va, NodeId root,
     // The span view stays valid across the successorVia expansions below
     // (arena chunks never relocate).
     const EdgeList edges = g.successors(alpha);
-    for (const EdgeView e : edges) {
-      if (firstVisit(e.to)) frontier.push_back(e.to);
+    for (const NodeId to : edges.targets()) {
+      if (firstVisit(to)) frontier.push_back(to);
     }
     // This walk follows FULL successor lists (a hook needs every commuting
     // square, not just the ample subset), so under an active POR policy the
@@ -332,24 +332,24 @@ HookEnumeration enumerateHooks(StateGraph& g, ValenceAnalyzer& va, NodeId root,
     va.explore(alpha);
     if (va.valence(alpha) != Valence::Bivalent) continue;
     ++out.bivalentNodes;
-    for (const EdgeView eEdge : edges) {
-      va.explore(eEdge.to);
-      const Valence v0 = va.valence(eEdge.to);
+    for (auto eEdge = edges.begin(); eEdge != edges.end(); ++eEdge) {
+      va.explore(eEdge.to());
+      const Valence v0 = va.valence(eEdge.to());
       if (v0 != Valence::Zero && v0 != Valence::One) continue;
       const Valence target =
           v0 == Valence::Zero ? Valence::One : Valence::Zero;
-      for (const EdgeView epEdge : edges) {
-        if (epEdge.task == eEdge.task) continue;
-        auto e1 = g.successorVia(epEdge.to, eEdge.task);
+      for (auto epEdge = edges.begin(); epEdge != edges.end(); ++epEdge) {
+        if (epEdge.taskIndex() == eEdge.taskIndex()) continue;
+        auto e1 = g.successorVia(epEdge.to(), eEdge.taskIndex());
         if (!e1) continue;
         va.explore(e1->to);
         if (va.valence(e1->to) != target) continue;
         Hook hook;
         hook.alpha = alpha;
-        hook.e = eEdge.task;
-        hook.ePrime = epEdge.task;
-        hook.alpha0 = eEdge.to;
-        hook.alphaPrime = epEdge.to;
+        hook.e = (*eEdge).task;
+        hook.ePrime = (*epEdge).task;
+        hook.alpha0 = eEdge.to();
+        hook.alphaPrime = epEdge.to();
         hook.alpha1 = e1->to;
         hook.alpha0Valence = v0;
         hook.alpha1Valence = target;

@@ -65,6 +65,7 @@ void flushGraphMetrics(obs::Registry* reg, const StateGraph& g) {
   reg->add("graph.states_discovered", gs.statesDiscovered);
   reg->add("graph.dedup_hits", gs.dedupHits);
   reg->add("graph.edges_discovered", gs.edgesDiscovered);
+  reg->add("graph.reduced_edges", gs.reducedEdges);
   reg->add("graph.expansions", gs.expansions);
   // Shallow footprint of the flat graph structures (see
   // StateGraph::MemoryStats) plus the process peak RSS, so bytes-per-state

@@ -17,7 +17,7 @@ class Registry;
 namespace boosting::analysis {
 
 // graph.states_discovered / graph.dedup_hits / graph.edges_discovered /
-// graph.expansions, the memory footprint gauges graph.bytes_states /
+// graph.reduced_edges / graph.expansions, the memory footprint gauges graph.bytes_states /
 // graph.bytes_edges / graph.bytes_index + process.peak_rss_bytes, plus the
 // graph-owned TransitionCache under cache.*.
 void flushGraphMetrics(obs::Registry* reg, const StateGraph& g);

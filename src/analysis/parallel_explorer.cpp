@@ -51,11 +51,11 @@ ExploreStats exploreReachable(StateGraph& g, NodeId root,
       if (policy.expansionHook) policy.expansionHook(++expansions);
       // Reduced tier when a POR policy is active, full tier otherwise --
       // the same switch the valence BFS takes.
-      for (const EdgeView e : g.exploreSuccessors(x)) {
+      for (const NodeId to : g.exploreSuccessors(x).targets()) {
         ++stats.edgesComputed;
-        if (firstVisit(e.to)) {
+        if (firstVisit(to)) {
           ++visited;
-          frontier.push_back(e.to);
+          frontier.push_back(to);
         }
       }
     }

@@ -409,14 +409,11 @@ PorPolicy::Decision PorPolicy::decide(
   return d;
 }
 
-std::uint64_t PorPolicy::record(const Decision& d,
-                                std::uint64_t* enabledOut) const {
-  *enabledOut = d.enabled;
+void PorPolicy::record(const Decision& d) const {
   ++nodesEvaluated_;
   enabledSum_ += static_cast<std::uint64_t>(popcount(d.enabled));
   ampleSum_ += static_cast<std::uint64_t>(popcount(d.ample));
   declarationViolations_ += d.violations;
-  return d.ample;
 }
 
 std::uint64_t PorPolicy::ampleMask(
@@ -430,12 +427,14 @@ std::uint64_t PorPolicy::ampleMask(
     return enabledMask;
   }
   Signature sig;
-  return record(decide(actions, &sig), enabledOut);
+  const Decision d = decide(actions, &sig);
+  record(d);
+  *enabledOut = d.enabled;
+  return d.ample;
 }
 
-std::uint64_t PorPolicy::ampleMask(const std::uint32_t* ids,
-                                   TransitionCache& cache,
-                                   std::uint64_t* enabledOut) const {
+std::uint32_t PorPolicy::ampleDecision(const std::uint32_t* ids,
+                                       TransitionCache& cache) const {
   // Only a class row's first request lists the per-task actions.
   const auto decideFresh = [&] {
     std::vector<const ioa::Action*> actions(taskCount_);
@@ -445,7 +444,9 @@ std::uint64_t PorPolicy::ampleMask(const std::uint32_t* ids,
     Signature sig;
     return decide(actions, &sig);
   };
-  return record(cache.ampleDecision(ids, decideFresh), enabledOut);
+  const std::uint32_t id = cache.ampleDecision(ids, decideFresh);
+  record(cache.decisionAt(id));
+  return id;
 }
 
 }  // namespace boosting::analysis

@@ -71,10 +71,10 @@
 // policy of one System makes the same decisions, and a cache shared by the
 // jobs of a service type can keep them.
 //
-// Thread safety: none. ampleMask() and the note*() callbacks update the
-// statistics through plain mutable members, so a policy belongs to one
-// exploration thread. Every run builds its own policies (the adversary per
-// analysis, the analysis service per job).
+// Thread safety: none. ampleDecision(), ampleMask() and the note*()
+// callbacks update the statistics through plain mutable members, so a
+// policy belongs to one exploration thread. Every run builds its own
+// policies (the adversary per analysis, the analysis service per job).
 #pragma once
 
 #include <cstdint>
@@ -115,20 +115,23 @@ class PorPolicy {
   const std::string& disabledReason() const { return disabledReason_; }
 
   // The ample decision for the configuration `ids` (a row of `cache`'s
-  // slot ids); the policy must not be trivial(). Returns the ample task
-  // mask (over sys.allTasks() indices) and stores the enabled mask in
-  // *enabledOut; the result equals the enabled mask when no proper ample
-  // set is valid (or the configuration is unanalyzable). Memoized in
-  // `cache` on the row of the slots' enabled classes, which determines the
-  // per-task signature the decision is computed from, so the decision is a
-  // pure function of the configuration, whatever order the engine expands
-  // nodes in.
-  std::uint64_t ampleMask(const std::uint32_t* ids, TransitionCache& cache,
-                          std::uint64_t* enabledOut) const;
+  // slot ids), as its id in `cache` (TransitionCache::decisionAt); the
+  // policy must not be trivial(). The decision holds the ample task mask
+  // (over sys.allTasks() indices) and the enabled mask; the two are equal
+  // when no proper ample set is valid (or the configuration is
+  // unanalyzable). Memoized in `cache` on the row of the slots' enabled
+  // classes, which determines the per-task signature the decision is
+  // computed from, so the decision is a pure function of the
+  // configuration, whatever order the engine expands nodes in. Counted in
+  // the statistics on every call. StateGraph keeps the id per reduced
+  // list, and re-derives the list's tasks from it.
+  std::uint32_t ampleDecision(const std::uint32_t* ids,
+                              TransitionCache& cache) const;
 
-  // The same decision, presented as the per-task enabled actions:
-  // actions[ti] is the action task #ti enables, or nullptr when disabled.
-  // Not memoized: computed afresh on every call (the reference path).
+  // The same decision, from the per-task enabled actions: actions[ti] is
+  // the action task #ti enables, or nullptr when disabled. Returns the
+  // ample mask and stores the enabled mask in *enabledOut. Not memoized:
+  // computed afresh on every call (the reference path).
   std::uint64_t ampleMask(const std::vector<const ioa::Action*>& actions,
                           std::uint64_t* enabledOut) const;
 
@@ -171,9 +174,8 @@ class PorPolicy {
 
   Decision decide(const std::vector<const ioa::Action*>& actions,
                   Signature* sig) const;
-  // Counts one evaluation of `d` in the statistics and returns its ample
-  // mask (storing the enabled one).
-  std::uint64_t record(const Decision& d, std::uint64_t* enabledOut) const;
+  // Counts one evaluation of `d` in the statistics.
+  void record(const Decision& d) const;
   std::uint32_t codeFor(std::size_t ti, const ioa::Action* a,
                         bool* analyzable, std::uint32_t* violations) const;
   std::uint64_t computeAmple(const Signature& sig,

@@ -12,8 +12,8 @@ void StateGraph::validateTaskCapacity(std::size_t taskCount,
   if (taskCount >= (std::size_t{1} << 16)) {
     throw std::invalid_argument(
         "StateGraph: " + std::to_string(taskCount) +
-        " tasks overflow the 16-bit task index of CompactEdge (at most "
-        "65535 tasks are supported)");
+        " tasks overflow the 16-bit task index the hook scans record per "
+        "visited node (at most 65535 tasks are supported)");
   }
   if (taskCount >= chunkCapacity) {
     throw std::invalid_argument(
@@ -100,6 +100,21 @@ const ioa::SystemState& StateGraph::state(NodeId id) const {
   return s;
 }
 
+void StateGraph::noteDiscovery(const InternResult& r, NodeId from) {
+  if (!r.inserted && parent_[r.id] != kOrphan) return;
+  // First discovery (or the first committed list to reach an orphan):
+  // record the parent so that witness paths can be reconstructed
+  // (parentEdge re-derives the task). Externally interned roots keep
+  // kNoNode and terminate pathTo().
+  parent_[r.id] = from;
+  discovered_.push_back(r.id);
+}
+
+void StateGraph::orphanDiscovered() {
+  for (const NodeId y : discovered_) parent_[y] = kOrphan;
+  discovered_.clear();
+}
+
 StateGraph::InternResult StateGraph::internRow(const std::uint32_t* ids) {
   assertWriter();
   const RowTable::Probe p = rows_.find(ids);
@@ -109,19 +124,18 @@ StateGraph::InternResult StateGraph::internRow(const std::uint32_t* ids) {
   }
   succ_.emplace_back();
   reducedSucc_.emplace_back();
-  parent_.emplace_back();
+  parent_.push_back(kNoNode);
   ++stats_.statesDiscovered;
   return {rows_.insert(p, ids), true};
 }
 
-CompactEdge* StateGraph::reserveEdgeRun(std::uint32_t need,
-                                        std::uint32_t* base) {
+NodeId* StateGraph::reserveEdgeRun(std::uint32_t need, std::uint32_t* base) {
   if (edgeChunks_.empty() || kEdgeChunkCapacity - edgeUsed_ < need) {
     if (!edgeChunks_.empty()) {
       edgeSlackSlots_ += kEdgeChunkCapacity - edgeUsed_;
     }
     edgeChunks_.push_back(
-        std::make_unique_for_overwrite<CompactEdge[]>(kEdgeChunkCapacity));
+        std::make_unique_for_overwrite<NodeId[]>(kEdgeChunkCapacity));
     edgeUsed_ = 0;
   }
   *base = static_cast<std::uint32_t>(
@@ -130,35 +144,37 @@ CompactEdge* StateGraph::reserveEdgeRun(std::uint32_t need,
 }
 
 EdgeList StateGraph::successors(NodeId id) {
-  if (succ_[id].begin != kUnexpanded) return listAt(succ_[id]);
+  if (succ_[id].begin != kUnexpanded) return fullList(id);
   assertWriter();
   const std::vector<ioa::TaskId>& tasks = sys_.allTasks();
   // Reserve the worst case (every task applicable) up front: interning
   // below never touches the arena, so the run stays contiguous and the
   // unused tail is handed to the next expansion.
   std::uint32_t base = 0;
-  CompactEdge* run = reserveEdgeRun(static_cast<std::uint32_t>(tasks.size()),
-                                    &base);
+  NodeId* run = reserveEdgeRun(static_cast<std::uint32_t>(tasks.size()),
+                               &base);
   std::uint32_t count = 0;
   // Row chunks never relocate: `ids` stays valid across insertions.
   const std::uint32_t* ids = row(id);
-  for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-    const std::uint32_t ai = memo_->step(ids, ti, nextIds_.data());
-    if (ai == TransitionCache::kDisabled) continue;
-    const InternResult r = internSuccessor(nextIds_.data());
-    if (r.inserted) {
-      // Newly discovered node: record its first-discovery parent so that
-      // witness paths can be reconstructed. Externally interned roots keep
-      // kNoNode and terminate pathTo().
-      parent_[r.id] = Parent{id, ai, static_cast<std::uint16_t>(ti)};
+  discovered_.clear();
+  try {
+    for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
+      if (memo_->step(ids, ti, nextIds_.data()) == TransitionCache::kDisabled) {
+        continue;
+      }
+      const InternResult r = internSuccessor(nextIds_.data());
+      noteDiscovery(r, id);
+      run[count++] = r.id;
     }
-    run[count++] = CompactEdge{ai, r.id, static_cast<std::uint16_t>(ti)};
+  } catch (...) {
+    orphanDiscovered();
+    throw;
   }
   edgeUsed_ += count;
   succ_[id] = SuccIndex{base, count};
   stats_.edgesDiscovered += count;
   ++stats_.expansions;
-  return EdgeList(this, count ? run : nullptr, count);
+  return fullList(id);
 }
 
 std::optional<EdgeList> StateGraph::cachedSuccessors(NodeId id) const {
@@ -166,7 +182,7 @@ std::optional<EdgeList> StateGraph::cachedSuccessors(NodeId id) const {
       succ_[id].begin == kUnexpanded) {
     return std::nullopt;
   }
-  return listAt(succ_[id]);
+  return fullList(id);
 }
 
 EdgeList StateGraph::reducedSuccessors(NodeId id) {
@@ -181,8 +197,9 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
   // Pass 1: the ample decision, from the row's enabled classes. No
   // successor is built yet.
   const std::uint32_t* ids = row(id);
-  std::uint64_t enabledMask = 0;
-  const std::uint64_t ampleMask = por_->ampleMask(ids, *memo_, &enabledMask);
+  const std::uint32_t decision = por_->ampleDecision(ids, *memo_);
+  const std::uint64_t ampleMask = memo_->decisionAt(decision).ample;
+  const std::uint64_t enabledMask = memo_->decisionAt(decision).enabled;
   if (ampleMask == enabledMask) {
     // No proper ample set: the full list IS the reduced list.
     const EdgeList full = successors(id);
@@ -192,25 +209,34 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
   // Pass 2: intern the ample targets, in task order -- exactly the prefix
   // of work successors() would do.
   std::uint32_t base = 0;
-  CompactEdge* run = reserveEdgeRun(
+  NodeId* run = reserveEdgeRun(
       static_cast<std::uint32_t>(std::popcount(ampleMask)), &base);
   std::uint32_t count = 0;
   bool open = false;  // C3: some ample target not yet reduced-expanded
-  for (std::uint64_t m = ampleMask; m != 0; m &= m - 1) {
-    const std::size_t ti = static_cast<std::size_t>(std::countr_zero(m));
-    const std::uint32_t ai = memo_->step(ids, ti, nextIds_.data());
-    const InternResult r = internSuccessor(nextIds_.data());
-    if (r.inserted) {
-      parent_[r.id] = Parent{id, ai, static_cast<std::uint16_t>(ti)};
+  discovered_.clear();
+  try {
+    for (std::uint64_t m = ampleMask; m != 0; m &= m - 1) {
+      const std::size_t ti = static_cast<std::size_t>(std::countr_zero(m));
+      (void)memo_->step(ids, ti, nextIds_.data());
+      const InternResult r = internSuccessor(nextIds_.data());
+      noteDiscovery(r, id);
+      if (r.id != id && reducedSucc_[r.id].begin == kUnexpanded) open = true;
+      run[count++] = r.id;
     }
-    if (r.id != id && reducedSucc_[r.id].begin == kUnexpanded) open = true;
-    run[count++] = CompactEdge{ai, r.id, static_cast<std::uint16_t>(ti)};
+  } catch (...) {
+    orphanDiscovered();
+    throw;
   }
   if (!open) {
     // Cycle proviso: every ample move stays inside already reduced-expanded
     // territory (or loops on the node itself), so taking only the ample
     // subset could postpone the skipped tasks forever. Expand fully; the
-    // reserved run is uncommitted and successors() reuses the space.
+    // reserved run is uncommitted and successors() reuses the space. A
+    // fresh target would have been open, so this pass inserted no node
+    // (discovered_ is empty unless it adopted an orphan, which the full
+    // list then adopts again): every parent recorded at `id` belongs to a
+    // committed list, which is what parentEdge relies on.
+    orphanDiscovered();
     por_->noteProvisoHit();
     ++stats_.provisoFallbacks;
     const EdgeList full = successors(id);
@@ -218,12 +244,12 @@ EdgeList StateGraph::reducedSuccessors(NodeId id) {
     return full;
   }
   edgeUsed_ += count;
-  reducedSucc_[id] = SuccIndex{base, count};
+  reducedSucc_[id] = SuccIndex{base, decision};
   stats_.reducedEdges += count;
   ++stats_.reducedExpansions;
   por_->noteReduced(static_cast<std::uint64_t>(std::popcount(enabledMask)),
                     count);
-  return EdgeList(this, count ? run : nullptr, count);
+  return reducedList(id);
 }
 
 std::optional<EdgeList> StateGraph::cachedReducedSuccessors(NodeId id) const {
@@ -233,20 +259,58 @@ std::optional<EdgeList> StateGraph::cachedReducedSuccessors(NodeId id) const {
   }
   if (reducedSucc_[id].begin == kAliasFull) {
     // The alias is only set once the full list is cached.
-    return listAt(succ_[id]);
+    return fullList(id);
   }
-  return listAt(reducedSucc_[id]);
+  return reducedList(id);
+}
+
+std::optional<Edge> StateGraph::successorVia(NodeId id,
+                                             std::size_t taskIndex) {
+  const EdgeList edges = successors(id);
+  const std::uint32_t* ids = row(id);
+  const std::uint32_t ai = memo_->filledAction(ids, taskIndex);
+  if (ai == TransitionCache::kDisabled) return std::nullopt;
+  // The full list holds the enabled tasks in task order: the edge sits at
+  // the task's rank among them.
+  std::size_t rank = 0;
+  for (std::size_t ti = 0; ti < taskIndex; ++ti) {
+    if (memo_->filledAction(ids, ti) != TransitionCache::kDisabled) ++rank;
+  }
+  return Edge{taskAt(taskIndex), actionAt(ai), edges.data()[rank]};
 }
 
 std::optional<Edge> StateGraph::successorVia(NodeId id, const ioa::TaskId& e) {
-  const EdgeList edges = successors(id);
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const CompactEdge& ce = edges.data()[k];
-    if (taskAt(ce.task) == e) {
-      return Edge{taskAt(ce.task), actionAt(ce.action), ce.to};
+  const std::vector<ioa::TaskId>& tasks = sys_.allTasks();
+  const auto it = std::find(tasks.begin(), tasks.end(), e);
+  if (it == tasks.end()) return std::nullopt;
+  return successorVia(id, static_cast<std::size_t>(it - tasks.begin()));
+}
+
+Edge StateGraph::parentEdge(NodeId id) const {
+  const NodeId from = parent_[id];
+  // The parent's committed lists, earliest expansion first.
+  const SuccIndex& full = succ_[from];
+  const SuccIndex& red = reducedSucc_[from];
+  std::optional<EdgeList> lists[2];
+  const bool hasFull = full.begin != kUnexpanded;
+  const bool hasReduced = red.begin != kUnexpanded && red.begin != kAliasFull;
+  if (hasFull && hasReduced && red.begin < full.begin) {
+    lists[0] = reducedList(from);
+    lists[1] = fullList(from);
+  } else {
+    if (hasFull) lists[0] = fullList(from);
+    if (hasReduced) lists[1] = reducedList(from);
+  }
+  for (const std::optional<EdgeList>& l : lists) {
+    if (!l) continue;
+    for (auto it = l->begin(); it != l->end(); ++it) {
+      if (it.to() == id) {
+        return Edge{taskAt(it.taskIndex()), actionAt(it.actionIndex()), id};
+      }
     }
   }
-  return std::nullopt;
+  throw std::logic_error("StateGraph::parentEdge: no list of the parent "
+                         "reaches the node");
 }
 
 bool StateGraph::checkConsistent(std::string* why) const {
@@ -282,27 +346,35 @@ bool StateGraph::checkConsistent(std::string* why) const {
   }
   // Every node sits in exactly one index slot, reachable from its home.
   if (!rows_.checkConsistent(why)) return false;
-  // On a shared memo the pool may hold actions no edge of THIS graph
-  // references; the bound check below (index < poolSize) is still exact.
-  const std::size_t poolSize = memo_->actionPoolSize();
+  // A list's tasks are re-derived from its source row, so its count must
+  // be the number of tasks that re-derivation lists: the enabled tasks of
+  // a full list, the memoized ample mask's bits of a reduced one.
+  const std::size_t nTasks = sys_.allTasks().size();
+  const auto targetsInRange = [n](const EdgeList& l) {
+    for (const NodeId to : l.targets()) {
+      if (static_cast<std::size_t>(to) >= n) return false;
+    }
+    return true;
+  };
   std::uint64_t edges = 0;
   std::uint64_t expanded = 0;
   for (std::size_t id = 0; id < n; ++id) {
     if (succ_[id].begin == kUnexpanded) continue;
     ++expanded;
-    for (std::uint32_t k = 0; k < succ_[id].count; ++k) {
-      const CompactEdge& e = *edgeAt(succ_[id].begin + k);
-      if (static_cast<std::size_t>(e.to) >= n) {
-        return fail("edge targets out-of-range node");
+    const std::uint32_t* ids = row(static_cast<NodeId>(id));
+    std::uint32_t enabled = 0;
+    for (std::size_t ti = 0; ti < nTasks; ++ti) {
+      if (memo_->filledAction(ids, ti) != TransitionCache::kDisabled) {
+        ++enabled;
       }
-      if (e.action >= poolSize) {
-        return fail("edge references out-of-range pooled action");
-      }
-      if (e.task >= sys_.allTasks().size()) {
-        return fail("edge references out-of-range task index");
-      }
-      ++edges;
     }
+    if (enabled != succ_[id].count) {
+      return fail("full list count != enabled tasks of its row");
+    }
+    if (!targetsInRange(fullList(static_cast<NodeId>(id)))) {
+      return fail("edge targets out-of-range node");
+    }
+    edges += succ_[id].count;
   }
   if (edges != stats_.edgesDiscovered) {
     return fail("edgesDiscovered != sum of cached successor lists");
@@ -321,19 +393,28 @@ bool StateGraph::checkConsistent(std::string* why) const {
       continue;
     }
     ++redExpanded;
-    for (std::uint32_t k = 0; k < reducedSucc_[id].count; ++k) {
-      const CompactEdge& e = *edgeAt(reducedSucc_[id].begin + k);
-      if (static_cast<std::size_t>(e.to) >= n) {
-        return fail("reduced edge targets out-of-range node");
-      }
-      if (e.action >= poolSize) {
-        return fail("reduced edge references out-of-range pooled action");
-      }
-      if (e.task >= sys_.allTasks().size()) {
-        return fail("reduced edge references out-of-range task index");
-      }
-      ++redEdges;
+    const std::uint32_t* ids = row(static_cast<NodeId>(id));
+    const std::uint32_t decision = reducedSucc_[id].count;
+    if (decision >= memo_->decisionCount() ||
+        memo_->findAmpleDecision(ids) != decision) {
+      return fail("reduced list keeps another row's ample decision");
     }
+    const TransitionCache::AmpleDecision& d = memo_->decisionAt(decision);
+    if ((d.ample & ~d.enabled) != 0 || d.ample == d.enabled) {
+      return fail("reduced list's ample mask is not a proper enabled subset");
+    }
+    for (std::uint64_t m = d.ample; m != 0; m &= m - 1) {
+      const auto ti = static_cast<std::size_t>(std::countr_zero(m));
+      if (ti >= nTasks ||
+          memo_->filledAction(ids, ti) == TransitionCache::kDisabled) {
+        return fail("reduced list's ample mask lists a disabled task");
+      }
+    }
+    const EdgeList l = reducedList(static_cast<NodeId>(id));
+    if (!targetsInRange(l)) {
+      return fail("reduced edge targets out-of-range node");
+    }
+    redEdges += l.size();
   }
   if (redEdges != stats_.reducedEdges) {
     return fail("reducedEdges != sum of proper reduced lists");
@@ -341,23 +422,41 @@ bool StateGraph::checkConsistent(std::string* why) const {
   if (redExpanded != stats_.reducedExpansions) {
     return fail("reducedExpansions != number of proper reduced lists");
   }
+  // Every parent must have a committed list that reaches the node, or
+  // pathTo cannot re-derive the discovering edge.
   for (std::size_t id = 0; id < n; ++id) {
-    if (parent_[id].from == kNoNode) continue;
-    if (static_cast<std::size_t>(parent_[id].from) >= n) {
+    const NodeId from = parent_[id];
+    if (from == kNoNode || from == kOrphan) continue;
+    if (static_cast<std::size_t>(from) >= n) {
       return fail("parent references out-of-range node");
     }
-    if (parent_[id].action >= poolSize) {
-      return fail("parent references out-of-range pooled action");
+    bool reached = false;
+    for (const std::optional<EdgeList>& l :
+         {cachedSuccessors(from), cachedReducedSuccessors(from)}) {
+      if (!l) continue;
+      const std::span<const NodeId> t = l->targets();
+      if (std::find(t.begin(), t.end(), static_cast<NodeId>(id)) != t.end()) {
+        reached = true;
+      }
     }
+    if (!reached) return fail("no list of a node's parent reaches it");
   }
   return true;
+}
+
+void StateGraph::throwOrphan(const char* what, NodeId id) {
+  throw std::logic_error(std::string("StateGraph::") + what + ": node " +
+                         std::to_string(id) +
+                         " was discovered by an expansion that threw, and "
+                         "no committed successor list reaches it yet");
 }
 
 NodeId StateGraph::rootOf(NodeId id) const {
   NodeId cur = id;
   std::size_t hops = 0;
-  while (parent_[cur].from != kNoNode) {
-    cur = parent_[cur].from;
+  while (parent_[cur] != kNoNode) {
+    if (parent_[cur] == kOrphan) throwOrphan("rootOf", cur);
+    cur = parent_[cur];
     if (++hops > size()) {
       throw std::logic_error("StateGraph::rootOf: parent cycle detected");
     }
@@ -366,13 +465,14 @@ NodeId StateGraph::rootOf(NodeId id) const {
 }
 
 std::vector<Edge> StateGraph::pathTo(NodeId id) const {
-  // Collect the parent chain first (node ids only), then materialize
-  // owning Edge values front to back from the pools.
+  // Collect the parent chain first (node ids only), then re-derive the
+  // discovering edges front to back.
   std::vector<NodeId> chain;
   NodeId cur = id;
-  while (parent_[cur].from != kNoNode) {
+  while (parent_[cur] != kNoNode) {
+    if (parent_[cur] == kOrphan) throwOrphan("pathTo", cur);
     chain.push_back(cur);
-    cur = parent_[cur].from;
+    cur = parent_[cur];
     if (chain.size() > size()) {
       throw std::logic_error("StateGraph::pathTo: parent cycle detected");
     }
@@ -380,8 +480,7 @@ std::vector<Edge> StateGraph::pathTo(NodeId id) const {
   std::vector<Edge> out;
   out.reserve(chain.size());
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const Parent& p = parent_[*it];
-    out.push_back(Edge{taskAt(p.task), actionAt(p.action), *it});
+    out.push_back(parentEdge(*it));
   }
   return out;
 }
@@ -397,10 +496,10 @@ StateGraph::MemoryStats StateGraph::memoryStats() const {
   }
   ms.bytesEdges =
       static_cast<std::uint64_t>(edgeChunks_.size()) * kEdgeChunkCapacity *
-          sizeof(CompactEdge) +
+          sizeof(NodeId) +
       memo_->actionBytes();
   ms.bytesIndex = rows_.indexBytes() +
-                  parent_.capacity() * sizeof(Parent) +
+                  parent_.capacity() * sizeof(NodeId) +
                   succ_.capacity() * sizeof(SuccIndex) +
                   reducedSucc_.capacity() * sizeof(SuccIndex);
   return ms;

@@ -31,17 +31,26 @@
 //     on. Only cold paths call it: witness roots, hook endpoints,
 //     classification, the gamma start, dot export and tests. Hot readers
 //     use row() and slotState().
-//   - The same action payload repeats across thousands of edges, so
-//     actions live once in the transition cache's intern pool (a memo
-//     entry is its action's pool index) and a stored edge is a 12-byte
-//     CompactEdge{action idx, target, task idx}. Successor lists append
+//   - A stored edge is its target NodeId alone, 4 bytes. Under the
+//     determinism of Section 3.1 the action task t enables is a function
+//     of the source row, and the transition cache's entry of (owner slot
+//     id, t) already holds its action-pool index, so the edge label is
+//     re-derived, not stored: a FULL list holds one edge per enabled task
+//     (entry not kDisabled), in task order; a proper REDUCED list holds
+//     one edge per set bit of its memoized ample decision's mask, in task
+//     order. EdgeList's iterator walks the tasks alongside the targets and
+//     reads each entry uncounted (TransitionCache::filledAction), so the
+//     views keep their {task, action, to} shape. Successor lists append
 //     into large fixed-capacity arena chunks (CSR-style; a list never
 //     spans chunks, so a raw pointer+count names it), allocated
 //     uninitialized: an edge slot is written before it is read.
+//   - A first-discovery parent is its `from` node alone; pathTo re-derives
+//     the task (see parentEdge).
 //   - The interning index is the RowTable's util::IdIndex: 8-byte
 //     {32-bit row hash, node} slots, one slot per node.
-// Row chunks, edge chunks and the action deque never relocate, so row
-// pointers and EdgeList views stay valid across graph growth.
+// Row chunks, edge chunks, the memo's entries and the action deque never
+// move or change a filled value, so row pointers and EdgeList views stay
+// valid across graph growth.
 //
 // CONCURRENCY CONTRACT (single writer): StateGraph is NOT thread-safe.
 // intern(), successors(), reducedSuccessors(), successorVia() and the
@@ -54,12 +63,13 @@
 // call concurrently only while no writer is active.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -83,20 +93,8 @@ struct Edge {
   NodeId to = kNoNode;
 };
 
-// Stored form of an edge: indices into the graph's task table and action
-// intern pool plus the target node. 12 bytes, trivial: the arena chunks
-// holding edges are allocated without zero-filling.
-struct CompactEdge {
-  std::uint32_t action;  // index into the action intern pool
-  NodeId to;
-  std::uint16_t task;  // index into System::allTasks()
-};
-static_assert(sizeof(CompactEdge) <= 12, "CompactEdge grew past 12 bytes");
-static_assert(std::is_trivial_v<CompactEdge>,
-              "edge chunks are allocated uninitialized");
-
-// Non-owning view of one stored edge; task/action reference the graph's
-// pools (stable for the graph's lifetime).
+// Non-owning view of one stored edge; task/action reference the system's
+// task list and the memo's action pool (stable for the graph's lifetime).
 struct EdgeView {
   const ioa::TaskId& task;
   const ioa::Action& action;
@@ -105,43 +103,76 @@ struct EdgeView {
 
 class StateGraph;
 
-// Lightweight span view of a node's successor list. Valid for the graph's
-// lifetime: the arena chunks and pools it points into never relocate.
+// Lightweight span view of a node's successor list: the stored targets,
+// plus what re-derives each edge's task and action (the source row, and
+// for a proper reduced list its ample mask). Valid for the graph's
+// lifetime: the arena chunks, rows and pools it points into never
+// relocate.
 class EdgeList {
  public:
   class iterator {
    public:
-    EdgeView operator*() const;
+    EdgeView operator*() const {
+      return EdgeView{memo_->system().allTasks()[task_],
+                      memo_->actionAt(action_), *cur_};
+    }
     iterator& operator++() {
-      ++cur_;
+      if (++cur_ != end_) settle(task_ + 1);
       return *this;
     }
     bool operator==(const iterator& o) const { return cur_ == o.cur_; }
     bool operator!=(const iterator& o) const { return cur_ != o.cur_; }
+    // The edge's task, as an index into System::allTasks(); its action's
+    // index in the memo's pool; its target.
+    std::size_t taskIndex() const { return task_; }
+    std::uint32_t actionIndex() const { return action_; }
+    NodeId to() const { return *cur_; }
 
    private:
     friend class EdgeList;
-    iterator(const StateGraph* g, const CompactEdge* cur) : g_(g), cur_(cur) {}
-    const StateGraph* g_;
-    const CompactEdge* cur_;
+    iterator(const EdgeList& l, const NodeId* cur)
+        : memo_(l.memo_), row_(l.row_), cur_(cur), end_(l.data_ + l.count_),
+          ample_(l.ample_), reduced_(l.reduced_) {
+      if (cur_ != end_) settle(0);
+    }
+    // Finds the task of the edge at cur_: the next set bit of a reduced
+    // list's mask, or a full list's first enabled task at index >= `first`.
+    void settle(std::size_t first);
+
+    const TransitionCache* memo_;
+    const std::uint32_t* row_;
+    const NodeId* cur_;
+    const NodeId* end_;
+    std::uint64_t ample_;
+    bool reduced_;
+    std::size_t task_ = 0;
+    std::uint32_t action_ = 0;
   };
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
+  // The k-th edge; re-derives the tasks of edges 0..k (O(tasks)).
   EdgeView operator[](std::size_t k) const;
-  // The underlying storage; identity of the cached list (tests) and index
-  // access without view materialization.
-  const CompactEdge* data() const { return data_; }
-  iterator begin() const { return iterator(g_, data_); }
-  iterator end() const { return iterator(g_, data_ + count_); }
+  // The stored targets; identity of the cached list (tests) and the
+  // cheap walk for loops that read no task or action.
+  const NodeId* data() const { return data_; }
+  std::span<const NodeId> targets() const { return {data_, count_}; }
+  iterator begin() const { return iterator(*this, data_); }
+  iterator end() const { return iterator(*this, data_ + count_); }
 
  private:
   friend class StateGraph;
-  EdgeList(const StateGraph* g, const CompactEdge* data, std::uint32_t count)
-      : g_(g), data_(data), count_(count) {}
-  const StateGraph* g_;
-  const CompactEdge* data_;
+  EdgeList(const TransitionCache* memo, const std::uint32_t* row,
+           const NodeId* data, std::uint32_t count, std::uint64_t ample,
+           bool reduced)
+      : memo_(memo), row_(row), data_(data), count_(count), ample_(ample),
+        reduced_(reduced) {}
+  const TransitionCache* memo_;
+  const std::uint32_t* row_;
+  const NodeId* data_;
   std::uint32_t count_;
+  std::uint64_t ample_;  // the listed tasks of a proper reduced list
+  bool reduced_;
 };
 
 class StateGraph {
@@ -172,7 +203,7 @@ class StateGraph {
   // component states are hash-consed in the memo's SlotCanonTable, so they
   // are not attributed here);
   // bytesEdges the edge arena chunks plus the action pool and its intern
-  // table; bytesIndex the open-addressing node index, parent records and
+  // table; bytesIndex the open-addressing node index, parent nodes and
   // per-node successor spans.
   struct MemoryStats {
     std::uint64_t bytesStates = 0;
@@ -207,8 +238,8 @@ class StateGraph {
   static constexpr std::uint32_t kEdgeChunkShift = 15;
   static constexpr std::uint32_t kEdgeChunkCapacity = 1u << kEdgeChunkShift;
 
-  // Checked narrowing for the compact edge encoding: every stored edge
-  // carries a 16-bit task index and one node's successor list must fit a
+  // Checked bounds of the task count: the hook scans record a 16-bit task
+  // index per visited node, and one node's successor list must fit a
   // single arena chunk of `chunkCapacity` edges. Throws
   // std::invalid_argument naming the violated bound; called by the
   // constructor with kEdgeChunkCapacity (the candidate zoo can produce big
@@ -249,8 +280,11 @@ class StateGraph {
   // half-mutated. Verifies parallel-array sizes, stats/size agreement, the
   // row store (one row per node, every id issued by the memo's table for
   // that slot), the node index (every node in exactly one slot, reachable
-  // from its home slot), and edge-target/pool-index bounds. Returns false
-  // and (when `why` is non-null) a diagnostic on the first violation.
+  // from its home slot), edge-target bounds, each list's count against
+  // what re-derives its tasks (the enabled tasks of a full list, the
+  // memoized ample mask of a reduced one), and that every parent's lists
+  // reach its node. Returns false and (when `why` is non-null) a
+  // diagnostic on the first violation.
   bool checkConsistent(std::string* why = nullptr) const;
 
   // Canonical node id for `s` (inserted if new). `s` may come from
@@ -308,50 +342,53 @@ class StateGraph {
   // `id` has not been reduced-expanded. Const, like cachedSuccessors().
   std::optional<EdgeList> cachedReducedSuccessors(NodeId id) const;
 
-  // The unique e-successor of `id`, if task e is applicable.
+  // The unique successor of `id` by task #taskIndex (an index into
+  // System::allTasks()), if that task is applicable: the edge at the
+  // task's rank among the enabled tasks of the full list.
+  std::optional<Edge> successorVia(NodeId id, std::size_t taskIndex);
+  // The same by task value.
   std::optional<Edge> successorVia(NodeId id, const ioa::TaskId& e);
 
   // Path of edges from the oldest known ancestor (an interned root) to
-  // `id`, following first-discovery parents.
+  // `id`, following first-discovery parents. Throws std::logic_error when
+  // the chain meets a node discovered by an expansion that threw and not
+  // reached by a committed list since (an orphan); rootOf() alike.
   std::vector<Edge> pathTo(NodeId id) const;
 
   // The parentless ancestor reached by following first-discovery parents.
   NodeId rootOf(NodeId id) const;
 
   // Pool accessors backing EdgeView (also handy for tests/export).
-  const ioa::TaskId& taskAt(std::uint16_t idx) const {
+  const ioa::TaskId& taskAt(std::size_t idx) const {
     return sys_.allTasks()[idx];
   }
   const ioa::Action& actionAt(std::uint32_t idx) const {
     return memo_->actionAt(idx);
   }
-  // Distinct actions interned so far (every stored edge and parent record
-  // references one of these; on a shared memo the pool may hold more
-  // actions than this graph's edges reference).
+  // Distinct actions interned so far (every edge's re-derived action is
+  // one of these; on a shared memo the pool may hold more actions than
+  // this graph's edges reference).
   std::size_t actionPoolSize() const { return memo_->actionPoolSize(); }
 
  private:
-  // Compact first-discovery parent: the action is interned in the same
-  // pool as the edges, so a parent record is 12 bytes instead of carrying
-  // a full Action payload.
-  struct Parent {
-    NodeId from = kNoNode;
-    std::uint32_t action = 0;
-    std::uint16_t task = 0;
-  };
-
   // Per-node successor span: global arena position of the first edge (or
-  // kUnexpanded) and edge count. Expanded-but-empty lists keep a valid
-  // begin with count 0.
+  // kUnexpanded) and, for the full tier, the edge count. A proper reduced
+  // list keeps its ample decision's id (TransitionCache::decisionAt) in
+  // place of the count, which is the mask's popcount. Expanded-but-empty
+  // lists keep a valid begin with count 0.
   struct SuccIndex {
     std::uint32_t begin = kUnexpanded;
-    std::uint32_t count = 0;
+    std::uint32_t count = 0;  // full tier: edges; reduced tier: decision id
   };
   static constexpr std::uint32_t kUnexpanded = static_cast<std::uint32_t>(-1);
   // Reduced-tier sentinel: the list is the node's full successor list
   // (proviso fallback / no proper ample set). Never a valid arena
   // position: runs are bounded by the chunk count.
   static constexpr std::uint32_t kAliasFull = static_cast<std::uint32_t>(-2);
+  // Parent of a node discovered by an expansion that threw: no committed
+  // list reaches it, so its discovering edge cannot be re-derived. The
+  // next committed list that reaches it adopts it.
+  static constexpr NodeId kOrphan = kNoNode - 1;
 
   // Intern result: `inserted` distinguishes first discovery from a lookup
   // hit, which is what decides whether a first-discovery parent may be
@@ -362,6 +399,19 @@ class StateGraph {
   };
 
   void assertWriter() const;
+
+  // Records `from` as the parent of `r.id` when `r` inserted it (or it is
+  // an orphan), remembering it in discovered_ for orphanDiscovered().
+  void noteDiscovery(const InternResult& r, NodeId from);
+  // The expansion in progress will not commit (it threw, or the proviso
+  // rejected it): the nodes it discovered become orphans.
+  void orphanDiscovered();
+  [[noreturn]] static void throwOrphan(const char* what, NodeId id);
+  // The edge that first discovered `id` (which must have a parent): the
+  // first edge reaching `id` in the earliest expanded list of its parent.
+  // An expansion interns its targets in list order, and arena positions
+  // grow over time, so that is the edge whose interning inserted `id`.
+  Edge parentEdge(NodeId id) const;
 
   // Interning of a row of this memo's ids that already is its orbit
   // representative (or no symmetry policy is active). `ids` must not
@@ -377,13 +427,25 @@ class StateGraph {
   // return its base; commit happens by bumping edgeUsed_ with the actual
   // count. Non-reentrant: one run is open at a time (expansion never
   // recurses into expansion).
-  CompactEdge* reserveEdgeRun(std::uint32_t need, std::uint32_t* base);
-  const CompactEdge* edgeAt(std::uint32_t pos) const {
+  NodeId* reserveEdgeRun(std::uint32_t need, std::uint32_t* base);
+  const NodeId* edgeAt(std::uint32_t pos) const {
     return edgeChunks_[pos >> kEdgeChunkShift].get() +
            (pos & (kEdgeChunkCapacity - 1));
   }
-  EdgeList listAt(const SuccIndex& si) const {
-    return EdgeList(this, si.count ? edgeAt(si.begin) : nullptr, si.count);
+  // Node `id`'s full list (cached) and its proper reduced list (begin is
+  // an arena position).
+  EdgeList fullList(NodeId id) const {
+    const SuccIndex& si = succ_[id];
+    return EdgeList(memo_.get(), row(id),
+                    si.count ? edgeAt(si.begin) : nullptr, si.count, 0,
+                    false);
+  }
+  EdgeList reducedList(NodeId id) const {
+    const SuccIndex& si = reducedSucc_[id];
+    const std::uint64_t ample = memo_->decisionAt(si.count).ample;
+    const auto count = static_cast<std::uint32_t>(std::popcount(ample));
+    return EdgeList(memo_.get(), row(id), count ? edgeAt(si.begin) : nullptr,
+                    count, ample, true);
   }
 
   const ioa::System& sys_;
@@ -399,10 +461,13 @@ class StateGraph {
   // Reduced tier (parallel to succ_; only populated when porActive()):
   // begin is an arena position, kAliasFull, or kUnexpanded.
   std::vector<SuccIndex> reducedSucc_;
-  std::vector<Parent> parent_;
+  // First-discovery parent per node, kNoNode for a root (or kOrphan).
+  std::vector<NodeId> parent_;
+  // Nodes the expansion in progress discovered (scratch).
+  std::vector<NodeId> discovered_;
 
   // One arena chunk of kEdgeChunkCapacity edges; chunks never relocate.
-  using EdgeChunk = std::unique_ptr<CompactEdge[]>;
+  using EdgeChunk = std::unique_ptr<NodeId[]>;
 
   // Edge arena: fixed-capacity chunks that never relocate; successor lists
   // are contiguous runs inside one chunk. edgeUsed_ is the tail of the
@@ -430,14 +495,25 @@ class StateGraph {
 #endif
 };
 
-inline EdgeView EdgeList::iterator::operator*() const {
-  return EdgeView{g_->taskAt(cur_->task), g_->actionAt(cur_->action),
-                  cur_->to};
+inline void EdgeList::iterator::settle(std::size_t first) {
+  if (reduced_) {
+    // The listed tasks are the mask's bits; ample_ keeps those not yet
+    // reached.
+    task_ = static_cast<std::size_t>(std::countr_zero(ample_));
+    ample_ &= ample_ - 1;
+    action_ = memo_->filledAction(row_, task_);
+    return;
+  }
+  for (task_ = first;; ++task_) {
+    action_ = memo_->filledAction(row_, task_);
+    if (action_ != TransitionCache::kDisabled) return;
+  }
 }
 
 inline EdgeView EdgeList::operator[](std::size_t k) const {
-  const CompactEdge& ce = data_[k];
-  return EdgeView{g_->taskAt(ce.task), g_->actionAt(ce.action), ce.to};
+  iterator it = begin();
+  while (k-- > 0) ++it;
+  return *it;
 }
 
 }  // namespace boosting::analysis

@@ -118,6 +118,19 @@ std::uint32_t TransitionCache::enabledClass(const std::uint32_t* ids,
   return it->second;
 }
 
+std::uint32_t TransitionCache::findAmpleDecision(
+    const std::uint32_t* ids) const {
+  std::vector<std::uint32_t> classes(width());
+  for (std::size_t k = 0; k < width(); ++k) {
+    if (ids[k] >= idInfo_.size() ||
+        idInfo_[ids[k]].enabledClass == kUnknown) {
+      return RowTable::kNone;
+    }
+    classes[k] = idInfo_[ids[k]].enabledClass;
+  }
+  return decisionRows_.find(classes.data()).id;
+}
+
 std::uint32_t TransitionCache::successorId(std::uint32_t id,
                                            const ioa::Action& a) {
   // Copy out of the rep: registering the successor may grow the table.

@@ -19,7 +19,8 @@
 // entry IS its action's index in the cache's ACTION POOL: the enabled
 // action is interned there on the entry's miss, so the thousands of
 // entries that enable one of a few dozen distinct actions share one
-// stored copy, and the graph's edges store the same index. The action
+// stored copy. The graph stores no task or action per edge: it re-reads
+// them from the source row's filled entries (filledAction). The action
 // identity in the second memo is represented by its producer (the row
 // entry) -- determinism again -- and the owner is always a participant
 // of its own task's action, so its successor lives in the entry itself.
@@ -64,12 +65,15 @@
 //     cache's table can never select a wrong row.
 //   - A transition-memo entry is its action's index in the pool, and the
 //     cache owns the pool, so the index cannot go stale across the graphs
-//     that share the cache.
+//     that share the cache. The same holds for the ample decision ids a
+//     graph keeps per reduced list.
 //   - The action pool assigns indices in first-miss order. Two
 //     explorations of the same system miss on the same entries in the
 //     same order (the engines are deterministic), so a warm pool hands out
-//     exactly the indices a cold one would -- warm and cold CompactEdges
-//     are bit-identical (asserted by tests/serve/serve_cache_test).
+//     exactly the indices a cold one would. A stored edge is its 4-byte
+//     target alone, and warm and cold graphs store the same targets and
+//     re-derive the same task and pool index for every edge (asserted by
+//     tests/serve/serve_cache_test).
 //   - Nothing here is thread-safe. A cache must be used by at most one
 //     exploration at a time; the service enforces this with exclusive
 //     leases (serve::ServiceContextPool) whose mutex handoff also provides
@@ -80,6 +84,7 @@
 // the built System alongside the cache for exactly this reason).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -159,9 +164,24 @@ class TransitionCache {
   const ioa::Action* enabledAction(const std::uint32_t* ids,
                                    std::size_t taskIndex);
 
+  // The pool index task #taskIndex enables in `ids`, or kDisabled, read
+  // from an entry that step() or enabledClass() already filled: every
+  // entry of a row the graph expanded or reduced. Not a memo lookup, so
+  // uncounted: this is how edges re-derive their task and action.
+  std::uint32_t filledAction(const std::uint32_t* ids,
+                             std::size_t taskIndex) const {
+    const std::uint32_t a =
+        entries_[idInfo_[ids[ownerSlot_[taskIndex]]].row +
+                 rowOffset_[taskIndex]]
+            .action;
+    assert(a != kUnknown && "filledAction on an unfilled memo entry");
+    return a;
+  }
+
   // The action pool: every distinct enabled action, interned on the miss
   // of the first entry that enables it. Indices are assigned in first-miss
-  // order and never change; the deque keeps references stable.
+  // order and never change; the deque keeps references stable (EdgeView
+  // refers here).
   const ioa::Action& actionAt(std::uint32_t idx) const { return pool_[idx]; }
   std::size_t actionPoolSize() const { return pool_.size(); }
   // Shallow bytes of the pool and its intern index.
@@ -179,21 +199,29 @@ class TransitionCache {
   // of the System, so it is safe in a shared memo.
   std::uint32_t enabledClass(const std::uint32_t* ids, std::size_t slot);
 
-  // The ample decision of the configuration `ids`, memoized on its row of
-  // enabled classes; `decide()` computes it on the row's first request.
-  // A warm decision makes no heap allocation.
+  // The id of the ample decision of the configuration `ids` (see
+  // decisionAt), memoized on its row of enabled classes; `decide()`
+  // computes it on the row's first request. A warm decision makes no heap
+  // allocation.
   template <class Decide>
-  const AmpleDecision& ampleDecision(const std::uint32_t* ids,
-                                     Decide&& decide) {
+  std::uint32_t ampleDecision(const std::uint32_t* ids, Decide&& decide) {
     for (std::size_t k = 0; k < width(); ++k) {
       classRow_[k] = enabledClass(ids, k);
     }
     const RowTable::Probe p = decisionRows_.find(classRow_.data());
-    if (p.id != RowTable::kNone) return decisions_[p.id];
+    if (p.id != RowTable::kNone) return p.id;
     decisions_.push_back(decide());
-    decisionRows_.insert(p, classRow_.data());
-    return decisions_.back();
+    return decisionRows_.insert(p, classRow_.data());
   }
+  // The memoized decision `id`. Ids are dense and never reused, so a
+  // graph may keep one per reduced list.
+  const AmpleDecision& decisionAt(std::uint32_t id) const {
+    return decisions_[id];
+  }
+  // The id ampleDecision() gave `ids`, read without filling anything;
+  // RowTable::kNone when some slot's class or the decision is not
+  // memoized yet. For self-checks.
+  std::uint32_t findAmpleDecision(const std::uint32_t* ids) const;
   // Memoized ample decisions.
   std::size_t decisionCount() const { return decisions_.size(); }
 

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <span>
 #include <stdexcept>
 
 namespace boosting::analysis {
@@ -14,6 +13,7 @@ namespace boosting::analysis {
 namespace {
 constexpr std::uint8_t kReach0 = 1;
 constexpr std::uint8_t kReach1 = 2;
+constexpr std::uint8_t kReachUnknown = 0xff;  // reach_ entry not filled
 constexpr std::uint8_t kInRegion = 0x40;
 constexpr std::uint8_t kExplored = 0x80;
 constexpr std::uint32_t kNoLocal = static_cast<std::uint32_t>(-1);
@@ -88,17 +88,10 @@ void ValenceAnalyzer::explore(NodeId root) {
       // the true valence of every region node (see DESIGN.md).
       const EdgeList edges = g_.exploreSuccessors(id);
       ensureSize();
-      for (const EdgeView e : edges) {
+      for (auto it = edges.begin(); it != edges.end(); ++it) {
         // Direct decision edges seed the source node's bits.
-        if (e.action.kind == ioa::ActionKind::EnvDecide) {
-          if (auto v = ioa::decisionValue(e.action)) {
-            std::uint8_t add = 0;
-            if (*v == dec0_) add = kReach0;
-            if (*v == dec1_) add = kReach1;
-            bits_[id] |= add;
-          }
-        }
-        if (!marked(e.to)) enqueue(e.to);
+        bits_[id] |= reachOf(it.actionIndex());
+        if (!marked(it.to())) enqueue(it.to());
       }
     }
   } catch (...) {
@@ -118,17 +111,16 @@ void ValenceAnalyzer::explore(NodeId root) {
   // indices after the region's; the already-explored ones among them have
   // final bits and seed phase 3.
   const auto regionEdges = [this](NodeId id) {
-    const EdgeList edges = g_.exploreSuccessors(id);
-    return std::span<const CompactEdge>(edges.data(), edges.size());
+    return g_.exploreSuccessors(id).targets();
   };
   std::vector<NodeId> outside;
   std::vector<std::uint32_t> begin(region.size() + 1, 0);
   for (NodeId id : region) {
-    for (const CompactEdge& ce : regionEdges(id)) {
-      std::uint32_t& k = local_[ce.to];
+    for (const NodeId to : regionEdges(id)) {
+      std::uint32_t& k = local_[to];
       if (k == kNoLocal) {
         k = static_cast<std::uint32_t>(region.size() + outside.size());
-        outside.push_back(ce.to);
+        outside.push_back(to);
         begin.push_back(0);
       }
       ++begin[k];
@@ -144,8 +136,8 @@ void ValenceAnalyzer::explore(NodeId root) {
   {
     std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
     for (NodeId id : region) {
-      for (const CompactEdge& ce : regionEdges(id)) {
-        preds[fill[local_[ce.to]]++] = id;
+      for (const NodeId to : regionEdges(id)) {
+        preds[fill[local_[to]]++] = id;
       }
     }
   }
@@ -187,6 +179,24 @@ void ValenceAnalyzer::explore(NodeId root) {
     reg->add("valence.region_nodes", region.size());
     reg->maxOf("valence.frontier_peak", frontierPeak);
   }
+}
+
+std::uint8_t ValenceAnalyzer::reachOf(std::uint32_t action) {
+  if (action >= reach_.size()) {
+    reach_.resize(g_.actionPoolSize(), kReachUnknown);
+  }
+  std::uint8_t& r = reach_[action];
+  if (r == kReachUnknown) {
+    r = 0;
+    const ioa::Action& a = g_.actionAt(action);
+    if (a.kind == ioa::ActionKind::EnvDecide) {
+      if (auto v = ioa::decisionValue(a)) {
+        if (*v == dec0_) r = kReach0;
+        if (*v == dec1_) r = kReach1;
+      }
+    }
+  }
+  return r;
 }
 
 Valence ValenceAnalyzer::valence(NodeId id) const {

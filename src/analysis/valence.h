@@ -65,8 +65,13 @@ class ValenceAnalyzer {
   // costs O(region), not O(graph).
   std::vector<std::uint32_t> local_;
   std::size_t exploredCount_ = 0;
+  // Per action-pool index: the decision bits (kReach0/kReach1, or 0) an
+  // edge with that action seeds at its source, filled on first sight, so
+  // the region BFS reads one byte per edge.
+  std::vector<std::uint8_t> reach_;
 
   void ensureSize();
+  std::uint8_t reachOf(std::uint32_t action);
 };
 
 }  // namespace boosting::analysis

@@ -86,7 +86,7 @@ bool Registry::writeMetricsJson(const std::string& path,
     std::fprintf(stderr, "obs: cannot open %s for writing\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"schema\": \"boosting-metrics-v12\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"boosting-metrics-v13\",\n");
   std::fprintf(f, "  \"tool\": %s,\n", quoteJson(tool).c_str());
   std::fprintf(f, "  \"counters\": [\n");
   for (std::size_t i = 0; i < cs.size(); ++i) {

@@ -64,8 +64,9 @@ int main() {
   const auto decideAll = [&] {
     for (std::size_t id = 0; id < g.size(); ++id) {
       const std::uint32_t* ids = g.row(static_cast<analysis::NodeId>(id));
-      std::uint64_t enabled = 0;
-      if (por->ampleMask(ids, cache, &enabled) != enabled) {
+      const analysis::TransitionCache::AmpleDecision& d =
+          cache.decisionAt(por->ampleDecision(ids, cache));
+      if (d.ample != d.enabled) {
         ++reduced;
       }
     }

@@ -1,6 +1,7 @@
 // Differential tests for the flat StateGraph memory layout: the pooled
-// CSR edge arena, the interned action table and the compact
-// {task_idx, action_idx, to} edges are storage changes only -- every
+// CSR edge arena, the interned action table and the 4-byte target-only
+// edges (task and action re-derived from the source row) are storage
+// changes only -- every
 // observable (successor lists, witness paths, rootOf, node numbering)
 // must be independent of the layout. The oracle here is the
 // System itself: enabled()/applyInPlace() recompute each successor list
@@ -135,10 +136,11 @@ TEST(GraphLayout, SuccessorListsMatchSystemOracle) {
   EXPECT_GT(maxEdges, 4u * StateGraph::kEdgeChunkCapacity);
 }
 
-// The raw compact edges must round-trip through the intern pools: action
-// and task indices in range and decoding to the exact values the view
-// exposes, with the pool actually deduplicating repeated actions.
-TEST(GraphLayout, CompactEdgesRoundTripThroughInternPools) {
+// A stored edge is its target alone; the iterator re-derives the task and
+// action indices from the source row. They must be in range and decode to
+// the exact objects the view exposes, with the pool actually
+// deduplicating repeated actions.
+TEST(GraphLayout, EdgesReDeriveThroughInternPools) {
   for (const Fixture& fx : kFixtures) {
     auto sys = fx.build();
     StateGraph g(*sys);
@@ -148,14 +150,16 @@ TEST(GraphLayout, CompactEdgesRoundTripThroughInternPools) {
     for (NodeId x = 0; x < g.size(); ++x) {
       const auto edges = g.cachedSuccessors(x);
       if (!edges) continue;
-      for (std::size_t k = 0; k < edges->size(); ++k) {
-        const CompactEdge& ce = edges->data()[k];
-        ASSERT_LT(ce.action, g.actionPoolSize()) << fx.name;
-        ASSERT_LT(ce.task, sys->allTasks().size()) << fx.name;
-        ASSERT_LT(ce.to, g.size()) << fx.name;
-        const EdgeView e = (*edges)[k];
-        EXPECT_EQ(&g.actionAt(ce.action), &e.action);
-        EXPECT_EQ(&g.taskAt(ce.task), &e.task);
+      std::size_t k = 0;
+      for (auto it = edges->begin(); it != edges->end(); ++it, ++k) {
+        ASSERT_LT(it.actionIndex(), g.actionPoolSize()) << fx.name;
+        ASSERT_LT(it.taskIndex(), sys->allTasks().size()) << fx.name;
+        ASSERT_LT(it.to(), g.size()) << fx.name;
+        ASSERT_EQ(it.to(), edges->data()[k]) << fx.name;
+        const EdgeView e = *it;
+        EXPECT_EQ(&g.actionAt(it.actionIndex()), &e.action);
+        EXPECT_EQ(&g.taskAt(it.taskIndex()), &e.task);
+        EXPECT_EQ(&(*edges)[k].action, &e.action);
         ++totalEdges;
       }
     }
@@ -167,7 +171,7 @@ TEST(GraphLayout, CompactEdgesRoundTripThroughInternPools) {
 }
 
 // Witness paths replay through the real System to the node's state even
-// though parents store only intern indices.
+// though a parent stores only its `from` node.
 TEST(GraphLayout, PathToReplaysThroughSystem) {
   for (const Fixture& fx : kFixtures) {
     auto sys = fx.build();
@@ -200,14 +204,14 @@ TEST(GraphLayout, MemoryStatsTrackGrowth) {
   EXPECT_GT(full.bytesIndex, 0u);
   // Edge accounting is chunk-granular (reserved arena slack counts), so
   // bound it by whole chunks rather than per state: this small fixture
-  // must fit one 2^15-slot chunk of 12-byte edges plus pool overhead.
+  // must fit one 2^15-slot chunk of 4-byte edges plus pool overhead.
   std::size_t edgeCount = 0;
   for (NodeId x = 0; x < g.size(); ++x) {
     if (const auto edges = g.cachedSuccessors(x)) edgeCount += edges->size();
   }
-  EXPECT_GE(full.bytesEdges, edgeCount * sizeof(CompactEdge));
+  EXPECT_GE(full.bytesEdges, edgeCount * sizeof(NodeId));
   EXPECT_LE(full.bytesEdges,
-            StateGraph::kEdgeChunkCapacity * sizeof(CompactEdge) + (1u << 20));
+            StateGraph::kEdgeChunkCapacity * sizeof(NodeId) + (1u << 20));
   EXPECT_EQ(full.total(),
             full.bytesStates + full.bytesEdges + full.bytesIndex);
 }

@@ -261,7 +261,7 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
             std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['),
             std::count(doc.begin(), doc.end(), ']'));
-  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v12\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v13\""), std::string::npos);
   EXPECT_NE(doc.find("\"tool\": \"obs_metrics_test\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"timers\""), std::string::npos);
@@ -272,6 +272,8 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   EXPECT_NE(doc.find("graph.bytes_edges"), std::string::npos);
   EXPECT_NE(doc.find("graph.bytes_index"), std::string::npos);
   EXPECT_NE(doc.find("process.peak_rss_bytes"), std::string::npos);
+  // v13: the reduced tier's stored edges.
+  EXPECT_NE(doc.find("graph.reduced_edges"), std::string::npos);
   // v11 dropped the engine-only explorer.worker*/threads counters.
   EXPECT_EQ(doc.find("explorer.worker"), std::string::npos);
   EXPECT_EQ(doc.find("explorer.threads"), std::string::npos);

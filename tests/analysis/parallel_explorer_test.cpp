@@ -3,7 +3,8 @@
 // The certificate pipeline expands G(C) lazily (the valence analyzer's
 // region BFS); benches, tools and tests use exploreReachable to
 // materialize a region up front. Both must produce the same graph: node
-// ids, states, parents, compact edges and action intern indices. These
+// ids, states, parents, edges (targets and re-derived task and action
+// indices) and action intern indices. These
 // tests check that, the maxStates valve, and that the harness-only policy
 // and stats fields stay inert.
 #include "analysis/parallel_explorer.h"
@@ -22,6 +23,7 @@
 #include "analysis/valence.h"
 #include "processes/relay_consensus.h"
 #include "processes/tob_consensus.h"
+#include "support/edge_lists.h"
 
 namespace boosting::analysis {
 namespace {
@@ -47,19 +49,6 @@ std::unique_ptr<ioa::System> tob(int n, int f) {
   return buildTOBConsensusSystem(spec);
 }
 
-void expectSameEdges(std::optional<EdgeList> a, std::optional<EdgeList> b,
-                     NodeId id) {
-  ASSERT_EQ(a.has_value(), b.has_value()) << "cache mismatch at " << id;
-  if (!a) return;
-  ASSERT_EQ(a->size(), b->size()) << "fan-out mismatch at " << id;
-  for (std::size_t k = 0; k < a->size(); ++k) {
-    EXPECT_EQ(a->data()[k].task, b->data()[k].task) << "edge task at " << id;
-    EXPECT_EQ(a->data()[k].action, b->data()[k].action)
-        << "edge action at " << id;
-    EXPECT_EQ(a->data()[k].to, b->data()[k].to) << "edge target at " << id;
-  }
-}
-
 // Bit-for-bit graph equality: same node count, the same state behind every
 // node id, the same first-discovery parent chains (via pathTo), the same
 // cached full and reduced successor lists, and the same action pool.
@@ -69,8 +58,8 @@ void expectSameGraph(const StateGraph& a, const StateGraph& b) {
   for (NodeId id = 0; id < a.size(); ++id) {
     ASSERT_TRUE(a.state(id).equals(b.state(id)))
         << "state mismatch at node " << id;
-    expectSameEdges(a.cachedSuccessors(id), b.cachedSuccessors(id), id);
-    expectSameEdges(a.cachedReducedSuccessors(id),
+    expectSameEdgeLists(a.cachedSuccessors(id), b.cachedSuccessors(id), id);
+    expectSameEdgeLists(a.cachedReducedSuccessors(id),
                     b.cachedReducedSuccessors(id), id);
     const auto pa = a.pathTo(id);
     const auto pb = b.pathTo(id);

@@ -131,10 +131,11 @@ TEST(PorClassMemo, ClassRowDecisionEqualsActionDecision) {
     const auto byAction = PorPolicy::forSystem(sys, PorMode::Auto);
     std::uint64_t reduced = 0;
     for (NodeId id = 0; id < g.size(); ++id) {
-      std::uint64_t enabledClass = 0;
       std::uint64_t enabledAction = 0;
-      const std::uint64_t ampleClass =
-          byClass->ampleMask(g.row(id), *g.memo(), &enabledClass);
+      const TransitionCache::AmpleDecision& byRow = g.memo()->decisionAt(
+          byClass->ampleDecision(g.row(id), *g.memo()));
+      const std::uint64_t enabledClass = byRow.enabled;
+      const std::uint64_t ampleClass = byRow.ample;
       const std::uint64_t ampleAction =
           actionDecision(g, id, *byAction, &enabledAction);
       ASSERT_EQ(enabledClass, enabledAction) << fx.name << " node " << id;
@@ -231,8 +232,7 @@ TEST(PorClassMemo, MemoHitsCountEveryEvaluation) {
 
   // A second pass is answered from the memo and counts again, exactly.
   for (const NodeId id : visited) {
-    std::uint64_t enabled = 0;
-    (void)por->ampleMask(g.row(id), *g.memo(), &enabled);
+    (void)por->ampleDecision(g.row(id), *g.memo());
   }
   EXPECT_EQ(por->nodesEvaluated(), 2 * visited.size());
   EXPECT_EQ(por->declarationViolations(),
@@ -254,10 +254,11 @@ TEST(PorClassMemo, AnotherCacheStartsTheMemoAfresh) {
   ValenceAnalyzer va2(second);
   (void)findBivalentInitialization(second, va2);
   for (NodeId id = 0; id < second.size(); ++id) {
-    std::uint64_t e1 = 0;
+    const TransitionCache::AmpleDecision& d = second.memo()->decisionAt(
+        por->ampleDecision(second.row(id), *second.memo()));
+    const std::uint64_t e1 = d.enabled;
+    const std::uint64_t m1 = d.ample;
     std::uint64_t e2 = 0;
-    const std::uint64_t m1 =
-        por->ampleMask(second.row(id), *second.memo(), &e1);
     const std::uint64_t m2 = actionDecision(second, id, *fresh, &e2);
     ASSERT_EQ(e1, e2) << "node " << id;
     ASSERT_EQ(m1, m2) << "node " << id;

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/adversary.h"
 #include "analysis/bivalence.h"
@@ -18,6 +19,7 @@
 #include "serve/candidates.h"
 #include "serve/scheduler.h"
 #include "sim/trace_io.h"
+#include "support/edge_lists.h"
 
 namespace boosting::serve {
 namespace {
@@ -57,7 +59,7 @@ TEST(ServeCache, WarmMemoVerdictBitIdenticalToCold) {
   expectBitIdentical(cold, third);
   // Warm runs re-intern the same actions: the pool must not grow, and the
   // indices handed out are the same first-intern-order indices (otherwise
-  // the CompactEdges comparisons above could not have matched).
+  // the re-derived action indices compared above could not have matched).
   EXPECT_EQ(memo->actionPoolSize(), poolAfterFirst);
 }
 
@@ -79,20 +81,11 @@ TEST(ServeCache, WarmMemoGraphsMatchNodeForNode) {
     for (analysis::NodeId n = 0; n < cold.size(); ++n) {
       ASSERT_EQ(warm.state(n), cold.state(n))
           << "node " << n << " diverged in round " << round;
-      // Stored edges, pool indices included, are identical field for
-      // field: the warm pool hands out the indices a cold one would.
-      const auto coldEdges = cold.cachedSuccessors(n);
-      const auto warmEdges = warm.cachedSuccessors(n);
-      ASSERT_EQ(warmEdges.has_value(), coldEdges.has_value()) << "node " << n;
-      if (!coldEdges) continue;
-      ASSERT_EQ(warmEdges->size(), coldEdges->size()) << "node " << n;
-      for (std::size_t k = 0; k < coldEdges->size(); ++k) {
-        const analysis::CompactEdge& c = coldEdges->data()[k];
-        const analysis::CompactEdge& w = warmEdges->data()[k];
-        EXPECT_EQ(w.action, c.action) << "node " << n << " round " << round;
-        EXPECT_EQ(w.to, c.to) << "node " << n << " round " << round;
-        EXPECT_EQ(w.task, c.task) << "node " << n << " round " << round;
-      }
+      // Stored targets and re-derived task and pool indices are identical:
+      // the warm pool hands out the indices a cold one would.
+      SCOPED_TRACE("round " + std::to_string(round));
+      analysis::expectSameEdgeLists(warm.cachedSuccessors(n),
+                                    cold.cachedSuccessors(n), n);
     }
     std::string why;
     EXPECT_TRUE(warm.checkConsistent(&why)) << why;
@@ -169,16 +162,8 @@ TEST(ServeCache, WarmPorJobAddsNoAmpleDecision) {
   ASSERT_EQ(warm->size(), cold->size());
   for (analysis::NodeId n = 0; n < cold->size(); ++n) {
     ASSERT_EQ(warm->state(n), cold->state(n)) << "node " << n;
-    const auto coldEdges = cold->cachedReducedSuccessors(n);
-    const auto warmEdges = warm->cachedReducedSuccessors(n);
-    ASSERT_EQ(warmEdges.has_value(), coldEdges.has_value()) << "node " << n;
-    if (!coldEdges) continue;
-    ASSERT_EQ(warmEdges->size(), coldEdges->size()) << "node " << n;
-    for (std::size_t k = 0; k < coldEdges->size(); ++k) {
-      EXPECT_EQ(warmEdges->data()[k].action, coldEdges->data()[k].action);
-      EXPECT_EQ(warmEdges->data()[k].to, coldEdges->data()[k].to);
-      EXPECT_EQ(warmEdges->data()[k].task, coldEdges->data()[k].task);
-    }
+    analysis::expectSameEdgeLists(warm->cachedReducedSuccessors(n),
+                                  cold->cachedReducedSuccessors(n), n);
   }
   EXPECT_EQ(warm->stats().reducedExpansions, cold->stats().reducedExpansions);
   std::string why;

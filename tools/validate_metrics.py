@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a boosting-metrics-v12 JSON file against docs/metrics_schema.json.
+"""Validate a boosting-metrics-v13 JSON file against docs/metrics_schema.json.
 
 Hand-rolled validator for the draft-07 subset the schema actually uses
 (type, required, properties, additionalProperties, items, enum, minimum,
@@ -17,6 +17,9 @@ promise:
     least a byte, in practice dozens) and a nonzero process.peak_rss_bytes
     is >= the sum of the graph.bytes_* gauges (the process cannot hold the
     graph in less memory than the graph's own accounting);
+  * graph.bytes_edges >= 4 * (graph.edges_discovered +
+    graph.reduced_edges) when graph.reduced_edges is present (v13): every
+    stored edge, full or reduced tier, is a 4-byte target;
   * when partial-order reduction ran (explorer.por.* counters present, v4),
     states_reduced <= nodes_evaluated (only evaluated nodes can commit an
     ample subset), tasks_skipped >= states_reduced (every reduced node
@@ -197,6 +200,14 @@ def check_invariants(doc, max_peak_rss_mb, errors, max_counters=()):
             errors.append(
                 f"$.counters: process.peak_rss_bytes {rss} < sum of "
                 f"graph.bytes_* {graph_total}")
+        if "graph.reduced_edges" in counters:
+            stored = (cval("graph.edges_discovered") +
+                      cval("graph.reduced_edges"))
+            if cval("graph.bytes_edges") < 4 * stored:
+                errors.append(
+                    f"$.counters: graph.bytes_edges "
+                    f"{cval('graph.bytes_edges')} < 4 * {stored} stored "
+                    "edges (edges_discovered + reduced_edges)")
 
     # Per-phase RSS delta (v6): the delta cannot exceed the process
     # lifetime peak -- VmHWM is a superset of any phase's growth.
@@ -327,7 +338,7 @@ def main():
 
     counters = len(doc.get("counters", []))
     timers = len(doc.get("timers", []))
-    print(f"{args.metrics}: valid boosting-metrics-v12 "
+    print(f"{args.metrics}: valid boosting-metrics-v13 "
           f"({counters} counters, {timers} timers)")
     return 0
 
